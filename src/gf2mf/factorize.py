@@ -3,15 +3,20 @@
 Factorization is exact and deterministic: results are tuples of
 (irreducible, multiplicity) pairs sorted by (degree, mask), which for
 int masks is plain integer order.  Small inputs (degree <= 24) go
-through trial division against a sieved table of irreducibles; larger
-inputs go through squarefree reduction, distinct-degree splitting by
-Frobenius powers, and an equal-degree splitter based on the trace map,
-the variant suited to characteristic 2.  Any randomness in the splitter
-is driven by a fixed, configurable seed, so repeated runs agree.
+through trial division against the irreducibles of the factor sieve;
+larger inputs go through squarefree reduction, distinct-degree splitting
+by Frobenius powers, and an equal-degree splitter based on the trace
+map, the variant suited to characteristic 2.  Any randomness in the
+splitter is driven by a fixed, configurable seed, so repeated runs agree.
+
+The factor sieve, the package's one bulk table, holds the smallest
+irreducible factor and its cofactor of every mask up to a degree;
+exhaustive fixed-point search reads whole factorizations off it.
 """
 
 import functools
 import random
+from array import array
 from typing import Iterator, NamedTuple
 
 from .gf2poly import (
@@ -24,6 +29,7 @@ from .gf2poly import (
     _mod_bits,
     _mul_bits,
     _sqr_bits,
+    _sqrt_bits,
 )
 
 __all__ = [
@@ -96,18 +102,6 @@ def _derivative_bits(n: int) -> int:
     return (n >> 1) & mask
 
 
-def _sqrt_bits(n: int) -> int:
-    # Assumes all odd-index bits are clear.
-    r = 0
-    i = 0
-    while n:
-        if n & 1:
-            r |= 1 << i
-        n >>= 2
-        i += 1
-    return r
-
-
 def _prime_factors_int(n: int) -> list[int]:
     out = []
     d = 2
@@ -122,21 +116,42 @@ def _prime_factors_int(n: int) -> list[int]:
     return out
 
 
+def _factor_sieve(max_deg: int) -> "tuple[array, array]":
+    """Smallest irreducible factor and cofactor of every mask of degree <= max_deg.
+
+    Returns (spf, cof) indexed by mask with spf[m] * cof[m] == m, where
+    spf[m] is the least irreducible mask dividing m; spf[m] == m exactly
+    when m is irreducible, and spf[1] == cof[1] == 1 (index 0 is unused).
+    """
+    limit = 1 << (max_deg + 1)
+    spf = array("I", [0]) * limit
+    cof = array("I", [0]) * limit
+    spf[1] = cof[1] = 1
+    # A composite of degree <= max_deg has a factor of degree <= max_deg // 2,
+    # so only those irreducibles need sieving; an unmarked p is irreducible.
+    for p in range(2, 1 << (max_deg // 2 + 1)):
+        if spf[p]:
+            continue
+        prod = 0
+        for i in range(1, limit >> (p.bit_length() - 1)):
+            # Cofactors in Gray-code order q = i ^ (i >> 1): each step flips
+            # the single bit i & -i of q, so p * q changes by one shifted p.
+            prod ^= p * (i & -i)
+            if not spf[prod]:
+                spf[prod] = p
+                cof[prod] = i ^ (i >> 1)
+    for m in range(2, limit):
+        if not spf[m]:
+            spf[m] = m
+            cof[m] = 1
+    return spf, cof
+
+
 @functools.lru_cache(maxsize=None)
 def _irreducible_masks(max_deg: int) -> tuple[int, ...]:
-    """All irreducible masks of degree 1..max_deg, ascending, by sieve."""
-    limit = 1 << (max_deg + 1)
-    composite = bytearray(limit)
-    found = []
-    for mask in range(2, limit):
-        if composite[mask]:
-            continue
-        found.append(mask)
-        dp = mask.bit_length() - 1
-        top = 1 << (max_deg - dp + 1)
-        for q in range(2, top):
-            composite[_mul_bits(mask, q)] = 1
-    return tuple(found)
+    """All irreducible masks of degree 1..max_deg, ascending."""
+    spf = _factor_sieve(max_deg)[0]
+    return tuple(m for m in range(2, len(spf)) if spf[m] == m)
 
 
 def irreducibles_up_to(d: int) -> list[Poly]:

@@ -78,6 +78,18 @@ def _sqr_bits(n: int) -> int:
     return r
 
 
+def _sqrt_bits(n: int) -> int:
+    """Square root of a mask whose odd-index bits are all clear."""
+    r = 0
+    i = 0
+    while n:
+        if n & 1:
+            r |= 1 << i
+        n >>= 2
+        i += 1
+    return r
+
+
 def _divmod_bits(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of masks; b must be nonzero."""
     db = b.bit_length()
@@ -368,17 +380,11 @@ def sqrt_if_square(a: Poly) -> "Poly | None":
     """
     if a.bits == 0:
         raise ValueError("square root of 0 is not supported")
-    bits = a.bits
-    root = 0
-    i = 0
-    while bits:
-        if bits & 1:
-            if i & 1:
-                return None
-            root |= 1 << (i >> 1)
-        bits >>= 1
-        i += 1
-    return Poly(root)
+    pairs = (a.bits.bit_length() + 1) // 2
+    # (4^pairs - 1) / 3 is 0b0101...01, so shifted left it selects odd bits.
+    if a.bits & (((1 << (2 * pairs)) - 1) // 3 << 1):
+        return None
+    return Poly(_sqrt_bits(a.bits))
 
 
 def conjugate(a: Poly) -> Poly:

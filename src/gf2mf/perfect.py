@@ -2,9 +2,11 @@
 
 A polynomial is perfect when sigma(A) = A and unitary-perfect when
 sigma_star(A) = A.  Exhaustive mode enumerates every polynomial of
-degree 1..max_deg.  Odd mode exploits the fact that a fixed point with
-no linear factor must be a square, so it enumerates A = S*S over the S
-with constant term 1 and S(1) = 1, halving the exponent space.
+degree 1..max_deg and reads each divisor sum off one table, built by
+peeling prime powers with the smallest-factor and cofactor tables of
+factorize._factor_sieve.  Odd mode exploits the fact that a fixed point
+with no linear factor must be a square, so it enumerates A = S*S over
+the S with constant term 1 and S(1) = 1, halving the exponent space.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -15,13 +17,14 @@ polynomials as plain configuration constants; nothing here re-derives
 them, and passing the filter never claims a candidate is perfect.
 """
 
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .divisors import big_omega, divisors, is_special, omega, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import _factor_bits, _irreducible_masks, _trial_division, factor, parity
-from .gf2poly import Poly, X, X1, _divmod_bits, _mul_bits, _sqr_bits, sqrt_if_square
+from .factorize import _factor_bits, _factor_sieve, _trial_division, factor, parity
+from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits, sqrt_if_square
 from .multfun import convolve_bruteforce, ident, z
 
 __all__ = [
@@ -40,10 +43,6 @@ __all__ = [
 
 EXHAUSTIVE_MAX_DEG = 24
 ODD_SCAN_MAX_DEG = 80
-
-# Exhaustive mode precomputes divisor sums through a smallest-factor
-# table up to this degree; beyond it, candidates are factored one by one.
-_DP_MAX_DEG = 18
 
 # The odd-mode pre-filter compares this many low coefficients before
 # committing to a full product; rejections must stay conservative, which
@@ -164,35 +163,18 @@ def _divsum_pp(p: int, e: int, unitary: bool) -> int:
     return _sigmastar_pp_bits(p, e) if unitary else _sigma_pp_bits(p, e)
 
 
-def _spf_table(max_deg: int) -> "list[int]":
-    """Smallest irreducible factor of every mask of degree <= max_deg."""
-    limit = 1 << (max_deg + 1)
-    spf = [0] * limit
-    for p in _irreducible_masks(max_deg):
-        top = 1 << (max_deg + 1 - (p.bit_length() - 1))
-        for q in range(1, top):
-            idx = _mul_bits(p, q)
-            if not spf[idx]:
-                spf[idx] = p
-    return spf
-
-
-def _divsum_table(max_deg: int, unitary: bool) -> "list[int]":
+def _divsum_table(max_deg: int, unitary: bool) -> "array":
     """sigma (or sigma_star) of every mask of degree <= max_deg."""
-    limit = 1 << (max_deg + 1)
-    spf = _spf_table(max_deg)
-    out = [0] * limit
+    spf, cof = _factor_sieve(max_deg)
+    out = array("I", [0]) * len(spf)
     out[1] = 1
     pp = _sigmastar_pp_bits if unitary else _sigma_pp_bits
-    for m in range(2, limit):
+    for m in range(2, len(spf)):
         p = spf[m]
-        e = 0
-        rest = m
-        while True:
-            q, r = _divmod_bits(rest, p)
-            if r:
-                break
-            rest = q
+        rest = cof[m]
+        e = 1
+        while spf[rest] == p:
+            rest = cof[rest]
             e += 1
         out[m] = _mul_bits(pp(p, e), out[rest])
     return out
@@ -239,30 +221,15 @@ def search_fixed_points(
         return odd_square_scan(max_deg, unitary=unitary, jobs=jobs).hits
     if not 1 <= max_deg <= EXHAUSTIVE_MAX_DEG:
         raise ResourceLimitError(
-            f"exhaustive search is bounded at degree {EXHAUSTIVE_MAX_DEG}"
+            f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
         )
-    limit = 1 << (max_deg + 1)
-    if max_deg <= _DP_MAX_DEG:
-        table = _divsum_table(max_deg, unitary)
+    table = _divsum_table(max_deg, unitary)
 
-        def scan(bounds: "tuple[int, int]") -> "list[int]":
-            lo, hi = bounds
-            return [m for m in range(lo, hi) if table[m] == m]
+    def scan(bounds: "tuple[int, int]") -> "list[int]":
+        lo, hi = bounds
+        return [m for m in range(lo, hi) if table[m] == m]
 
-    else:
-
-        def scan(bounds: "tuple[int, int]") -> "list[int]":
-            lo, hi = bounds
-            out = []
-            for m in range(lo, hi):
-                acc = 1
-                for p, e in _trial_division(m):
-                    acc = _mul_bits(acc, _divsum_pp(p, e, unitary))
-                if acc == m:
-                    out.append(m)
-            return out
-
-    chunks = _run_shards(scan, _shards(2, limit, jobs), jobs)
+    chunks = _run_shards(scan, _shards(2, len(table), jobs), jobs)
     masks = sorted(m for chunk in chunks for m in chunk)
     return [_result(m, unitary) for m in masks]
 
@@ -282,7 +249,7 @@ def odd_square_scan(
     """
     if not 2 <= max_deg <= ODD_SCAN_MAX_DEG:
         raise ResourceLimitError(
-            f"odd-square scan is bounded at degree {ODD_SCAN_MAX_DEG}"
+            f"odd-square scan degree must be 2..{ODD_SCAN_MAX_DEG}"
         )
     half = max_deg // 2
     low = _LOW_MASK

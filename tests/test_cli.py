@@ -150,6 +150,18 @@ class TestSearch:
         assert code == 2
         assert "degree" in err
 
+    @pytest.mark.parametrize("kind, max_deg, valid", [
+        ("perfect", "0", "1..24"),
+        ("unitary", "0", "1..24"),
+        ("odd", "1", "2..80"),
+    ])
+    def test_degree_below_range_names_the_range(self, capsys, kind, max_deg,
+                                                valid):
+        code, out, err = run(capsys, "search", kind, "--max-deg", max_deg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert valid in err
+
 
 class TestMersenne:
     def test_degree_4_catalogue(self, capsys):

@@ -190,6 +190,8 @@ class TestSqrt:
         assert sqrt_if_square(Poly("x^2+1")) == X1
         assert sqrt_if_square(Poly("x^4+x^2+1")) == Poly("x^2+x+1")
         assert sqrt_if_square(Poly("x^3")) is None
+        assert sqrt_if_square(Poly("x^4+x")) is None
+        assert sqrt_if_square(Poly("x^5+x^4")) is None
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,22 @@
 """Tests for fixed-point (perfect polynomial) search and odd-case scans."""
 
+import json
+import os
+import random
+
 import pytest
 
 from gf2mf.divisors import ResourceLimitError
-from gf2mf.gf2poly import ONE, Poly, ZERO, conjugate
-from gf2mf.multfun import sigma
+from gf2mf.factorize import (
+    _factor_sieve,
+    _irreducible_masks,
+    _is_irreducible_bits,
+    factor,
+)
+from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, conjugate
+from gf2mf.multfun import sigma, sigma_star
 from gf2mf.perfect import (
+    _divsum_table,
     classify,
     odd_perfect_filter,
     odd_square_scan,
@@ -18,6 +29,9 @@ from gf2mf.perfect import (
 X = Poly("x")
 X1 = Poly("x+1")
 B = X * X1  # x^2+x, the smallest perfect polynomial
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "reference.json")
 
 ODD_PRIMES = [Poly("x^2+x+1"), Poly("x^3+x+1"), Poly("x^3+x^2+1"),
               Poly("x^4+x+1"), Poly("x^4+x^3+1")]
@@ -70,6 +84,36 @@ class TestClassify:
         assert classify(Poly("x^2+x+1") ** 2) == "odd"
 
 
+class TestFactorSieve:
+    """The sieve tables against factor() and the multfun route."""
+
+    DEG = 14
+
+    def sample(self, n, seed):
+        return random.Random(seed).sample(range(2, 1 << (self.DEG + 1)), n)
+
+    def test_smallest_factor_times_cofactor(self):
+        spf, cof = _factor_sieve(self.DEG)
+        assert (spf[1], cof[1]) == (1, 1)
+        for m in self.sample(500, 1):
+            assert _mul_bits(spf[m], cof[m]) == m
+            assert spf[m] == factor(Poly(m)).factors[0][0].bits
+
+    def test_irreducibles_match_the_frobenius_test(self):
+        for d in range(1, 11):
+            expected = tuple(m for m in range(2, 1 << (d + 1))
+                             if _is_irreducible_bits(m))
+            assert _irreducible_masks(d) == expected
+
+    @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
+                             ids=["sigma", "sigma_star"])
+    def test_divisor_sum_table_matches_multfun(self, unitary, f):
+        table = _divsum_table(self.DEG, unitary)
+        assert table[1] == 1
+        for m in self.sample(500, 2):
+            assert table[m] == f(Poly(m)).bits
+
+
 class TestSearch:
     def test_exhaustive_degree_6(self):
         lines = [r.line() for r in search_fixed_points(6)]
@@ -110,10 +154,12 @@ class TestSearch:
         assert (search_fixed_points(8, unitary=True, jobs=4)
                 == search_fixed_points(8, unitary=True))
 
-    def test_divisor_table_and_trial_division_paths_agree(self, monkeypatch):
-        baseline = search_fixed_points(9)
-        monkeypatch.setattr("gf2mf.perfect._DP_MAX_DEG", 4)
-        assert search_fixed_points(9) == baseline
+    def test_degree_19_adds_no_fixed_point(self):
+        # No perfect polynomial has degree 17..19, so the listing is the
+        # degree-18 reference one.
+        with open(REFERENCE) as f:
+            expected = json.load(f)["search_sigma_18"]
+        assert [r.line() for r in search_fixed_points(19)] == expected
 
     def test_odd_only_delegates_to_scan(self):
         assert search_fixed_points(20, odd_only=True) == []
