@@ -1,10 +1,16 @@
 """Divisor-lattice queries on factored binary polynomials.
 
-Divisor enumerations walk exponent vectors in mixed-radix counting
-order (the first listed factor is the fastest digit), so output order
-is reproducible.  Enumerations larger than DIVISOR_LIMIT entries are
-refused rather than silently truncated.
+Every divisor enumeration in the package (divisors, unitary_divisors,
+the convolution oracle, the identity lattice) goes through one walker,
+_products, in mixed-radix counting order over the exponent vectors (the
+first listed factor is the fastest digit), so output order is
+reproducible.  Enumerations larger than DIVISOR_LIMIT entries are
+refused there, before any value is computed, rather than silently
+truncated.
 """
+
+from math import prod
+from typing import Callable, Sequence
 
 from .factorize import Factorization, factor
 from .gf2poly import ONE, Poly, _mul_bits
@@ -12,6 +18,7 @@ from .gf2poly import ONE, Poly, _mul_bits
 __all__ = [
     "DIVISOR_LIMIT",
     "ResourceLimitError",
+    "divisor_count",
     "divisors",
     "unitary_divisors",
     "radical",
@@ -28,49 +35,47 @@ class ResourceLimitError(RuntimeError):
 
 
 def divisor_count(f: Factorization) -> int:
+    """Number of divisors: the product of e + 1 over the prime powers."""
     count = 1
     for _, e in f:
         count *= e + 1
     return count
 
 
-def _check_limit(count: int) -> None:
+def _products(rows: "list[tuple[Poly, Sequence[int]]]",
+              value: "Callable[[Poly, int], int]") -> list[int]:
+    """Every product of one value(p, j) per row (p, exponents j).
+
+    The first row is the fastest digit, so entry n of the result belongs
+    to the n-th exponent vector in mixed-radix counting order.  The size
+    check runs before value is first called.
+    """
+    count = prod(len(exps) for _, exps in rows)
     if count > DIVISOR_LIMIT:
         raise ResourceLimitError(
             f"{count} divisors exceed the enumeration bound of {DIVISOR_LIMIT}"
         )
+    out = [1]
+    for p, exps in rows:
+        vals = [value(p, j) for j in exps]
+        out = [_mul_bits(d, v) for v in vals for d in out]
+    return out
 
 
-def _power_table(p_bits: int, e: int) -> list[int]:
-    pows = [1]
-    for _ in range(e):
-        pows.append(_mul_bits(pows[-1], p_bits))
-    return pows
+def _power_bits(p: Poly, j: int) -> int:
+    return (p**j).bits
 
 
 def divisors(f: Factorization) -> list[Poly]:
     """All divisors in mixed-radix order over the exponent vectors."""
-    _check_limit(divisor_count(f))
-    masks = [1]
-    for p, e in f:
-        pows = _power_table(p.bits, e)
-        masks = [_mul_bits(d, pw) for pw in pows for d in masks]
-    return [Poly(m) for m in masks]
+    rows = [(p, range(e + 1)) for p, e in f]
+    return [Poly(m) for m in _products(rows, _power_bits)]
 
 
 def unitary_divisors(f: Factorization) -> list[Poly]:
     """Divisors D with gcd(D, A/D) = 1: one subset of full prime powers each."""
-    k = len(f.factors)
-    _check_limit(1 << k)
-    full = [(p**e).bits for p, e in f]
-    out = []
-    for subset in range(1 << k):
-        acc = 1
-        for i in range(k):
-            if (subset >> i) & 1:
-                acc = _mul_bits(acc, full[i])
-        out.append(Poly(acc))
-    return out
+    rows = [(p, (0, e)) for p, e in f]
+    return [Poly(m) for m in _products(rows, _power_bits)]
 
 
 def radical(f: Factorization) -> Poly:

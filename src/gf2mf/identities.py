@@ -20,9 +20,10 @@ fail; closed forms always use the true builtins.
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterator, Mapping
 
-from .divisors import DIVISOR_LIMIT, ResourceLimitError, is_special
+from .divisors import _power_bits, _products, is_special, radical
 from .factorize import factor, irreducibles_up_to, is_irreducible
 from .gf2poly import ONE, Poly, ZERO, _mul_bits, sqrt_if_square
 from .multfun import (
@@ -385,40 +386,27 @@ def check_all(
 
 
 class _Lattice:
-    """Exponent-vector view of the divisor lattice of one polynomial."""
+    """Exponent-vector view of the divisor lattice of one polynomial.
+
+    Divisors and codivisors come from the walker of gf2mf.divisors, the
+    codivisors over reversed exponent rows, so both stay in counting order.
+    """
 
     def __init__(self, a: Poly):
-        fact = factor(a)
-        count = 1
-        for _, e in fact:
-            count *= e + 1
-        if count > DIVISOR_LIMIT:
-            raise ResourceLimitError(
-                f"{count} divisors exceed the enumeration bound of {DIVISOR_LIMIT}"
-            )
+        self.fact = factor(a)
         self.a_bits = a.bits
-        self.primes = [p for p, _ in fact]
-        self.exps = [e for _, e in fact]
-        self.pows = [[(p**j).bits for j in range(e + 1)] for p, e in fact]
+        self.primes = [p for p, _ in self.fact]
+        self.exps = [e for _, e in self.fact]
+        self.ds = _products([(p, range(e + 1)) for p, e in self.fact],
+                            _power_bits)
+        self.qs = _products([(p, range(e, -1, -1)) for p, e in self.fact],
+                            _power_bits)
 
     def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Yield (exponents, divisor mask, codivisor mask) in counting order."""
-        k = len(self.exps)
-        idx = [0] * k
-        while True:
-            d = 1
-            q = 1
-            for i in range(k):
-                d = _mul_bits(d, self.pows[i][idx[i]])
-                q = _mul_bits(q, self.pows[i][self.exps[i] - idx[i]])
-            yield tuple(idx), d, q
-            i = 0
-            while i < k and idx[i] == self.exps[i]:
-                idx[i] = 0
-                i += 1
-            if i == k:
-                return
-            idx[i] += 1
+        # itertools.product counts with its last range fastest.
+        counts = product(*[range(e + 1) for e in reversed(self.exps)])
+        yield from zip((t[::-1] for t in counts), self.ds, self.qs)
 
     def value(self, f: MultiplicativeFunction, t: tuple[int, ...]) -> int:
         """f at the divisor with exponent vector t, as a mask."""
@@ -430,21 +418,10 @@ class _Lattice:
 
     def covalue(self, f: MultiplicativeFunction, t: tuple[int, ...]) -> int:
         """f at the codivisor A/D for exponent vector t, as a mask."""
-        acc = 1
-        for i, ti in enumerate(t):
-            e = self.exps[i] - ti
-            if e:
-                acc = _mul_bits(acc, f.at_prime_power(self.primes[i], e).bits)
-        return acc
+        return self.value(f, [e - ti for e, ti in zip(self.exps, t)])
 
     def co_squarefree(self, t: tuple[int, ...]) -> bool:
         return all(self.exps[i] - t[i] <= 1 for i in range(len(t)))
-
-    def radical_bits(self) -> int:
-        acc = 1
-        for p in self.primes:
-            acc = _mul_bits(acc, p.bits)
-        return acc
 
 
 def _is_square(a: Poly) -> bool:
@@ -571,7 +548,7 @@ def corollary_registry() -> list[CorollarySpec]:
         lambda lat, t, d, q:
             _mul_bits(lat.value(sigma, t), lat.covalue(_PHI_INV, t))
             if mid(lat, d) else 0,
-        lambda a, lat: ONE + sigma(a) + sigma(Poly(lat.radical_bits())),
+        lambda a, lat: ONE + sigma(a) + sigma(radical(lat.fact)),
     ))
     specs.append(_sum_spec(
         "corol_sigmainv_sigma", "all", _all_nontrivial,
@@ -584,14 +561,14 @@ def corollary_registry() -> list[CorollarySpec]:
         "corol_sigmainv_id", "special", _special_nontrivial,
         lambda lat, t, d, q:
             _mul_bits(lat.value(_SIGMA_INV, t), q) if mid(lat, d) else 0,
-        lambda a, lat: a + Poly(lat.radical_bits()),
+        lambda a, lat: a + radical(lat.fact),
     ))
     specs.append(_sum_spec(
         "corol_sigmainv_mu", "special", _special_nontrivial,
         lambda lat, t, d, q:
             lat.value(_SIGMA_INV, t)
             if mid(lat, d) and lat.co_squarefree(t) else 0,
-        lambda a, lat: ONE + Poly(lat.radical_bits()),
+        lambda a, lat: ONE + radical(lat.fact),
     ))
     specs.append(_sum_spec(
         "corol_sigmastarinv_id", "square", _square_nontrivial,
@@ -604,7 +581,7 @@ def corollary_registry() -> list[CorollarySpec]:
         lambda lat, t, d, q:
             lat.value(_SIGMASTAR_INV, t)
             if mid(lat, d) and lat.co_squarefree(t) else 0,
-        lambda a, lat: sigma(Poly(lat.radical_bits())),
+        lambda a, lat: sigma(radical(lat.fact)),
     ))
     specs.append(_sum_spec(
         "corol_sigmastarinv_sigma", "square", _square_nontrivial,

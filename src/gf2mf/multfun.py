@@ -8,9 +8,12 @@ product all yield new functions whose rules are derived symbolically
 from their operands' rules.
 
 convolve_bruteforce is the deliberately independent oracle: it computes
-(f*g)(a) as the literal sum over all divisors d of f(d) g(a/d), walking
-the divisor lattice instead of composing per-prime convolutions.  The
-two routes must agree everywhere; the test suite holds them to that.
+(f*g)(a) as the literal sum over all divisors d of f(d) g(a/d), listing
+both factors with the divisor walker of gf2mf.divisors instead of
+composing per-prime convolutions.  The two routes must agree
+everywhere; the test suite holds them to that.  _sigma_bits and
+_sigma_star_bits are the one home of those two rules; gf2mf.perfect
+builds its divisor-sum tables from them.
 
 Prime-power values are cached per function.  Caches are insert-once
 with deterministic values, so concurrent readers are safe, and they are
@@ -19,7 +22,7 @@ invisible to the function's behavior.
 
 from typing import Callable
 
-from .divisors import DIVISOR_LIMIT, ResourceLimitError
+from .divisors import _products
 from .factorize import factor
 from .gf2poly import ONE, Poly, ZERO, _mul_bits
 
@@ -110,19 +113,30 @@ def _phi_rule(prime: Poly, r: int) -> Poly:
     return Poly(_mul_bits(lower, prime.bits) ^ lower)
 
 
-def _sigma_rule(prime: Poly, r: int) -> Poly:
-    # 1 + P + ... + P^r, the sum of the divisors of P^r.
+def _sigma_bits(p: int, r: int) -> int:
+    """1 + P + ... + P^r, the sum of the divisors of P^r, on masks."""
     acc = 1
     pw = 1
     for _ in range(r):
-        pw = _mul_bits(pw, prime.bits)
+        pw = _mul_bits(pw, p)
         acc ^= pw
-    return Poly(acc)
+    return acc
+
+
+def _sigma_star_bits(p: int, r: int) -> int:
+    """P^r + 1 for r >= 1, the sum of the unitary divisors of P^r, on masks."""
+    pw = p
+    for _ in range(r - 1):
+        pw = _mul_bits(pw, p)
+    return pw ^ 1
+
+
+def _sigma_rule(prime: Poly, r: int) -> Poly:
+    return Poly(_sigma_bits(prime.bits, r))
 
 
 def _sigma_star_rule(prime: Poly, r: int) -> Poly:
-    # 1 + P^r, the sum of the unitary divisors of P^r.
-    return Poly((prime**r).bits ^ 1)
+    return Poly(_sigma_star_bits(prime.bits, r))
 
 
 delta = MultiplicativeFunction("delta", _delta_rule, totally_multiplicative=True)
@@ -187,35 +201,13 @@ def convolve_bruteforce(f: MultiplicativeFunction, g: MultiplicativeFunction,
     if a.bits == 0:
         raise ValueError("convolution is undefined at 0")
     fact = factor(a)
-    count = 1
-    for _, e in fact:
-        count *= e + 1
-    if count > DIVISOR_LIMIT:
-        raise ResourceLimitError(
-            f"{count} divisors exceed the enumeration bound of {DIVISOR_LIMIT}"
-        )
-    pairs = fact.factors
-    k = len(pairs)
-    exps = [e for _, e in pairs]
-    fvals = [[f.at_prime_power(p, j).bits for j in range(e + 1)] for p, e in pairs]
-    gvals = [[g.at_prime_power(p, j).bits for j in range(e + 1)] for p, e in pairs]
+    fvals = _products([(p, range(e + 1)) for p, e in fact],
+                      lambda p, j: f.at_prime_power(p, j).bits)
+    gvals = _products([(p, range(e, -1, -1)) for p, e in fact],
+                      lambda p, j: g.at_prime_power(p, j).bits)
     acc = 0
-    idx = [0] * k
-    while True:
-        fd = 1
-        gd = 1
-        for i in range(k):
-            t = idx[i]
-            fd = _mul_bits(fd, fvals[i][t])
-            gd = _mul_bits(gd, gvals[i][exps[i] - t])
-        acc ^= _mul_bits(fd, gd)
-        i = 0
-        while i < k and idx[i] == exps[i]:
-            idx[i] = 0
-            i += 1
-        if i == k:
-            break
-        idx[i] += 1
+    for fd, gq in zip(fvals, gvals):
+        acc ^= _mul_bits(fd, gq)
     return Poly(acc)
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 from .divisors import big_omega, divisors, is_special, omega, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import _factor_bits, _factor_sieve, _trial_division, factor, parity
+from .factorize import _factor_sieve, _trial_division, factor, parity
 from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits, sqrt_if_square
-from .multfun import convolve_bruteforce, ident, z
+from .multfun import _sigma_bits, _sigma_star_bits, convolve_bruteforce, ident, z
 
 __all__ = [
     "SearchResult",
@@ -41,8 +41,8 @@ __all__ = [
     "odd_perfect_filter",
 ]
 
-EXHAUSTIVE_MAX_DEG = 24
-ODD_SCAN_MAX_DEG = 80
+EXHAUSTIVE_MAX_DEG = 20
+ODD_SCAN_MAX_DEG = 40
 
 # The odd-mode pre-filter compares this many low coefficients before
 # committing to a full product; rejections must stay conservative, which
@@ -137,30 +137,18 @@ _SIGMA_PP: "dict[tuple[int, int], int]" = {}
 _SIGMASTAR_PP: "dict[tuple[int, int], int]" = {}
 
 
-def _sigma_pp_bits(p: int, e: int) -> int:
-    v = _SIGMA_PP.get((p, e))
-    if v is None:
-        acc = 1
-        pw = 1
-        for _ in range(e):
-            pw = _mul_bits(pw, p)
-            acc ^= pw
-        _SIGMA_PP[(p, e)] = v = acc
-    return v
+def _divsum_pp(unitary: bool):
+    """sigma_star (if unitary) or sigma at prime powers, through the memo."""
+    memo, rule = ((_SIGMASTAR_PP, _sigma_star_bits) if unitary
+                  else (_SIGMA_PP, _sigma_bits))
 
+    def pp(p: int, e: int) -> int:
+        v = memo.get((p, e))
+        if v is None:
+            memo[(p, e)] = v = rule(p, e)
+        return v
 
-def _sigmastar_pp_bits(p: int, e: int) -> int:
-    v = _SIGMASTAR_PP.get((p, e))
-    if v is None:
-        pw = p
-        for _ in range(e - 1):
-            pw = _mul_bits(pw, p)
-        _SIGMASTAR_PP[(p, e)] = v = pw ^ 1
-    return v
-
-
-def _divsum_pp(p: int, e: int, unitary: bool) -> int:
-    return _sigmastar_pp_bits(p, e) if unitary else _sigma_pp_bits(p, e)
+    return pp
 
 
 def _divsum_table(max_deg: int, unitary: bool) -> "array":
@@ -168,7 +156,7 @@ def _divsum_table(max_deg: int, unitary: bool) -> "array":
     spf, cof = _factor_sieve(max_deg)
     out = array("I", [0]) * len(spf)
     out[1] = 1
-    pp = _sigmastar_pp_bits if unitary else _sigma_pp_bits
+    pp = _divsum_pp(unitary)
     for m in range(2, len(spf)):
         p = spf[m]
         rest = cof[m]
@@ -253,6 +241,7 @@ def odd_square_scan(
         )
     half = max_deg // 2
     low = _LOW_MASK
+    pp = _divsum_pp(unitary)
 
     def scan(bounds: "tuple[int, int]"):
         lo, hi = bounds
@@ -264,15 +253,12 @@ def odd_square_scan(
             if s.bit_count() % 2 == 0:
                 continue  # S(1) = 0 means x+1 divides S
             cand += 1
-            pairs = (
-                _trial_division(s)
-                if s.bit_length() - 1 <= 24
-                else _factor_bits(s)
-            )
+            # deg S <= ODD_SCAN_MAX_DEG // 2, small enough for trial division
+            pairs = _trial_division(s)
             a_bits = _sqr_bits(s)
             prod_low = 1
             for p, e in pairs:
-                prod_low = _mul_bits(prod_low, _divsum_pp(p, 2 * e, unitary) & low) & low
+                prod_low = _mul_bits(prod_low, pp(p, 2 * e) & low) & low
             if prod_low != a_bits & low:
                 rej += 1
                 if len(sample) < want:
@@ -281,7 +267,7 @@ def odd_square_scan(
             full += 1
             acc = 1
             for p, e in pairs:
-                acc = _mul_bits(acc, _divsum_pp(p, 2 * e, unitary))
+                acc = _mul_bits(acc, pp(p, 2 * e))
             if acc == a_bits:
                 hit_masks.append(a_bits)
         return cand, rej, full, hit_masks, sample

@@ -1,8 +1,12 @@
 """Tests for divisor-lattice queries."""
 
+import random
+from math import prod
+
 import pytest
 
 from gf2mf.divisors import (
+    DIVISOR_LIMIT,
     ResourceLimitError,
     big_omega,
     divisors,
@@ -12,7 +16,9 @@ from gf2mf.divisors import (
     unitary_divisors,
 )
 from gf2mf.factorize import factor, irreducibles_up_to
-from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, gcd
+from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _mul_bits, gcd
+from gf2mf.identities import _Lattice, check_corollaries
+from gf2mf.multfun import convolve_bruteforce, sigma, z
 
 
 class TestDivisors:
@@ -78,6 +84,74 @@ class TestUnitaryDivisors:
             a = a * p
         with pytest.raises(ResourceLimitError):
             unitary_divisors(factor(a))
+
+
+def counting_order(exps):
+    """Exponent vectors of the lattice, the first factor the fastest digit."""
+    out = []
+    for n in range(prod(e + 1 for e in exps)):
+        t = []
+        for e in exps:
+            n, digit = divmod(n, e + 1)
+            t.append(digit)
+        out.append(tuple(t))
+    return out
+
+
+class TestWalkerOrder:
+    """divisors, unitary_divisors and the identity lattice share one order."""
+
+    def masks(self):
+        rng = random.Random(3)
+        return [rng.randrange(1, 1 << 15) for _ in range(300)]  # degree <= 14
+
+    def test_lattice_walks_the_divisors_in_counting_order(self):
+        for m in self.masks():
+            a = Poly(m)
+            fact = factor(a)
+            vecs = list(_Lattice(a).vectors())
+            assert [d for _, d, _ in vecs] == [d.bits for d in divisors(fact)]
+            assert [t for t, _, _ in vecs] == counting_order(
+                [e for _, e in fact])
+            for t, d, q in vecs:
+                assert _mul_bits(d, q) == m
+                assert Poly(d) == prod((p**j for (p, _), j in zip(fact, t)),
+                                       start=ONE)
+
+    def test_unitary_divisors_are_the_coprime_divisors_in_order(self):
+        for m in self.masks():
+            a = Poly(m)
+            fact = factor(a)
+            assert unitary_divisors(fact) == [
+                d for d in divisors(fact) if gcd(d, a // d) == ONE
+            ]
+
+
+def _product_of_primes(count):
+    a = ONE
+    for p in irreducibles_up_to(10)[:count]:
+        a = a * p
+    return a
+
+
+class TestDivisorLimit:
+    """Every lattice walk refuses an oversized input with one message."""
+
+    @pytest.mark.parametrize("walk, a, count", [
+        (lambda a: divisors(factor(a)), Poly("x^2+x") ** 1024, 1025**2),
+        (lambda a: convolve_bruteforce(sigma, z, a), Poly("x^2+x") ** 1024,
+         1025**2),
+        (check_corollaries, Poly("x^2+x") ** 1024, 1025**2),
+        (lambda a: unitary_divisors(factor(a)), _product_of_primes(21),
+         1 << 21),
+    ], ids=["divisors", "convolve_bruteforce", "check_corollaries",
+            "unitary_divisors"])
+    def test_same_message(self, walk, a, count):
+        with pytest.raises(ResourceLimitError) as info:
+            walk(a)
+        assert str(info.value) == (
+            f"{count} divisors exceed the enumeration bound of {DIVISOR_LIMIT}"
+        )
 
 
 class TestRadicalAndCounts:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gf2mf.divisors import ResourceLimitError
+from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
 from gf2mf.factorize import (
     _factor_sieve,
     _irreducible_masks,
@@ -108,10 +108,17 @@ class TestFactorSieve:
     @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
                              ids=["sigma", "sigma_star"])
     def test_divisor_sum_table_matches_multfun(self, unitary, f):
+        # The table and f share one prime-power rule, so the literal XOR
+        # over the (unitary) divisor list is the independent check.
         table = _divsum_table(self.DEG, unitary)
+        listed = unitary_divisors if unitary else divisors
         assert table[1] == 1
         for m in self.sample(500, 2):
             assert table[m] == f(Poly(m)).bits
+            literal = 0
+            for d in listed(factor(Poly(m))):
+                literal ^= d.bits
+            assert table[m] == literal
 
 
 class TestSearch:
@@ -166,7 +173,7 @@ class TestSearch:
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            search_fixed_points(25)
+            search_fixed_points(21)
 
     def test_result_guard_rejects_non_perfect(self):
         with pytest.raises(RuntimeError):
@@ -206,7 +213,7 @@ class TestOddScan:
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            odd_square_scan(81)
+            odd_square_scan(41)
 
 
 class TestOddFilter:
