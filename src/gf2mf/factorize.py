@@ -11,7 +11,8 @@ splitter is driven by a fixed, configurable seed, so repeated runs agree.
 
 The factor sieve, the package's one bulk table, holds the smallest
 irreducible factor and its cofactor of every mask up to a degree;
-exhaustive fixed-point search reads whole factorizations off it.
+exhaustive fixed-point search reads whole factorizations off it, and the
+odd-square scan takes its odd irreducibles from it.
 """
 
 import functools

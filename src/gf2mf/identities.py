@@ -74,7 +74,8 @@ class CorollarySpec:
     id: str
     input_kind: str  # "all" | "square" | "special"
     applies: Callable[[Poly], bool]
-    run: Callable[[Poly], "tuple[Poly | None, Poly, bool]"]
+    # run(a, lattice) gets the divisor lattice of a, shared by every spec.
+    run: Callable[[Poly, "_Lattice"], "tuple[Poly | None, Poly, bool]"]
 
 
 @dataclass(frozen=True)
@@ -443,8 +444,7 @@ def _all_nontrivial(a: Poly) -> bool:
 def _sum_spec(cid, kind, applies, summand, rhs) -> CorollarySpec:
     """A corollary whose left side is an XOR over divisor vectors."""
 
-    def run(a: Poly) -> "tuple[Poly | None, Poly, bool]":
-        lat = _Lattice(a)
+    def run(a: Poly, lat: "_Lattice") -> "tuple[Poly | None, Poly, bool]":
         acc = 0
         for t, d, q in lat.vectors():
             acc ^= summand(lat, t, d, q)
@@ -458,7 +458,7 @@ def _sum_spec(cid, kind, applies, summand, rhs) -> CorollarySpec:
 def _squareconv_spec(name: str) -> CorollarySpec:
     f = BUILTINS[name]
 
-    def run(a: Poly) -> "tuple[Poly | None, Poly, bool]":
+    def run(a: Poly, lat: "_Lattice") -> "tuple[Poly | None, Poly, bool]":
         got = convolve_bruteforce(f, f, a)
         root = sqrt_if_square(a)
         predicted_fixed = root is not None and f(root) == root
@@ -602,13 +602,14 @@ def check_corollaries(a: Poly) -> list[IdentityReport]:
     if a.bits == 0:
         raise ValueError("corollaries are undefined at 0")
     reports = []
+    lat = _Lattice(a)  # every input has some lattice corollary that applies
     for spec in corollary_registry():
         if not spec.applies(a):
             reports.append(IdentityReport(
                 kind="corollary", spec_id=spec.id, point=a, skipped=True,
             ))
             continue
-        expected, got, passed = spec.run(a)
+        expected, got, passed = spec.run(a, lat)
         reports.append(IdentityReport(
             kind="corollary", spec_id=spec.id, point=a,
             expected=expected, got=got, passed=passed,

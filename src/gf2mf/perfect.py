@@ -7,6 +7,9 @@ peeling prime powers with the smallest-factor and cofactor tables of
 factorize._factor_sieve.  Odd mode exploits the fact that a fixed point
 with no linear factor must be a square, so it enumerates A = S*S over
 the S with constant term 1 and S(1) = 1, halving the exponent space.
+Those S are exactly the products of odd irreducibles, so the scan walks
+factorizations rather than masks: each step multiplies S^2 and its
+divisor sum by one prime power, and no candidate is ever factored.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -17,13 +20,15 @@ polynomials as plain configuration constants; nothing here re-derives
 them, and passing the filter never claims a candidate is perfect.
 """
 
+import heapq
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .divisors import big_omega, divisors, is_special, omega, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import _factor_sieve, _trial_division, factor, parity
+from .factorize import _factor_sieve, _irreducible_masks, factor, parity
 from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits, sqrt_if_square
 from .multfun import _sigma_bits, _sigma_star_bits, convolve_bruteforce, ident, z
 
@@ -131,24 +136,10 @@ def classify(a: Poly) -> str:
     return "even-nontrivial" if parity(a) == "even" else "odd"
 
 
-# Divisor sums of prime powers, memoized as masks.  Concurrent writers
-# can only ever store the same value, so plain dicts are safe here.
-_SIGMA_PP: "dict[tuple[int, int], int]" = {}
-_SIGMASTAR_PP: "dict[tuple[int, int], int]" = {}
-
-
-def _divsum_pp(unitary: bool):
-    """sigma_star (if unitary) or sigma at prime powers, through the memo."""
-    memo, rule = ((_SIGMASTAR_PP, _sigma_star_bits) if unitary
-                  else (_SIGMA_PP, _sigma_bits))
-
-    def pp(p: int, e: int) -> int:
-        v = memo.get((p, e))
-        if v is None:
-            memo[(p, e)] = v = rule(p, e)
-        return v
-
-    return pp
+# No prime-power memo outlives one table build.  These names stay, as
+# empty read-only views, because perfbench/tracer.py reports their size
+# as the count of memo entries left alive after a run.
+_SIGMA_PP = _SIGMASTAR_PP = MappingProxyType({})
 
 
 def _divsum_table(max_deg: int, unitary: bool) -> "array":
@@ -156,7 +147,8 @@ def _divsum_table(max_deg: int, unitary: bool) -> "array":
     spf, cof = _factor_sieve(max_deg)
     out = array("I", [0]) * len(spf)
     out[1] = 1
-    pp = _divsum_pp(unitary)
+    rule = _sigma_star_bits if unitary else _sigma_bits
+    memo: "dict[tuple[int, int], int]" = {}
     for m in range(2, len(spf)):
         p = spf[m]
         rest = cof[m]
@@ -164,7 +156,10 @@ def _divsum_table(max_deg: int, unitary: bool) -> "array":
         while spf[rest] == p:
             rest = cof[rest]
             e += 1
-        out[m] = _mul_bits(pp(p, e), out[rest])
+        v = memo.get((p, e))
+        if v is None:
+            memo[(p, e)] = v = rule(p, e)
+        out[m] = _mul_bits(v, out[rest])
     return out
 
 
@@ -230,10 +225,13 @@ def odd_square_scan(
 ) -> ScanReport:
     """Scan A = S*S over all S without linear factors, deg A <= max_deg.
 
-    S must have constant term 1 and S(1) = 1.  For each candidate the
-    low coefficients of the divisor sum are compared first; survivors
-    get the full product.  Counters and an ascending sample of
-    filter-rejected candidates are recorded for conservativeness checks.
+    S must have constant term 1 and S(1) = 1, so S is a product of odd
+    irreducibles.  The scan walks those products depth first, primes in
+    ascending order with their exponents, and extends A and its divisor
+    sum by one prime power per step, so no candidate is ever factored.
+    The low coefficients of the divisor sum are compared first; survivors
+    get the full comparison.  Counters and the smallest filter-rejected
+    candidates are recorded for conservativeness checks.
     """
     if not 2 <= max_deg <= ODD_SCAN_MAX_DEG:
         raise ResourceLimitError(
@@ -241,38 +239,50 @@ def odd_square_scan(
         )
     half = max_deg // 2
     low = _LOW_MASK
-    pp = _divsum_pp(unitary)
+    rule = _sigma_star_bits if unitary else _sigma_bits
+    primes = [p for p in _irreducible_masks(half) if p > 3]
+    degs = [p.bit_length() - 1 for p in primes]
+    count = len(primes)
 
     def scan(bounds: "tuple[int, int]"):
-        lo, hi = bounds
         cand = rej = full = 0
         hit_masks: "list[int]" = []
-        sample: "list[int]" = []
-        want = sample_rejected
-        for s in range(lo | 1, hi, 2):
-            if s.bit_count() % 2 == 0:
-                continue  # S(1) = 0 means x+1 divides S
-            cand += 1
-            # deg S <= ODD_SCAN_MAX_DEG // 2, small enough for trial division
-            pairs = _trial_division(s)
-            a_bits = _sqr_bits(s)
-            prod_low = 1
-            for p, e in pairs:
-                prod_low = _mul_bits(prod_low, pp(p, 2 * e) & low) & low
-            if prod_low != a_bits & low:
-                rej += 1
-                if len(sample) < want:
-                    sample.append(a_bits)
-                continue
-            full += 1
-            acc = 1
-            for p, e in pairs:
-                acc = _mul_bits(acc, pp(p, 2 * e))
-            if acc == a_bits:
-                hit_masks.append(a_bits)
-        return cand, rej, full, hit_masks, sample
+        sample: "list[int]" = []  # negated: a max-heap of the smallest
 
-    shards = _shards(4, 1 << (half + 1), jobs)
+        def walk(first: int, stop: int, room: int, a: int, acc: int) -> None:
+            # Extend S by p^e for every prime p from index first on that
+            # still fits in room degrees; a = S^2, acc = its divisor sum.
+            nonlocal cand, rej, full
+            for i in range(first, stop):
+                d = degs[i]
+                if d > room:
+                    break
+                p = primes[i]
+                sq = _sqr_bits(p)
+                pw = 1
+                for e in range(1, room // d + 1):
+                    pw = _mul_bits(pw, sq)
+                    a2 = _mul_bits(a, pw)
+                    acc2 = _mul_bits(acc, rule(p, 2 * e))
+                    cand += 1
+                    if (acc2 ^ a2) & low:
+                        rej += 1
+                        if len(sample) < sample_rejected:
+                            heapq.heappush(sample, -a2)
+                        elif sample and a2 < -sample[0]:
+                            heapq.heapreplace(sample, -a2)
+                    else:
+                        full += 1
+                        if acc2 == a2:
+                            hit_masks.append(a2)
+                    rest = room - e * d
+                    if i + 1 < count and degs[i + 1] <= rest:
+                        walk(i + 1, count, rest, a2, acc2)
+
+        walk(*bounds, half, 1, 1)
+        return cand, rej, full, hit_masks, [-m for m in sample]
+
+    shards = _shards(0, count, jobs)
     report = ScanReport(max_deg=max_deg, unitary=unitary)
     hit_masks: "list[int]" = []
     sample_masks: "list[int]" = []
@@ -283,7 +293,8 @@ def odd_square_scan(
         hit_masks.extend(hits)
         sample_masks.extend(sample)
     report.hits = [_result(m, unitary) for m in sorted(hit_masks)]
-    report.rejected_sample = [Poly(m) for m in sample_masks[:sample_rejected]]
+    smallest = heapq.nsmallest(sample_rejected, sample_masks)
+    report.rejected_sample = [Poly(m) for m in smallest]
     return report
 
 

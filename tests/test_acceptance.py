@@ -7,12 +7,16 @@ scan, the corollary suite) are computed once in session fixtures and
 shared between their primary criterion and the determinism criterion.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 
+import gf2mf
 from gf2mf.factorize import factor, irreducibles_up_to
 from gf2mf.gf2poly import ONE, Poly, ZERO, conjugate, sqrt_if_square
 from gf2mf.identities import check_all, corollary_suite
@@ -33,6 +37,9 @@ from gf2mf.multfun import (
 from gf2mf.perfect import odd_square_scan, search_fixed_points, verify_perfect
 
 B = Poly("x^2+x")
+
+# The directory gf2mf is imported from, for fresh subprocesses.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(gf2mf.__file__)))
 
 LEMMA_GRID_BUDGET_S = 60.0
 SEARCH_BUDGET_S = 300.0
@@ -218,4 +225,13 @@ def test_criterion_10_determinism(criterion, lemma_grid, search16, odd40,
         serial_lines = [r.line() for r in search16[0]]
         threaded = search_fixed_points(16, jobs=4)
         assert [r.line() for r in threaded] == serial_lines
-        assert odd_square_scan(40, sample_rejected=1000, jobs=3) == odd40[0]
+        # A fresh interpreter, so the rerun cannot reuse the irreducible
+        # list or any other cache that the first scan filled.
+        rerun = subprocess.run(
+            [sys.executable, "-c",
+             "from gf2mf.perfect import odd_square_scan; "
+             "print(repr(odd_square_scan(40, sample_rejected=1000, jobs=3)))"],
+            env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True,
+            text=True, check=True, timeout=ODD_SCAN_BUDGET_S,
+        )
+        assert rerun.stdout == repr(odd40[0]) + "\n"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gf2mf import identities
 from gf2mf.factorize import factor
 from gf2mf.gf2poly import ONE, Poly, ZERO, sqrt_if_square
 from gf2mf.identities import (
@@ -306,3 +307,22 @@ class TestSuite:
         threaded = corollary_suite(jobs=3, **kwargs)
         assert (serial.render(include_passes=True)
                 == threaded.render(include_passes=True))
+
+    def test_one_lattice_per_input(self, monkeypatch):
+        built = []
+
+        class Counted(identities._Lattice):
+            def __init__(self, a):
+                built.append(a)
+                super().__init__(a)
+
+        monkeypatch.setattr(identities, "_Lattice", Counted)
+        kwargs = dict(square_count=25, square_max_deg=12,
+                      special_max_deg=8, seed=11)
+        summary = corollary_suite(**kwargs)
+        assert summary.all_passed()
+        assert built == suite_inputs(**kwargs)
+        built.clear()
+        check_corollaries(Poly("x^3"))  # non-square: some corollaries apply
+        check_corollaries(ONE)
+        assert built == [Poly("x^3"), ONE]

@@ -3,9 +3,11 @@
 import json
 import os
 import random
+from collections.abc import Mapping
 
 import pytest
 
+import gf2mf.perfect as perfect
 from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
 from gf2mf.factorize import (
     _factor_sieve,
@@ -16,6 +18,8 @@ from gf2mf.factorize import (
 from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, conjugate
 from gf2mf.multfun import sigma, sigma_star
 from gf2mf.perfect import (
+    _LOW_MASK,
+    ScanReport,
     _divsum_table,
     classify,
     odd_perfect_filter,
@@ -168,6 +172,14 @@ class TestSearch:
             expected = json.load(f)["search_sigma_18"]
         assert [r.line() for r in search_fixed_points(19)] == expected
 
+    def test_no_prime_power_memo_outlives_a_search(self):
+        search_fixed_points(12)
+        search_fixed_points(12, unitary=True)
+        left = {name: len(value) for name, value in vars(perfect).items()
+                if not name.startswith("__") and isinstance(value, Mapping)
+                and value}
+        assert left == {}
+
     def test_odd_only_delegates_to_scan(self):
         assert search_fixed_points(20, odd_only=True) == []
 
@@ -207,6 +219,50 @@ class TestOddScan:
         threaded = odd_square_scan(24, sample_rejected=3, jobs=3)
         assert serial == threaded
         assert serial.candidates == 2047
+
+    @staticmethod
+    def squares(max_deg):
+        """S^2 for every S > 1 with no linear factor, ascending, by factor()."""
+        return [Poly(s) ** 2 for s in range(2, 1 << (max_deg // 2 + 1))
+                if not any(p in (X, X1) for p, _ in factor(Poly(s)))]
+
+    @pytest.mark.parametrize("max_deg", [20, 24])
+    @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
+                             ids=["sigma", "sigma_star"])
+    def test_walk_matches_a_plain_loop_over_every_s(self, max_deg, unitary, f):
+        # The divisor sum of each S^2 is multfun's, not the walk's.
+        expected = ScanReport(max_deg=max_deg, unitary=unitary)
+        for a in self.squares(max_deg):
+            total = f(a)
+            expected.candidates += 1
+            if (total.bits ^ a.bits) & _LOW_MASK:
+                expected.filter_rejected += 1
+                expected.rejected_sample.append(a)
+            else:
+                expected.full_checked += 1
+                if total == a:
+                    expected.hits.append(_result(a.bits, unitary))
+        everything = expected.filter_rejected
+        assert odd_square_scan(max_deg, unitary,
+                               sample_rejected=everything) == expected
+        assert odd_square_scan(max_deg, unitary, jobs=3,
+                               sample_rejected=everything) == expected
+        few = odd_square_scan(max_deg, unitary, sample_rejected=7)
+        assert few.rejected_sample == expected.rejected_sample[:7]
+
+    def test_walked_divisor_sum_multiplies_the_whole_factorization(
+            self, monkeypatch):
+        # No S^2 is a hit at these degrees, so the report alone would not
+        # notice a wrong divisor-sum product.  With id's prime-power rule
+        # P^r in place of sigma's, that product must be S^2 itself, which
+        # makes every candidate a hit.
+        monkeypatch.setattr(perfect, "_sigma_bits",
+                            lambda p, r: (Poly(p) ** r).bits)
+        monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
+        report = odd_square_scan(24, jobs=3)
+        assert report.filter_rejected == 0
+        assert report.full_checked == report.candidates == 2047
+        assert report.hits == [a.bits for a in self.squares(24)]
 
     def test_unitary_scan_is_empty_too(self):
         assert odd_square_scan(20, unitary=True).hits == []
