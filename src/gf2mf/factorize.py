@@ -12,7 +12,7 @@ splitter is driven by a fixed, configurable seed, so repeated runs agree.
 The factor sieve, the package's one bulk table, holds the smallest
 irreducible factor and its cofactor of every mask up to a degree;
 exhaustive fixed-point search reads whole factorizations off it, and the
-odd-square scan takes its odd irreducibles from it.
+odd-square scan reads its odd irreducibles off one of its own.
 """
 
 import functools
@@ -148,9 +148,13 @@ def _factor_sieve(max_deg: int) -> "tuple[array, array]":
     return spf, cof
 
 
-@functools.lru_cache(maxsize=None)
+# One entry per degree bound, so the cache holds at most the tables up to
+# degree _TABLE_MAX_DEG; larger sieves are their callers' own and transient.
+@functools.lru_cache(maxsize=_TABLE_MAX_DEG)
 def _irreducible_masks(max_deg: int) -> tuple[int, ...]:
     """All irreducible masks of degree 1..max_deg, ascending."""
+    if max_deg > _TABLE_MAX_DEG:
+        raise ValueError(f"irreducible table is bounded at degree {_TABLE_MAX_DEG}")
     spf = _factor_sieve(max_deg)[0]
     return tuple(m for m in range(2, len(spf)) if spf[m] == m)
 
@@ -159,8 +163,6 @@ def irreducibles_up_to(d: int) -> list[Poly]:
     """All irreducibles of degree 1..d in (degree, mask) order; d <= 16."""
     if not isinstance(d, int) or d < 1:
         raise ValueError("degree bound must be a positive integer")
-    if d > _TABLE_MAX_DEG:
-        raise ValueError(f"irreducible table is bounded at degree {_TABLE_MAX_DEG}")
     return [Poly(m) for m in _irreducible_masks(d)]
 
 

@@ -10,7 +10,12 @@ Each CorollarySpec states a divisor-lattice identity at a whole
 polynomial A.  The registered forms do not assume any fixed-point
 property of A: sides that classical statements shorten using sigma(A)=A
 are kept as computed values, so the identities are checkable on
-arbitrary squares and special polynomials today.
+arbitrary squares and special polynomials today.  A lattice-sum
+corollary is declared as (f, g, filter): its left side is the literal
+XOR of f(D) g(A/D) over the divisors D the filter picks.  The lattice of
+A tabulates f(D) and g(A/D) once per function, each entry evaluated
+multiplicatively at its own divisor, and every spec at A shares them.
+The catalogue is built once, at import.
 
 registry(functions=...) accepts an alternative table of the seven named
 functions so tests can corrupt one rule and watch the right lemmas
@@ -30,10 +35,12 @@ from .multfun import (
     BUILTINS,
     MultiplicativeFunction,
     convolve_bruteforce,
+    ident,
     inverse,
     phi,
     sigma,
     sigma_star,
+    z,
 )
 
 __all__ = [
@@ -389,19 +396,25 @@ def check_all(
 class _Lattice:
     """Exponent-vector view of the divisor lattice of one polynomial.
 
-    Divisors and codivisors come from the walker of gf2mf.divisors, the
-    codivisors over reversed exponent rows, so both stay in counting order.
+    Entry n of every list here belongs to the n-th exponent vector in
+    counting order: ds and qs hold the divisor D and the codivisor A/D,
+    table(f) and cotable(g) hold f(D) and g(A/D).  All come from the
+    walker of gf2mf.divisors, the codivisors over reversed exponent rows,
+    and each table is built once per function and kept with the lattice.
+    co_squarefree lists the n whose A/D is squarefree.
     """
 
     def __init__(self, a: Poly):
         self.fact = factor(a)
-        self.a_bits = a.bits
-        self.primes = [p for p, _ in self.fact]
         self.exps = [e for _, e in self.fact]
-        self.ds = _products([(p, range(e + 1)) for p, e in self.fact],
-                            _power_bits)
-        self.qs = _products([(p, range(e, -1, -1)) for p, e in self.fact],
-                            _power_bits)
+        self._rows = [(p, range(e + 1)) for p, e in self.fact]
+        self._corows = [(p, range(e, -1, -1)) for p, e in self.fact]
+        self.ds = _products(self._rows, _power_bits)
+        self.qs = _products(self._corows, _power_bits)
+        flags = _products(self._corows, lambda p, j: int(j <= 1))
+        self.co_squarefree = [n for n, ok in enumerate(flags) if ok]
+        self._fs = {ident: self.ds}
+        self._gs = {ident: self.qs}
 
     def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Yield (exponents, divisor mask, codivisor mask) in counting order."""
@@ -409,20 +422,45 @@ class _Lattice:
         counts = product(*[range(e + 1) for e in reversed(self.exps)])
         yield from zip((t[::-1] for t in counts), self.ds, self.qs)
 
-    def value(self, f: MultiplicativeFunction, t: tuple[int, ...]) -> int:
-        """f at the divisor with exponent vector t, as a mask."""
-        acc = 1
-        for i, ti in enumerate(t):
-            if ti:
-                acc = _mul_bits(acc, f.at_prime_power(self.primes[i], ti).bits)
-        return acc
+    def table(self, f: MultiplicativeFunction) -> list[int]:
+        """f(D) for every divisor D, as masks in counting order."""
+        if f not in self._fs:
+            self._fs[f] = _products(self._rows, _values(f))
+        return self._fs[f]
 
-    def covalue(self, f: MultiplicativeFunction, t: tuple[int, ...]) -> int:
-        """f at the codivisor A/D for exponent vector t, as a mask."""
-        return self.value(f, [e - ti for e, ti in zip(self.exps, t)])
+    def cotable(self, g: MultiplicativeFunction) -> list[int]:
+        """g(A/D) for every divisor D, as masks in counting order."""
+        if g not in self._gs:
+            self._gs[g] = _products(self._corows, _values(g))
+        return self._gs[g]
 
-    def co_squarefree(self, t: tuple[int, ...]) -> bool:
-        return all(self.exps[i] - t[i] <= 1 for i in range(len(t)))
+
+def _values(f: MultiplicativeFunction) -> Callable[[Poly, int], int]:
+    return lambda p, j: f.at_prime_power(p, j).bits
+
+
+# Divisor filters: each returns the lattice indices n that a sum runs over.
+# Index 0 is the divisor 1 and the last index is A itself.
+def _every(lat: _Lattice) -> "range":
+    return range(len(lat.ds))
+
+
+def _mid(lat: _Lattice) -> "range":
+    return range(1, len(lat.ds) - 1)
+
+
+def _co_squarefree(lat: _Lattice) -> list[int]:
+    return lat.co_squarefree
+
+
+def _mid_co_squarefree(lat: _Lattice) -> list[int]:
+    last = len(lat.ds) - 1
+    return [n for n in lat.co_squarefree if 0 < n < last]
+
+
+def _proper_co_squarefree(lat: _Lattice) -> list[int]:
+    last = len(lat.ds) - 1
+    return [n for n in lat.co_squarefree if n < last]
 
 
 def _is_square(a: Poly) -> bool:
@@ -441,13 +479,20 @@ def _all_nontrivial(a: Poly) -> bool:
     return a.bits != 1
 
 
-def _sum_spec(cid, kind, applies, summand, rhs) -> CorollarySpec:
-    """A corollary whose left side is an XOR over divisor vectors."""
+def _sum_spec(cid, kind, applies, f, g, where, rhs) -> CorollarySpec:
+    """A corollary whose left side is the XOR of f(D) g(A/D) over the
+    divisors D that where(lattice) picks; g = z drops its factor 1."""
 
     def run(a: Poly, lat: "_Lattice") -> "tuple[Poly | None, Poly, bool]":
+        fs = lat.table(f)
         acc = 0
-        for t, d, q in lat.vectors():
-            acc ^= summand(lat, t, d, q)
+        if g is z:
+            for n in where(lat):
+                acc ^= fs[n]
+        else:
+            gs = lat.cotable(g)
+            for n in where(lat):
+                acc ^= _mul_bits(fs[n], gs[n])
         got = Poly(acc)
         expected = rhs(a, lat)
         return expected, got, expected == got
@@ -471,130 +516,69 @@ def _squareconv_spec(name: str) -> CorollarySpec:
     )
 
 
-def corollary_registry() -> list[CorollarySpec]:
-    """The fixed catalogue of divisor-lattice corollaries."""
-    specs: list[CorollarySpec] = []
-
-    def mid(lat: _Lattice, d: int) -> bool:
-        # term restricted to divisors other than 1 and A
-        return d != 1 and d != lat.a_bits
-
-    specs.append(_sum_spec(
-        "corol_sigma_mu", "square", _is_square,
-        lambda lat, t, d, q:
-            lat.value(sigma, t) if mid(lat, d) and lat.co_squarefree(t) else 0,
-        lambda a, lat: a + sigma(a),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigma_z", "special", _special_nontrivial,
-        lambda lat, t, d, q: lat.value(sigma, t) if mid(lat, d) else 0,
-        lambda a, lat: sigma(a) + ONE + sigma_star(a),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigma_id", "square", _square_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(sigma, t), q) if mid(lat, d) else 0,
-        lambda a, lat: _sq(sigma(sqrt_if_square(a))) + sigma(a) + a,
-    ))
-    specs.append(_sum_spec(
-        "corol_sigma_phi", "square", _square_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(sigma, t), lat.covalue(phi, t))
-            if mid(lat, d) else 0,
-        lambda a, lat: a + sigma(a) + phi(a),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmastar_mu", "square", _is_square,
-        lambda lat, t, d, q:
-            lat.value(sigma_star, t) if lat.co_squarefree(t) else 0,
-        lambda a, lat: phi(a),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmastar_z", "special", is_special,
-        lambda lat, t, d, q: lat.value(sigma_star, t),
-        lambda a, lat: sigma(a),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmastar_id", "square", _square_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(sigma_star, t), q) if mid(lat, d) else 0,
-        lambda a, lat: sigma(a) + sigma_star(a) + a,
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmastar_phi", "square", _square_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(sigma_star, t), lat.covalue(phi, t))
-            if mid(lat, d) else 0,
-        lambda a, lat: sigma_star(a),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmastar_sigma", "square", _square_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(sigma_star, t), lat.covalue(sigma, t))
-            if mid(lat, d) else 0,
-        lambda a, lat: sigma_star(a),
-    ))
-    for name in ("sigma", "sigma_star", "id"):
-        specs.append(_squareconv_spec(name))
-    specs.append(_sum_spec(
-        "corol_sigma_idinv", "square", _is_square,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(sigma, t), q)
-            if d != lat.a_bits and lat.co_squarefree(t) else 0,
-        lambda a, lat: ONE + sigma(a),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigma_phiinv", "square", _square_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(sigma, t), lat.covalue(_PHI_INV, t))
-            if mid(lat, d) else 0,
-        lambda a, lat: ONE + sigma(a) + sigma(radical(lat.fact)),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmainv_sigma", "all", _all_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(_SIGMA_INV, t), lat.covalue(sigma, t))
-            if mid(lat, d) else 0,
-        lambda a, lat: sigma(a) + _SIGMA_INV(a),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmainv_id", "special", _special_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(_SIGMA_INV, t), q) if mid(lat, d) else 0,
-        lambda a, lat: a + radical(lat.fact),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmainv_mu", "special", _special_nontrivial,
-        lambda lat, t, d, q:
-            lat.value(_SIGMA_INV, t)
-            if mid(lat, d) and lat.co_squarefree(t) else 0,
-        lambda a, lat: ONE + radical(lat.fact),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmastarinv_id", "square", _square_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(_SIGMASTAR_INV, t), q) if mid(lat, d) else 0,
-        lambda a, lat: sqrt_if_square(a) + a,
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmastarinv_mu", "special", _special_nontrivial,
-        lambda lat, t, d, q:
-            lat.value(_SIGMASTAR_INV, t)
-            if mid(lat, d) and lat.co_squarefree(t) else 0,
-        lambda a, lat: sigma(radical(lat.fact)),
-    ))
-    specs.append(_sum_spec(
-        "corol_sigmastarinv_sigma", "square", _square_nontrivial,
-        lambda lat, t, d, q:
-            _mul_bits(lat.value(_SIGMASTAR_INV, t), lat.covalue(sigma, t))
-            if mid(lat, d) else 0,
-        lambda a, lat: sigma(a) + sqrt_if_square(a),
-    ))
-    return specs
-
-
 def _sq(p: Poly) -> Poly:
     return p * p
+
+
+_COROLLARIES: "tuple[CorollarySpec, ...]" = (
+    _sum_spec("corol_sigma_mu", "square", _is_square,
+              sigma, z, _mid_co_squarefree,
+              lambda a, lat: a + sigma(a)),
+    _sum_spec("corol_sigma_z", "special", _special_nontrivial,
+              sigma, z, _mid,
+              lambda a, lat: sigma(a) + ONE + sigma_star(a)),
+    _sum_spec("corol_sigma_id", "square", _square_nontrivial,
+              sigma, ident, _mid,
+              lambda a, lat: _sq(sigma(sqrt_if_square(a))) + sigma(a) + a),
+    _sum_spec("corol_sigma_phi", "square", _square_nontrivial,
+              sigma, phi, _mid,
+              lambda a, lat: a + sigma(a) + phi(a)),
+    _sum_spec("corol_sigmastar_mu", "square", _is_square,
+              sigma_star, z, _co_squarefree,
+              lambda a, lat: phi(a)),
+    _sum_spec("corol_sigmastar_z", "special", is_special,
+              sigma_star, z, _every,
+              lambda a, lat: sigma(a)),
+    _sum_spec("corol_sigmastar_id", "square", _square_nontrivial,
+              sigma_star, ident, _mid,
+              lambda a, lat: sigma(a) + sigma_star(a) + a),
+    _sum_spec("corol_sigmastar_phi", "square", _square_nontrivial,
+              sigma_star, phi, _mid,
+              lambda a, lat: sigma_star(a)),
+    _sum_spec("corol_sigmastar_sigma", "square", _square_nontrivial,
+              sigma_star, sigma, _mid,
+              lambda a, lat: sigma_star(a)),
+    *(_squareconv_spec(name) for name in ("sigma", "sigma_star", "id")),
+    _sum_spec("corol_sigma_idinv", "square", _is_square,
+              sigma, ident, _proper_co_squarefree,
+              lambda a, lat: ONE + sigma(a)),
+    _sum_spec("corol_sigma_phiinv", "square", _square_nontrivial,
+              sigma, _PHI_INV, _mid,
+              lambda a, lat: ONE + sigma(a) + sigma(radical(lat.fact))),
+    _sum_spec("corol_sigmainv_sigma", "all", _all_nontrivial,
+              _SIGMA_INV, sigma, _mid,
+              lambda a, lat: sigma(a) + _SIGMA_INV(a)),
+    _sum_spec("corol_sigmainv_id", "special", _special_nontrivial,
+              _SIGMA_INV, ident, _mid,
+              lambda a, lat: a + radical(lat.fact)),
+    _sum_spec("corol_sigmainv_mu", "special", _special_nontrivial,
+              _SIGMA_INV, z, _mid_co_squarefree,
+              lambda a, lat: ONE + radical(lat.fact)),
+    _sum_spec("corol_sigmastarinv_id", "square", _square_nontrivial,
+              _SIGMASTAR_INV, ident, _mid,
+              lambda a, lat: sqrt_if_square(a) + a),
+    _sum_spec("corol_sigmastarinv_mu", "special", _special_nontrivial,
+              _SIGMASTAR_INV, z, _mid_co_squarefree,
+              lambda a, lat: sigma(radical(lat.fact))),
+    _sum_spec("corol_sigmastarinv_sigma", "square", _square_nontrivial,
+              _SIGMASTAR_INV, sigma, _mid,
+              lambda a, lat: sigma(a) + sqrt_if_square(a)),
+)
+
+
+def corollary_registry() -> list[CorollarySpec]:
+    """The fixed catalogue of divisor-lattice corollaries."""
+    return list(_COROLLARIES)
 
 
 def check_corollaries(a: Poly) -> list[IdentityReport]:
@@ -603,7 +587,7 @@ def check_corollaries(a: Poly) -> list[IdentityReport]:
         raise ValueError("corollaries are undefined at 0")
     reports = []
     lat = _Lattice(a)  # every input has some lattice corollary that applies
-    for spec in corollary_registry():
+    for spec in _COROLLARIES:
         if not spec.applies(a):
             reports.append(IdentityReport(
                 kind="corollary", spec_id=spec.id, point=a, skipped=True,

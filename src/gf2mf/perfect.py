@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 from .divisors import big_omega, divisors, is_special, omega, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import _factor_sieve, _irreducible_masks, factor, parity
+from .factorize import _factor_sieve, factor, parity
 from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits, sqrt_if_square
 from .multfun import _sigma_bits, _sigma_star_bits, convolve_bruteforce, ident, z
 
@@ -240,7 +240,10 @@ def odd_square_scan(
     half = max_deg // 2
     low = _LOW_MASK
     rule = _sigma_star_bits if unitary else _sigma_bits
-    primes = [p for p in _irreducible_masks(half) if p > 3]
+    # A sieve of the scan's own, freed once read: nothing of degree half
+    # stays cached after the scan.
+    primes = [p for p, s in enumerate(_factor_sieve(half)[0])
+              if s == p and p > 3]
     degs = [p.bit_length() - 1 for p in primes]
     count = len(primes)
 

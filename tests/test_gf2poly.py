@@ -1,7 +1,9 @@
 """Tests for the bitmask polynomial ring."""
 
+import warnings
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gf2mf.gf2poly import (
     ONE,
@@ -17,6 +19,7 @@ from gf2mf.gf2poly import (
     divrem,
     gcd,
     mul,
+    parse,
     power,
     sqrt_if_square,
 )
@@ -87,6 +90,20 @@ class TestParse:
         with pytest.raises(PolyParseError) as info:
             Poly("0x1g")
         assert info.value.position == 3
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet="0123456789abcdefxX^+ \t\n", max_size=40))
+    def test_fuzz_only_parse_errors_in_range(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # folded duplicate terms
+            try:
+                assert isinstance(parse(text), Poly)
+            except PolyParseError as err:
+                assert 0 <= err.position <= len(text)
+
+    @given(masks)
+    def test_hex_round_trip(self, m):
+        assert parse(hex(m)) == Poly(m)
 
 
 class TestRender:

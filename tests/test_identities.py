@@ -1,5 +1,8 @@
 """Tests for the identity registry and its checking harness."""
 
+import hashlib
+import random
+
 import pytest
 
 from gf2mf import identities
@@ -18,10 +21,12 @@ from gf2mf.identities import (
 from gf2mf.multfun import (
     BUILTINS,
     MultiplicativeFunction,
+    ident,
     parse_expression,
     phi,
     sigma,
     sigma_star,
+    z,
 )
 
 X = Poly("x")
@@ -272,6 +277,102 @@ class TestCorollaries:
             check_corollaries(ZERO)
 
 
+# Every function a lattice-sum corollary reads, under its spec-side name.
+FUNCTIONS = {
+    "sigma": sigma,
+    "sigma_star": sigma_star,
+    "phi": phi,
+    "id": ident,
+    "z": z,
+    "sigma_inv": identities._SIGMA_INV,
+    "sigmastar_inv": identities._SIGMASTAR_INV,
+    "phi_inv": identities._PHI_INV,
+}
+
+# The left side of each lattice-sum corollary: f(D) g(A/D), written out
+# here independently of the registry.
+READS = {
+    "corol_sigma_mu": ("sigma", "z"),
+    "corol_sigma_z": ("sigma", "z"),
+    "corol_sigma_id": ("sigma", "id"),
+    "corol_sigma_phi": ("sigma", "phi"),
+    "corol_sigmastar_mu": ("sigma_star", "z"),
+    "corol_sigmastar_z": ("sigma_star", "z"),
+    "corol_sigmastar_id": ("sigma_star", "id"),
+    "corol_sigmastar_phi": ("sigma_star", "phi"),
+    "corol_sigmastar_sigma": ("sigma_star", "sigma"),
+    "corol_sigma_idinv": ("sigma", "id"),
+    "corol_sigma_phiinv": ("sigma", "phi_inv"),
+    "corol_sigmainv_sigma": ("sigma_inv", "sigma"),
+    "corol_sigmainv_id": ("sigma_inv", "id"),
+    "corol_sigmainv_mu": ("sigma_inv", "z"),
+    "corol_sigmastarinv_id": ("sigmastar_inv", "id"),
+    "corol_sigmastarinv_mu": ("sigmastar_inv", "z"),
+    "corol_sigmastarinv_sigma": ("sigmastar_inv", "sigma"),
+}
+
+
+class TestLatticeTables:
+    @staticmethod
+    def inputs():
+        """About 200 seeded inputs: arbitrary masks, squares, 1 and x^3."""
+        rng = random.Random(20261018)
+        masks = {1, 0b1000}
+        while len(masks) < 100:
+            masks.add(rng.randrange(2, 1 << 13))
+        while len(masks) < 200:
+            masks.add((Poly(rng.randrange(2, 1 << 7)) ** 2).bits)
+        return [Poly(m) for m in sorted(masks)]
+
+    def test_tables_match_multfun(self):
+        for a in self.inputs():
+            lat = identities._Lattice(a)
+            vectors = list(lat.vectors())
+            for name, f in FUNCTIONS.items():
+                table, cotable = lat.table(f), lat.cotable(f)
+                assert len(table) == len(cotable) == len(vectors)
+                for n, (_, d, q) in enumerate(vectors):
+                    assert table[n] == f(Poly(d)).bits, (a, name, n)
+                    assert cotable[n] == f(Poly(q)).bits, (a, name, n)
+            assert lat.co_squarefree == [
+                n for n, (_, _, q) in enumerate(vectors)
+                if all(e == 1 for _, e in factor(Poly(q)))
+            ]
+
+    def test_registry_reads_what_is_declared(self):
+        lattice_sums = {s.id for s in corollary_registry()
+                        if "squareconv" not in s.id}
+        assert lattice_sums == set(READS)
+
+    @pytest.mark.parametrize("method, name", [
+        ("table", "sigma"), ("table", "sigma_star"),
+        ("table", "sigma_inv"), ("table", "sigmastar_inv"),
+        ("cotable", "sigma"), ("cotable", "phi"), ("cotable", "id"),
+        ("cotable", "phi_inv"),
+    ])
+    def test_one_flipped_entry_fails_exactly_its_readers(
+            self, monkeypatch, method, name):
+        root = X * X1 * P2
+        a = root**2  # special: every corollary applies
+        assert all(r.passed for r in check_corollaries(a))
+        index = identities._Lattice(a).ds.index(root.bits)  # mid, A/D = root
+        original = getattr(identities._Lattice, method)
+        target = FUNCTIONS[name]
+
+        def corrupted(lat, f):
+            values = original(lat, f)
+            if f is not target:
+                return values
+            values = list(values)
+            values[index] ^= 1
+            return values
+
+        monkeypatch.setattr(identities._Lattice, method, corrupted)
+        failing = {r.spec_id for r in check_corollaries(a) if not r.passed}
+        side = 0 if method == "table" else 1
+        assert failing == {i for i, fg in READS.items() if fg[side] == name}
+
+
 class TestSuite:
     def test_inputs_deterministic_and_square(self):
         inputs = suite_inputs()
@@ -299,6 +400,18 @@ class TestSuite:
         assert summary.all_passed()
         assert summary.skipped > 0
         assert summary.status_line().startswith("PASS ")
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(seed=1001),
+         "e40046beecf9d036a02ec2cc974fc649aa09e66fed529d5c192fa31241957e5f"),
+        (dict(),
+         "544b496af61e25cb44fc7e830bb5b81a3f0481ecda3f3bfd15a94a8bb53159c4"),
+    ], ids=["seed1001", "default"])
+    def test_full_suite_render_is_pinned(self, kwargs, digest):
+        # sha256 of the rendered suite with every pass line, as produced
+        # by the per-vector evaluation the lattice tables replaced.
+        text = corollary_suite(**kwargs).render(include_passes=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_suite_jobs_do_not_change_output(self):
         kwargs = dict(square_count=25, square_max_deg=12,

@@ -10,6 +10,7 @@ import pytest
 import gf2mf.perfect as perfect
 from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
 from gf2mf.factorize import (
+    _TABLE_MAX_DEG,
     _factor_sieve,
     _irreducible_masks,
     _is_irreducible_bits,
@@ -263,6 +264,17 @@ class TestOddScan:
         assert report.filter_rejected == 0
         assert report.full_checked == report.candidates == 2047
         assert report.hits == [a.bits for a in self.squares(24)]
+
+    def test_scan_leaves_no_irreducible_table_cached(self):
+        # The scan reads its degree-18 primes off a sieve of its own; the
+        # shared cache is untouched and refuses bounds above 16.
+        before = _irreducible_masks.cache_info()
+        odd_square_scan(36)
+        after = _irreducible_masks.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
+        assert after.maxsize == _TABLE_MAX_DEG == 16
+        with pytest.raises(ValueError, match="bounded at degree 16"):
+            _irreducible_masks(_TABLE_MAX_DEG + 1)
 
     def test_unitary_scan_is_empty_too(self):
         assert odd_square_scan(20, unitary=True).hits == []
