@@ -9,15 +9,16 @@ by Frobenius powers, and an equal-degree splitter based on the trace
 map, the variant suited to characteristic 2.  Any randomness in the
 splitter is driven by a fixed, configurable seed, so repeated runs agree.
 
-The factor sieve, the package's one bulk table, holds the smallest
-irreducible factor and its cofactor of every mask up to a degree;
-exhaustive fixed-point search reads whole factorizations off it, and the
-odd-square scan reads its odd irreducibles off one of its own.
+The factor sieve, the package's one bulk table, is one byte per mask up
+to a degree that flags the irreducibles.  Trial division and exhaustive
+fixed-point search read their primes off the cached irreducible list
+built from it; the odd-square scan reads its odd irreducibles off a
+sieve of its own.
 """
 
 import functools
 import random
-from array import array
+from itertools import compress, count
 from typing import Iterator, NamedTuple
 
 from .gf2poly import (
@@ -117,35 +118,27 @@ def _prime_factors_int(n: int) -> list[int]:
     return out
 
 
-def _factor_sieve(max_deg: int) -> "tuple[array, array]":
-    """Smallest irreducible factor and cofactor of every mask of degree <= max_deg.
+def _factor_sieve(max_deg: int) -> bytearray:
+    """Prime flags of every mask of degree <= max_deg.
 
-    Returns (spf, cof) indexed by mask with spf[m] * cof[m] == m, where
-    spf[m] is the least irreducible mask dividing m; spf[m] == m exactly
-    when m is irreducible, and spf[1] == cof[1] == 1 (index 0 is unused).
+    flags[m] is 1 exactly when m is irreducible and 0 otherwise, so
+    compress(count(), flags) lists the irreducibles.
     """
     limit = 1 << (max_deg + 1)
-    spf = array("I", [0]) * limit
-    cof = array("I", [0]) * limit
-    spf[1] = cof[1] = 1
+    flags = bytearray(b"\1") * limit
+    flags[0] = flags[1] = 0
     # A composite of degree <= max_deg has a factor of degree <= max_deg // 2,
-    # so only those irreducibles need sieving; an unmarked p is irreducible.
+    # so only those irreducibles need sieving; a p still flagged is irreducible.
     for p in range(2, 1 << (max_deg // 2 + 1)):
-        if spf[p]:
+        if not flags[p]:
             continue
-        prod = 0
-        for i in range(1, limit >> (p.bit_length() - 1)):
+        prod = p
+        for i in range(2, limit >> (p.bit_length() - 1)):
             # Cofactors in Gray-code order q = i ^ (i >> 1): each step flips
             # the single bit i & -i of q, so p * q changes by one shifted p.
             prod ^= p * (i & -i)
-            if not spf[prod]:
-                spf[prod] = p
-                cof[prod] = i ^ (i >> 1)
-    for m in range(2, limit):
-        if not spf[m]:
-            spf[m] = m
-            cof[m] = 1
-    return spf, cof
+            flags[prod] = 0
+    return flags
 
 
 # One entry per degree bound, so the cache holds at most the tables up to
@@ -155,8 +148,7 @@ def _irreducible_masks(max_deg: int) -> tuple[int, ...]:
     """All irreducible masks of degree 1..max_deg, ascending."""
     if max_deg > _TABLE_MAX_DEG:
         raise ValueError(f"irreducible table is bounded at degree {_TABLE_MAX_DEG}")
-    spf = _factor_sieve(max_deg)[0]
-    return tuple(m for m in range(2, len(spf)) if spf[m] == m)
+    return tuple(compress(count(), _factor_sieve(max_deg)))
 
 
 def irreducibles_up_to(d: int) -> list[Poly]:

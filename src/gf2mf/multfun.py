@@ -13,7 +13,7 @@ both factors with the divisor walker of gf2mf.divisors instead of
 composing per-prime convolutions.  The two routes must agree
 everywhere; the test suite holds them to that.  _sigma_bits and
 _sigma_star_bits are the one home of those two rules; gf2mf.perfect
-builds its divisor-sum tables from them.
+builds the divisor sums of its fixed-point searches from them.
 
 Prime-power values are cached per function.  Caches are insert-once
 with deterministic values, so concurrent readers are safe, and they are
@@ -262,11 +262,25 @@ def pointwise_add(f: MultiplicativeFunction,
 #   atom := 'inv' '(' expr ')' | 'sq' '(' expr ')' | NAME
 #
 # '*' is Dirichlet convolution and associates left to right.
+#
+# Every name nests one more function that evaluation recurses through;
+# at the default recursion limit of 1000 frames about 500 names still
+# evaluate, so the bound below keeps well clear of a RecursionError.
+MAX_EXPRESSION_TERMS = 100
 
 
 def parse_expression(text: str) -> MultiplicativeFunction:
-    """Build a function from an expression like 'inv(sigma_star)*mu'."""
+    """Build a function from an expression like 'inv(sigma_star)*mu'.
+
+    Expressions with more than MAX_EXPRESSION_TERMS names are refused.
+    """
     tokens = _tokenize_expression(text)
+    terms = sum(1 for kind, _ in tokens if kind == "name")
+    if terms > MAX_EXPRESSION_TERMS:
+        raise ValueError(
+            f"{terms} function terms exceed the expression bound of "
+            f"{MAX_EXPRESSION_TERMS}"
+        )
     expr, pos = _parse_expr(tokens, 0)
     if pos != len(tokens):
         raise ValueError(f"unexpected {tokens[pos][1]!r} in function expression")

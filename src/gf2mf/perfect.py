@@ -1,15 +1,16 @@
 """Fixed-point search for the divisor-sum functions over F2[x].
 
 A polynomial is perfect when sigma(A) = A and unitary-perfect when
-sigma_star(A) = A.  Exhaustive mode enumerates every polynomial of
-degree 1..max_deg and reads each divisor sum off one table, built by
-peeling prime powers with the smallest-factor and cofactor tables of
-factorize._factor_sieve.  Odd mode exploits the fact that a fixed point
-with no linear factor must be a square, so it enumerates A = S*S over
-the S with constant term 1 and S(1) = 1, halving the exponent space.
-Those S are exactly the products of odd irreducibles, so the scan walks
-factorizations rather than masks: each step multiplies S^2 and its
-divisor sum by one prime power, and no candidate is ever factored.
+sigma_star(A) = A.  Both searches run on one walker, _walk, which
+multiplies prime powers depth first, primes in ascending order with
+their exponents, and extends A and its divisor sum by one prime power
+per step, so no candidate is ever factored.  Exhaustive mode walks every
+prime power of degree <= max_deg // 2: if P^e exactly divides a fixed
+point A, then P^e divides the divisor sum of A / P^e, so no fixed point
+has a larger one.  Odd mode exploits the fact that a fixed point with no
+linear factor must be a square, so it walks A = S*S over the S with
+constant term 1 and S(1) = 1, the products of odd irreducibles, taking
+even exponents only.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -21,15 +22,15 @@ them, and passing the filter never claims a candidate is perfect.
 """
 
 import heapq
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress, count
 from types import MappingProxyType
 
 from .divisors import big_omega, divisors, is_special, omega, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import _factor_sieve, factor, parity
-from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits, sqrt_if_square
+from .factorize import _factor_sieve, _irreducible_masks, factor, parity
+from .gf2poly import Poly, X, X1, _mul_bits, sqrt_if_square
 from .multfun import _sigma_bits, _sigma_star_bits, convolve_bruteforce, ident, z
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
     "odd_perfect_filter",
 ]
 
-EXHAUSTIVE_MAX_DEG = 20
+EXHAUSTIVE_MAX_DEG = 22
 ODD_SCAN_MAX_DEG = 40
 
 # The odd-mode pre-filter compares this many low coefficients before
@@ -136,31 +137,44 @@ def classify(a: Poly) -> str:
     return "even-nontrivial" if parity(a) == "even" else "odd"
 
 
-# No prime-power memo outlives one table build.  These names stay, as
+# The searches keep no prime-power memo.  These names stay, as
 # empty read-only views, because perfbench/tracer.py reports their size
 # as the count of memo entries left alive after a run.
 _SIGMA_PP = _SIGMASTAR_PP = MappingProxyType({})
 
 
-def _divsum_table(max_deg: int, unitary: bool) -> "array":
-    """sigma (or sigma_star) of every mask of degree <= max_deg."""
-    spf, cof = _factor_sieve(max_deg)
-    out = array("I", [0]) * len(spf)
-    out[1] = 1
+def _walk(primes, step, cap, max_deg, unitary, bounds):
+    """Every product A of prime powers, with its divisor sum, as (a, acc).
+
+    A is a product of P^e over ascending primes from the list, e a
+    positive multiple of step, each P^e of degree <= cap and A of degree
+    <= max_deg; acc is sigma(A), or sigma_star(A) if unitary.  The first
+    prime's index runs over bounds = (first, stop).  Each step multiplies
+    A and acc by one prime power, so no A is ever factored.
+    """
     rule = _sigma_star_bits if unitary else _sigma_bits
-    memo: "dict[tuple[int, int], int]" = {}
-    for m in range(2, len(spf)):
-        p = spf[m]
-        rest = cof[m]
-        e = 1
-        while spf[rest] == p:
-            rest = cof[rest]
-            e += 1
-        v = memo.get((p, e))
-        if v is None:
-            memo[(p, e)] = v = rule(p, e)
-        out[m] = _mul_bits(v, out[rest])
-    return out
+    bases = [(Poly(p) ** step).bits for p in primes]
+    weights = [b.bit_length() - 1 for b in bases]
+    n = len(primes)
+
+    def walk(first: int, stop: int, room: int, a: int, acc: int):
+        for i in range(first, stop):
+            w = weights[i]
+            if w > room:
+                break
+            p = primes[i]
+            base = bases[i]
+            pw = 1
+            for k in range(1, min(room, cap) // w + 1):
+                pw = _mul_bits(pw, base)
+                a2 = _mul_bits(a, pw)
+                acc2 = _mul_bits(acc, rule(p, k * step))
+                yield a2, acc2
+                rest = room - k * w
+                if i + 1 < n and weights[i + 1] <= rest:
+                    yield from walk(i + 1, n, rest, a2, acc2)
+
+    return walk(*bounds, max_deg, 1, 1)
 
 
 def _shards(start: int, stop: int, jobs: int) -> "list[tuple[int, int]]":
@@ -197,8 +211,11 @@ def search_fixed_points(
 ) -> "list[SearchResult]":
     """All fixed points of sigma (or sigma_star) with degree 1..max_deg.
 
-    Candidate ranges are disjoint bitmask intervals merged in order, so
-    the result is identical for every jobs value.
+    If P^e exactly divides a fixed point A then P^e divides the divisor
+    sum of A / P^e, because that of P^e is 1 modulo P; so 2 deg P^e <=
+    deg A, and the search walks every product of prime powers of degree
+    <= max_deg // 2.  Shards split the first prime's index and their hits
+    are merged in order, so the result is identical for every jobs value.
     """
     if odd_only:
         return odd_square_scan(max_deg, unitary=unitary, jobs=jobs).hits
@@ -206,13 +223,13 @@ def search_fixed_points(
         raise ResourceLimitError(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
         )
-    table = _divsum_table(max_deg, unitary)
+    primes = _irreducible_masks(max_deg // 2)
 
     def scan(bounds: "tuple[int, int]") -> "list[int]":
-        lo, hi = bounds
-        return [m for m in range(lo, hi) if table[m] == m]
+        walk = _walk(primes, 1, max_deg // 2, max_deg, unitary, bounds)
+        return [a for a, acc in walk if acc == a]
 
-    chunks = _run_shards(scan, _shards(2, len(table), jobs), jobs)
+    chunks = _run_shards(scan, _shards(0, len(primes), jobs), jobs)
     masks = sorted(m for chunk in chunks for m in chunk)
     return [_result(m, unitary) for m in masks]
 
@@ -237,60 +254,34 @@ def odd_square_scan(
         raise ResourceLimitError(
             f"odd-square scan degree must be 2..{ODD_SCAN_MAX_DEG}"
         )
-    half = max_deg // 2
-    low = _LOW_MASK
-    rule = _sigma_star_bits if unitary else _sigma_bits
-    # A sieve of the scan's own, freed once read: nothing of degree half
-    # stays cached after the scan.
-    primes = [p for p, s in enumerate(_factor_sieve(half)[0])
-              if s == p and p > 3]
-    degs = [p.bit_length() - 1 for p in primes]
-    count = len(primes)
+    # A sieve of the scan's own, freed once read: nothing of degree
+    # max_deg // 2 stays cached after the scan.
+    primes = [p for p in compress(count(), _factor_sieve(max_deg // 2))
+              if p > 3]
 
     def scan(bounds: "tuple[int, int]"):
-        cand = rej = full = 0
+        rej = full = 0
         hit_masks: "list[int]" = []
         sample: "list[int]" = []  # negated: a max-heap of the smallest
+        for a, acc in _walk(primes, 2, max_deg, max_deg, unitary, bounds):
+            if (acc ^ a) & _LOW_MASK:
+                rej += 1
+                if len(sample) < sample_rejected:
+                    heapq.heappush(sample, -a)
+                elif sample and a < -sample[0]:
+                    heapq.heapreplace(sample, -a)
+            else:
+                full += 1
+                if acc == a:
+                    hit_masks.append(a)
+        return rej, full, hit_masks, [-m for m in sample]
 
-        def walk(first: int, stop: int, room: int, a: int, acc: int) -> None:
-            # Extend S by p^e for every prime p from index first on that
-            # still fits in room degrees; a = S^2, acc = its divisor sum.
-            nonlocal cand, rej, full
-            for i in range(first, stop):
-                d = degs[i]
-                if d > room:
-                    break
-                p = primes[i]
-                sq = _sqr_bits(p)
-                pw = 1
-                for e in range(1, room // d + 1):
-                    pw = _mul_bits(pw, sq)
-                    a2 = _mul_bits(a, pw)
-                    acc2 = _mul_bits(acc, rule(p, 2 * e))
-                    cand += 1
-                    if (acc2 ^ a2) & low:
-                        rej += 1
-                        if len(sample) < sample_rejected:
-                            heapq.heappush(sample, -a2)
-                        elif sample and a2 < -sample[0]:
-                            heapq.heapreplace(sample, -a2)
-                    else:
-                        full += 1
-                        if acc2 == a2:
-                            hit_masks.append(a2)
-                    rest = room - e * d
-                    if i + 1 < count and degs[i + 1] <= rest:
-                        walk(i + 1, count, rest, a2, acc2)
-
-        walk(*bounds, half, 1, 1)
-        return cand, rej, full, hit_masks, [-m for m in sample]
-
-    shards = _shards(0, count, jobs)
+    shards = _shards(0, len(primes), jobs)
     report = ScanReport(max_deg=max_deg, unitary=unitary)
     hit_masks: "list[int]" = []
     sample_masks: "list[int]" = []
-    for cand, rej, full, hits, sample in _run_shards(scan, shards, jobs):
-        report.candidates += cand
+    for rej, full, hits, sample in _run_shards(scan, shards, jobs):
+        report.candidates += rej + full
         report.filter_rejected += rej
         report.full_checked += full
         hit_masks.extend(hits)

@@ -7,6 +7,7 @@ scan, the corollary suite) are computed once in session fixtures and
 shared between their primary criterion and the determinism criterion.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -211,27 +212,34 @@ def test_criterion_09_convolution_separation(criterion):
         assert ZERO != ONE
 
 
+# Run in a fresh interpreter, so no rerun can reuse the irreducible
+# lists, prime-power values or any other cache that the first runs filled.
+_RERUN = """
+import json
+from gf2mf.identities import check_all, corollary_suite
+from gf2mf.perfect import odd_square_scan, search_fixed_points
+print(json.dumps({
+    "grid": check_all(5, 10, jobs=4).render(include_passes=True),
+    "suite": corollary_suite(jobs=4).render(include_passes=True),
+    "search": [r.line() for r in search_fixed_points(16, jobs=4)],
+    "odd": repr(odd_square_scan(40, sample_rejected=1000, jobs=3)),
+}))
+"""
+
+
 def test_criterion_10_determinism(criterion, lemma_grid, search16, odd40,
                                   corollaries):
     # Threaded reruns double as the repeat-run check: each artifact is
     # recomputed from scratch and must render byte-identically.
     with criterion(10, "byte-identical reports across jobs"):
-        serial_grid = lemma_grid[0].render(include_passes=True)
-        assert check_all(5, 10, jobs=4).render(include_passes=True) \
-            == serial_grid
-        serial_suite = corollaries[0].render(include_passes=True)
-        assert corollary_suite(jobs=4).render(include_passes=True) \
-            == serial_suite
-        serial_lines = [r.line() for r in search16[0]]
-        threaded = search_fixed_points(16, jobs=4)
-        assert [r.line() for r in threaded] == serial_lines
-        # A fresh interpreter, so the rerun cannot reuse the irreducible
-        # list or any other cache that the first scan filled.
         rerun = subprocess.run(
-            [sys.executable, "-c",
-             "from gf2mf.perfect import odd_square_scan; "
-             "print(repr(odd_square_scan(40, sample_rejected=1000, jobs=3)))"],
+            [sys.executable, "-c", _RERUN],
             env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True,
-            text=True, check=True, timeout=ODD_SCAN_BUDGET_S,
+            text=True, check=True,
+            timeout=LEMMA_GRID_BUDGET_S + SEARCH_BUDGET_S + ODD_SCAN_BUDGET_S,
         )
-        assert rerun.stdout == repr(odd40[0]) + "\n"
+        fresh = json.loads(rerun.stdout)
+        assert fresh["grid"] == lemma_grid[0].render(include_passes=True)
+        assert fresh["suite"] == corollaries[0].render(include_passes=True)
+        assert fresh["search"] == [r.line() for r in search16[0]]
+        assert fresh["odd"] == repr(odd40[0])

@@ -53,6 +53,16 @@ class TestEval:
         assert code == 2
         assert "nosuch" in err
 
+    @pytest.mark.parametrize("expr", [
+        "inv(" * 3000 + "z" + ")" * 3000,
+        "*".join(["sigma"] * 500),
+    ], ids=["deep", "long"])
+    def test_oversized_expression_is_a_usage_error(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr, "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "expression bound" in err
+
 
 class TestConv:
     def test_symbolic_and_oracle_agree(self, capsys):
@@ -151,8 +161,8 @@ class TestSearch:
         assert "degree" in err
 
     @pytest.mark.parametrize("kind, max_deg, valid", [
-        ("perfect", "0", "1..20"),
-        ("unitary", "0", "1..20"),
+        ("perfect", "0", "1..22"),
+        ("unitary", "0", "1..22"),
         ("odd", "1", "2..40"),
     ])
     def test_degree_below_range_names_the_range(self, capsys, kind, max_deg,

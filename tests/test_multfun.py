@@ -1,13 +1,14 @@
 """Tests for the multiplicative-function algebra."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
 from gf2mf.factorize import factor, irreducibles_up_to
 from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, conjugate
 from gf2mf.multfun import (
     BUILTINS,
+    MAX_EXPRESSION_TERMS,
     builtin,
     convolve,
     convolve_bruteforce,
@@ -324,3 +325,35 @@ class TestExpressionParser:
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_expression(text)
+
+    def test_deepest_expressions_at_the_bound_evaluate(self):
+        n = MAX_EXPRESSION_TERMS
+        nested = parse_expression("inv(" * (n - 1) + "sigma" + ")" * (n - 1))
+        chain = parse_expression("*".join(["z", "mu"] * (n // 2)))
+        for m in range(1, 1 << 7):
+            a = Poly(m)
+            expected = sigma(a) if n % 2 else inverse(sigma)(a)
+            assert nested(a) == expected
+            assert chain(a) == delta(a)
+
+    @pytest.mark.parametrize("text", [
+        "inv(" * MAX_EXPRESSION_TERMS + "z" + ")" * MAX_EXPRESSION_TERMS,
+        "*".join(["sigma"] * (MAX_EXPRESSION_TERMS + 1)),
+    ], ids=["nested", "chain"])
+    def test_one_term_over_the_bound_is_refused(self, text):
+        with pytest.raises(ValueError, match="exceed the expression bound"):
+            parse_expression(text)
+
+    @settings(max_examples=500)
+    @given(st.one_of(
+        st.text(alphabet="abcdefghijklmnopqrstuvwxyz_*() ", max_size=40),
+        st.lists(st.sampled_from(["inv(", "sq(", "(", ")", "*", " ", "inv",
+                                  "sigma", "sigma_star", "mu", "z", "id"]),
+                 max_size=250).map("".join),
+    ))
+    def test_fuzz_returns_a_function_or_raises_value_error(self, text):
+        try:
+            f = parse_expression(text)
+        except ValueError:
+            return
+        assert isinstance(f(Poly("x^3+x^2+x")), Poly)

@@ -8,7 +8,7 @@ from collections.abc import Mapping
 import pytest
 
 import gf2mf.perfect as perfect
-from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
+from gf2mf.divisors import ResourceLimitError
 from gf2mf.factorize import (
     _TABLE_MAX_DEG,
     _factor_sieve,
@@ -16,12 +16,11 @@ from gf2mf.factorize import (
     _is_irreducible_bits,
     factor,
 )
-from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, conjugate
+from gf2mf.gf2poly import ONE, Poly, ZERO, conjugate
 from gf2mf.multfun import sigma, sigma_star
 from gf2mf.perfect import (
     _LOW_MASK,
     ScanReport,
-    _divsum_table,
     classify,
     odd_perfect_filter,
     odd_square_scan,
@@ -90,40 +89,27 @@ class TestClassify:
 
 
 class TestFactorSieve:
-    """The sieve tables against factor() and the multfun route."""
+    """The sieve's prime flags against factor() and the Frobenius test."""
 
-    DEG = 14
+    def test_flags_match_the_frobenius_test(self):
+        flags = _factor_sieve(12)
+        assert len(flags) == 1 << 13
+        assert flags[0] == flags[1] == 0
+        for m in range(2, 1 << 13):
+            assert flags[m] == _is_irreducible_bits(m), m
 
-    def sample(self, n, seed):
-        return random.Random(seed).sample(range(2, 1 << (self.DEG + 1)), n)
-
-    def test_smallest_factor_times_cofactor(self):
-        spf, cof = _factor_sieve(self.DEG)
-        assert (spf[1], cof[1]) == (1, 1)
-        for m in self.sample(500, 1):
-            assert _mul_bits(spf[m], cof[m]) == m
-            assert spf[m] == factor(Poly(m)).factors[0][0].bits
+    def test_flags_match_factor(self):
+        deg = 18
+        flags = _factor_sieve(deg)
+        for m in random.Random(1).sample(range(2, 1 << (deg + 1)), 500):
+            prime = [e for _, e in factor(Poly(m))] == [1]
+            assert flags[m] == prime, m
 
     def test_irreducibles_match_the_frobenius_test(self):
         for d in range(1, 11):
             expected = tuple(m for m in range(2, 1 << (d + 1))
                              if _is_irreducible_bits(m))
             assert _irreducible_masks(d) == expected
-
-    @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
-                             ids=["sigma", "sigma_star"])
-    def test_divisor_sum_table_matches_multfun(self, unitary, f):
-        # The table and f share one prime-power rule, so the literal XOR
-        # over the (unitary) divisor list is the independent check.
-        table = _divsum_table(self.DEG, unitary)
-        listed = unitary_divisors if unitary else divisors
-        assert table[1] == 1
-        for m in self.sample(500, 2):
-            assert table[m] == f(Poly(m)).bits
-            literal = 0
-            for d in listed(factor(Poly(m))):
-                literal ^= d.bits
-            assert table[m] == literal
 
 
 class TestSearch:
@@ -166,6 +152,32 @@ class TestSearch:
         assert (search_fixed_points(8, unitary=True, jobs=4)
                 == search_fixed_points(8, unitary=True))
 
+    @pytest.mark.parametrize("max_deg", [10, 12])
+    @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
+                             ids=["sigma", "sigma_star"])
+    def test_walk_matches_a_plain_loop_over_every_mask(self, max_deg,
+                                                       unitary, f):
+        # The divisor sums are multfun's, and every mask is tried.
+        expected = [m for m in range(2, 1 << (max_deg + 1))
+                    if f(Poly(m)).bits == m]
+        for jobs in (1, 3):
+            hits = search_fixed_points(max_deg, unitary, jobs=jobs)
+            assert [r.polynomial.bits for r in hits] == expected
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch,
+                                                          jobs):
+        # With id's prime-power rule P^r in place of sigma's, the walked
+        # divisor sum is A itself, so every visited A is a hit: the hits
+        # are then exactly the masks whose prime powers all have degree
+        # <= 6, each once.
+        monkeypatch.setattr(perfect, "_sigma_bits",
+                            lambda p, r: (Poly(p) ** r).bits)
+        monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
+        expected = [m for m in range(2, 1 << 13)
+                    if all(e * p.degree <= 6 for p, e in factor(Poly(m)))]
+        assert search_fixed_points(12, jobs=jobs) == expected
+
     def test_degree_19_adds_no_fixed_point(self):
         # No perfect polynomial has degree 17..19, so the listing is the
         # degree-18 reference one.
@@ -186,7 +198,7 @@ class TestSearch:
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            search_fixed_points(21)
+            search_fixed_points(23)
 
     def test_result_guard_rejects_non_perfect(self):
         with pytest.raises(RuntimeError):
