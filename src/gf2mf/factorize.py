@@ -127,9 +127,11 @@ def _factor_sieve(max_deg: int) -> bytearray:
     limit = 1 << (max_deg + 1)
     flags = bytearray(b"\1") * limit
     flags[0] = flags[1] = 0
+    # The multiples of x are the even masks above x itself.
+    flags[4::2] = bytes(len(range(4, limit, 2)))
     # A composite of degree <= max_deg has a factor of degree <= max_deg // 2,
     # so only those irreducibles need sieving; a p still flagged is irreducible.
-    for p in range(2, 1 << (max_deg // 2 + 1)):
+    for p in range(3, 1 << (max_deg // 2 + 1), 2):
         if not flags[p]:
             continue
         prod = p

@@ -11,9 +11,10 @@ convolve_bruteforce is the deliberately independent oracle: it computes
 (f*g)(a) as the literal sum over all divisors d of f(d) g(a/d), listing
 both factors with the divisor walker of gf2mf.divisors instead of
 composing per-prime convolutions.  The two routes must agree
-everywhere; the test suite holds them to that.  _sigma_bits and
-_sigma_star_bits are the one home of those two rules; gf2mf.perfect
-builds the divisor sums of its fixed-point searches from them.
+everywhere; the test suite holds them to that.  _sigma_bits,
+_sigma_star_bits and _divsum_affine are the one home of those two rules;
+_divsum_affine states them as the affine recurrence in P^step from which
+gf2mf.perfect carries the divisor sums of its fixed-point searches.
 
 Prime-power values are cached per function.  Caches are insert-once
 with deterministic values, so concurrent readers are safe, and they are
@@ -129,6 +130,19 @@ def _sigma_star_bits(p: int, r: int) -> int:
     for _ in range(r - 1):
         pw = _mul_bits(pw, p)
     return pw ^ 1
+
+
+def _divsum_affine(p: int, p_step: int, step: int,
+                   unitary: bool) -> "tuple[int, int]":
+    """(s_0, c) such that s_k = s_(k-1) * P^step + c is the (unitary)
+    divisor sum of P^(k * step), on masks; p_step is P^step, step 1 or 2.
+
+    For sigma, s_0 = 1 and c = sigma(P^(step - 1)), which is 1 or P + 1;
+    for sigma_star, s_0 = 0 and c = P^step + 1.  Nothing is multiplied.
+    """
+    if unitary:
+        return 0, p_step ^ 1
+    return 1, (p ^ 1 if step == 2 else 1)
 
 
 def _sigma_rule(prime: Poly, r: int) -> Poly:

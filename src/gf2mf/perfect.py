@@ -4,13 +4,16 @@ A polynomial is perfect when sigma(A) = A and unitary-perfect when
 sigma_star(A) = A.  Both searches run on one walker, _walk, which
 multiplies prime powers depth first, primes in ascending order with
 their exponents, and extends A and its divisor sum by one prime power
-per step, so no candidate is ever factored.  Exhaustive mode walks every
-prime power of degree <= max_deg // 2: if P^e exactly divides a fixed
-point A, then P^e divides the divisor sum of A / P^e, so no fixed point
-has a larger one.  Odd mode exploits the fact that a fixed point with no
-linear factor must be a square, so it walks A = S*S over the S with
-constant term 1 and S(1) = 1, the products of odd irreducibles, taking
-even exponents only.
+per step, so no candidate is ever factored.  The divisor sum of a prime
+power is carried from one exponent to the next by the affine rule that
+gf2mf.multfun._divsum_affine gives, so no rule is evaluated from scratch
+and a walked product costs two carryless products.  Exhaustive mode
+walks every prime power of degree <= max_deg // 2: if P^e exactly
+divides a fixed point A, then P^e divides the divisor sum of A / P^e, so
+no fixed point has a larger one.  Odd mode exploits the fact that a
+fixed point with no linear factor must be a square, so it walks A = S*S
+over the S with constant term 1 and S(1) = 1, the products of odd
+irreducibles, taking even exponents only.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -30,8 +33,8 @@ from types import MappingProxyType
 from .divisors import big_omega, divisors, is_special, omega, unitary_divisors
 from .divisors import ResourceLimitError
 from .factorize import _factor_sieve, _irreducible_masks, factor, parity
-from .gf2poly import Poly, X, X1, _mul_bits, sqrt_if_square
-from .multfun import _sigma_bits, _sigma_star_bits, convolve_bruteforce, ident, z
+from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits, sqrt_if_square
+from .multfun import _divsum_affine, convolve_bruteforce, ident, z
 
 __all__ = [
     "SearchResult",
@@ -147,13 +150,16 @@ def _walk(primes, step, cap, max_deg, unitary, bounds):
     """Every product A of prime powers, with its divisor sum, as (a, acc).
 
     A is a product of P^e over ascending primes from the list, e a
-    positive multiple of step, each P^e of degree <= cap and A of degree
-    <= max_deg; acc is sigma(A), or sigma_star(A) if unitary.  The first
-    prime's index runs over bounds = (first, stop).  Each step multiplies
-    A and acc by one prime power, so no A is ever factored.
+    positive multiple of step (1 or 2), each P^e of degree <= cap and A
+    of degree <= max_deg; acc is sigma(A), or sigma_star(A) if unitary.
+    The first prime's index runs over bounds = (first, stop).  Each step
+    multiplies A and acc by one prime power, so no A is ever factored.
+    The divisor sum of P^(k*step) is carried across k by the affine rule
+    s_k = s_(k-1) * P^step + c that multfun._divsum_affine gives, so each
+    yield costs the two products a * P^e and acc * s_k, and each further
+    exponent two more.
     """
-    rule = _sigma_star_bits if unitary else _sigma_bits
-    bases = [(Poly(p) ** step).bits for p in primes]
+    bases = primes if step == 1 else [_sqr_bits(p) for p in primes]
     weights = [b.bit_length() - 1 for b in bases]
     n = len(primes)
 
@@ -162,17 +168,24 @@ def _walk(primes, step, cap, max_deg, unitary, bounds):
             w = weights[i]
             if w > room:
                 break
-            p = primes[i]
             base = bases[i]
-            pw = 1
-            for k in range(1, min(room, cap) // w + 1):
-                pw = _mul_bits(pw, base)
+            s0, c = _divsum_affine(primes[i], base, step, unitary)
+            top = min(room, cap) // w
+            k = 1
+            pw = base
+            sig = s0 * base ^ c  # s_0 is 0 or 1, so * is carryless here
+            while True:
                 a2 = _mul_bits(a, pw)
-                acc2 = _mul_bits(acc, rule(p, k * step))
+                acc2 = _mul_bits(acc, sig)
                 yield a2, acc2
                 rest = room - k * w
                 if i + 1 < n and weights[i + 1] <= rest:
                     yield from walk(i + 1, n, rest, a2, acc2)
+                if k == top:
+                    break
+                k += 1
+                pw = _mul_bits(pw, base)
+                sig = _mul_bits(sig, base) ^ c
 
     return walk(*bounds, max_deg, 1, 1)
 

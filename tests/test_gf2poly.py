@@ -12,6 +12,7 @@ from gf2mf.gf2poly import (
     X,
     X1,
     ZERO,
+    _SETBIT_BOUND,
     _mul_bits,
     _sqr_bits,
     add,
@@ -27,6 +28,21 @@ from gf2mf.gf2poly import (
 # Degree <= 64 covers the multi-word regime on top of machine-word sizes.
 masks = st.integers(min_value=0, max_value=(1 << 65) - 1)
 nonzero_masks = st.integers(min_value=1, max_value=(1 << 65) - 1)
+
+# Widths on both sides of the kernel switch at _SETBIT_BOUND, up to 1100 bits.
+wide_masks = st.sampled_from([1, 8, 64, 127, 128, 129, 256, 1024, 1100]).flatmap(
+    lambda n: st.integers(min_value=0, max_value=(1 << n) - 1))
+
+
+def schoolbook(a: int, b: int) -> int:
+    """Carryless product, one shifted copy of a per bit of b."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
 
 
 class TestConstruction:
@@ -200,6 +216,22 @@ class TestArithmetic:
     @given(nonzero_masks)
     def test_square_helper_matches_schoolbook(self, a):
         assert _sqr_bits(a) == _mul_bits(a, a)
+
+
+class TestMulKernel:
+    @settings(max_examples=300)
+    @given(wide_masks, wide_masks)
+    def test_matches_the_schoolbook_reference(self, a, b):
+        assert _mul_bits(a, b) == schoolbook(a, b) == _mul_bits(b, a)
+
+    def test_at_the_kernel_switch(self):
+        # The smaller operand just below, at and just above the bound, so
+        # both kernels run against a small, an equal and a wide partner.
+        for b in (_SETBIT_BOUND - 1, _SETBIT_BOUND, _SETBIT_BOUND + 1,
+                  _SETBIT_BOUND | 0x5A5A):
+            for a in (b, b + 2, (1 << 1100) - 1):
+                assert _mul_bits(a, b) == schoolbook(a, b) == _mul_bits(b, a)
+        assert _mul_bits(_SETBIT_BOUND, _SETBIT_BOUND) == 1 << 256
 
 
 class TestSqrt:

@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
 from gf2mf.factorize import factor, irreducibles_up_to
-from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, conjugate
+from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _mul_bits, conjugate
 from gf2mf.multfun import (
     BUILTINS,
     MAX_EXPRESSION_TERMS,
+    _divsum_affine,
+    _sigma_bits,
+    _sigma_star_bits,
     builtin,
     convolve,
     convolve_bruteforce,
@@ -105,6 +108,20 @@ class TestBuiltins:
         for m in range(1, 1 << 9):
             a = Poly(m)
             assert sigma_star(a) == _xor(unitary_divisors(factor(a)))
+
+    @pytest.mark.parametrize("unitary, rule", [(False, _sigma_bits),
+                                               (True, _sigma_star_bits)],
+                             ids=["sigma", "sigma_star"])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_affine_pair_reproduces_the_rule(self, unitary, rule, step):
+        # s_k = s_(k-1) * P^step + c from the pair (s_0, c) is the rule's
+        # value at P^(k * step), for every prime of degree <= 8 and k <= 8.
+        for p in irreducibles_up_to(8):
+            p_step = (p**step).bits
+            s, c = _divsum_affine(p.bits, p_step, step, unitary)
+            for k in range(1, 9):
+                s = _mul_bits(s, p_step) ^ c
+                assert s == rule(p.bits, k * step)
 
     def test_mu_matches_squarefree_rule(self):
         for m in range(1, 1 << 9):

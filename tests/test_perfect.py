@@ -7,6 +7,7 @@ from collections.abc import Mapping
 
 import pytest
 
+import gf2mf.multfun as multfun
 import gf2mf.perfect as perfect
 from gf2mf.divisors import ResourceLimitError
 from gf2mf.factorize import (
@@ -16,7 +17,7 @@ from gf2mf.factorize import (
     _is_irreducible_bits,
     factor,
 )
-from gf2mf.gf2poly import ONE, Poly, ZERO, conjugate
+from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, conjugate
 from gf2mf.multfun import sigma, sigma_star
 from gf2mf.perfect import (
     _LOW_MASK,
@@ -36,6 +37,12 @@ B = X * X1  # x^2+x, the smallest perfect polynomial
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                          "reference.json")
+
+
+def id_affine(p, p_step, step, unitary):
+    """id's prime-power rule P^r as the walk's affine pair (s_0, c)."""
+    return 1, 0
+
 
 ODD_PRIMES = [Poly("x^2+x+1"), Poly("x^3+x+1"), Poly("x^3+x^2+1"),
               Poly("x^4+x+1"), Poly("x^4+x^3+1")]
@@ -167,16 +174,18 @@ class TestSearch:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch,
                                                           jobs):
-        # With id's prime-power rule P^r in place of sigma's, the walked
-        # divisor sum is A itself, so every visited A is a hit: the hits
-        # are then exactly the masks whose prime powers all have degree
-        # <= 6, each once.
-        monkeypatch.setattr(perfect, "_sigma_bits",
-                            lambda p, r: (Poly(p) ** r).bits)
+        # With id's rule, the affine pair (s_0, c) = (1, 0), in place of
+        # sigma's, the walked divisor sum is A itself, so every visited A
+        # is a hit: the hits are then exactly the masks whose prime powers
+        # all have degree <= 6, each once.
+        monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
         expected = [m for m in range(2, 1 << 13)
                     if all(e * p.degree <= 6 for p, e in factor(Poly(m)))]
         assert search_fixed_points(12, jobs=jobs) == expected
+        # Any other constant term reaches the hits.
+        monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
+        assert search_fixed_points(12, jobs=jobs) != expected
 
     def test_degree_19_adds_no_fixed_point(self):
         # No perfect polynomial has degree 17..19, so the listing is the
@@ -266,16 +275,17 @@ class TestOddScan:
     def test_walked_divisor_sum_multiplies_the_whole_factorization(
             self, monkeypatch):
         # No S^2 is a hit at these degrees, so the report alone would not
-        # notice a wrong divisor-sum product.  With id's prime-power rule
-        # P^r in place of sigma's, that product must be S^2 itself, which
-        # makes every candidate a hit.
-        monkeypatch.setattr(perfect, "_sigma_bits",
-                            lambda p, r: (Poly(p) ** r).bits)
+        # notice a wrong divisor-sum product.  With id's rule, the affine
+        # pair (1, 0), in place of sigma's, that product must be S^2
+        # itself, which makes every candidate a hit.
+        monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
         report = odd_square_scan(24, jobs=3)
         assert report.filter_rejected == 0
         assert report.full_checked == report.candidates == 2047
         assert report.hits == [a.bits for a in self.squares(24)]
+        monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
+        assert odd_square_scan(24, jobs=3).hits != report.hits
 
     def test_scan_leaves_no_irreducible_table_cached(self):
         # The scan reads its degree-18 primes off a sieve of its own; the
@@ -294,6 +304,47 @@ class TestOddScan:
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
             odd_square_scan(41)
+
+
+class TestWalkCost:
+    """Two carryless products per walked product, two more per exponent."""
+
+    @staticmethod
+    def count_products(monkeypatch):
+        # Counts the walk's products and any the rules would make in multfun.
+        calls = [0]
+
+        def counted(a, b):
+            calls[0] += 1
+            return _mul_bits(a, b)
+
+        monkeypatch.setattr(perfect, "_mul_bits", counted)
+        monkeypatch.setattr(multfun, "_mul_bits", counted)
+        monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
+        return calls
+
+    @staticmethod
+    def budget(walked):
+        # A product whose last (largest) prime has exponent k >= 2 also
+        # paid for P^(k*step) and its divisor sum from those at k - 1.
+        extra = sum(1 for m in walked if list(factor(Poly(m)))[-1][1] >= 2)
+        return 2 * len(walked) + 2 * extra
+
+    def test_odd_scan(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        report = odd_square_scan(24)
+        roots = [s for s in range(2, 1 << 13)
+                 if not any(p in (X, X1) for p, _ in factor(Poly(s)))]
+        assert report.candidates == len(roots) == 2047
+        assert 0 < calls[0] <= self.budget(roots)
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_exhaustive_search(self, monkeypatch, unitary):
+        calls = self.count_products(monkeypatch)
+        search_fixed_points(12, unitary)
+        walked = [m for m in range(2, 1 << 13)
+                  if all(e * p.degree <= 6 for p, e in factor(Poly(m)))]
+        assert 0 < calls[0] <= self.budget(walked)
 
 
 class TestOddFilter:
