@@ -4,9 +4,8 @@ A polynomial over the two-element field is stored as a nonnegative
 Python int used as a bitmask: bit i holds the coefficient of x^i, so
 x^2+x+1 corresponds to 0b111 (0x7).  The representation is canonical
 (equal polynomials have equal masks), addition is XOR, multiplication
-is carryless, with the kernel picked by operand size (one shifted copy
-per set bit of a small operand, schoolbook shift-XOR for large ones),
-and Python's unbounded ints widen past machine-word degrees
+is carryless (one shifted copy of the larger operand per set bit of the
+smaller), and Python's unbounded ints widen past machine-word degrees
 transparently.
 
 Poly wraps a mask and overloads +, *, divmod, //, %, ** and the
@@ -49,29 +48,16 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-# Below this bound on the smaller operand, one shifted copy per set bit
-# beats schoolbook (1.8x at 8 bits, 1.2x at 64, on random pairs); above
-# it, a * low costs a full multiply once low spans several digits.
-_SETBIT_BOUND = 1 << 128
-
-
 def _mul_bits(a: int, b: int) -> int:
-    """Carryless product of two masks: one a * low per set bit low of the
-    smaller operand below _SETBIT_BOUND, schoolbook shift-XOR above."""
+    """Carryless product of two masks: one shifted copy a * low of the
+    larger operand per set bit low of the smaller."""
     if a < b:
         a, b = b, a
     r = 0
-    if b < _SETBIT_BOUND:
-        while b:
-            low = b & -b
-            r ^= a * low
-            b ^= low
-        return r
     while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b
+        r ^= a * low
+        b ^= low
     return r
 
 

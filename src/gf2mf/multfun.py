@@ -11,10 +11,10 @@ convolve_bruteforce is the deliberately independent oracle: it computes
 (f*g)(a) as the literal sum over all divisors d of f(d) g(a/d), listing
 both factors with the divisor walker of gf2mf.divisors instead of
 composing per-prime convolutions.  The two routes must agree
-everywhere; the test suite holds them to that.  _sigma_bits,
-_sigma_star_bits and _divsum_affine are the one home of those two rules;
-_divsum_affine states them as the affine recurrence in P^step from which
-gf2mf.perfect carries the divisor sums of its fixed-point searches.
+everywhere; the test suite holds them to that.  _divsum_affine is the
+one home of the sigma and sigma_star rules: it states each as an affine
+recurrence in P^step, which _divsum_bits runs at step 1 for the two
+builtins and gf2mf.perfect carries through its fixed-point searches.
 
 Prime-power values are cached per function.  Caches are insert-once
 with deterministic values, so concurrent readers are safe, and they are
@@ -114,24 +114,6 @@ def _phi_rule(prime: Poly, r: int) -> Poly:
     return Poly(_mul_bits(lower, prime.bits) ^ lower)
 
 
-def _sigma_bits(p: int, r: int) -> int:
-    """1 + P + ... + P^r, the sum of the divisors of P^r, on masks."""
-    acc = 1
-    pw = 1
-    for _ in range(r):
-        pw = _mul_bits(pw, p)
-        acc ^= pw
-    return acc
-
-
-def _sigma_star_bits(p: int, r: int) -> int:
-    """P^r + 1 for r >= 1, the sum of the unitary divisors of P^r, on masks."""
-    pw = p
-    for _ in range(r - 1):
-        pw = _mul_bits(pw, p)
-    return pw ^ 1
-
-
 def _divsum_affine(p: int, p_step: int, step: int,
                    unitary: bool) -> "tuple[int, int]":
     """(s_0, c) such that s_k = s_(k-1) * P^step + c is the (unitary)
@@ -145,12 +127,22 @@ def _divsum_affine(p: int, p_step: int, step: int,
     return 1, (p ^ 1 if step == 2 else 1)
 
 
+def _divsum_bits(p: int, r: int, unitary: bool) -> int:
+    """sigma(P^r) = 1 + P + ... + P^r, or sigma_star(P^r) = P^r + 1 if
+    unitary, for r >= 1, on masks: the affine recurrence at step 1."""
+    s0, c = _divsum_affine(p, p, 1, unitary)
+    s = s0 * p ^ c  # s_0 is 0 or 1, so * is carryless here
+    for _ in range(r - 1):
+        s = _mul_bits(s, p) ^ c
+    return s
+
+
 def _sigma_rule(prime: Poly, r: int) -> Poly:
-    return Poly(_sigma_bits(prime.bits, r))
+    return Poly(_divsum_bits(prime.bits, r, False))
 
 
 def _sigma_star_rule(prime: Poly, r: int) -> Poly:
-    return Poly(_sigma_star_bits(prime.bits, r))
+    return Poly(_divsum_bits(prime.bits, r, True))
 
 
 delta = MultiplicativeFunction("delta", _delta_rule, totally_multiplicative=True)

@@ -171,21 +171,20 @@ def _walk(primes, step, cap, max_deg, unitary, bounds):
             base = bases[i]
             s0, c = _divsum_affine(primes[i], base, step, unitary)
             top = min(room, cap) // w
-            k = 1
             pw = base
             sig = s0 * base ^ c  # s_0 is 0 or 1, so * is carryless here
-            while True:
+            k = 1
+            while k <= top:  # cheaper than a range per visited prime
                 a2 = _mul_bits(a, pw)
                 acc2 = _mul_bits(acc, sig)
                 yield a2, acc2
                 rest = room - k * w
                 if i + 1 < n and weights[i + 1] <= rest:
                     yield from walk(i + 1, n, rest, a2, acc2)
-                if k == top:
-                    break
+                if k < top:
+                    pw = _mul_bits(pw, base)
+                    sig = _mul_bits(sig, base) ^ c
                 k += 1
-                pw = _mul_bits(pw, base)
-                sig = _mul_bits(sig, base) ^ c
 
     return walk(*bounds, max_deg, 1, 1)
 

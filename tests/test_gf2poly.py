@@ -12,7 +12,6 @@ from gf2mf.gf2poly import (
     X,
     X1,
     ZERO,
-    _SETBIT_BOUND,
     _mul_bits,
     _sqr_bits,
     add,
@@ -29,8 +28,8 @@ from gf2mf.gf2poly import (
 masks = st.integers(min_value=0, max_value=(1 << 65) - 1)
 nonzero_masks = st.integers(min_value=1, max_value=(1 << 65) - 1)
 
-# Widths on both sides of the kernel switch at _SETBIT_BOUND, up to 1100 bits.
-wide_masks = st.sampled_from([1, 8, 64, 127, 128, 129, 256, 1024, 1100]).flatmap(
+# From single bits through word and multi-digit widths up to 1100 bits.
+wide_masks = st.sampled_from([1, 8, 30, 31, 64, 128, 256, 1024, 1100]).flatmap(
     lambda n: st.integers(min_value=0, max_value=(1 << n) - 1))
 
 
@@ -223,15 +222,6 @@ class TestMulKernel:
     @given(wide_masks, wide_masks)
     def test_matches_the_schoolbook_reference(self, a, b):
         assert _mul_bits(a, b) == schoolbook(a, b) == _mul_bits(b, a)
-
-    def test_at_the_kernel_switch(self):
-        # The smaller operand just below, at and just above the bound, so
-        # both kernels run against a small, an equal and a wide partner.
-        for b in (_SETBIT_BOUND - 1, _SETBIT_BOUND, _SETBIT_BOUND + 1,
-                  _SETBIT_BOUND | 0x5A5A):
-            for a in (b, b + 2, (1 << 1100) - 1):
-                assert _mul_bits(a, b) == schoolbook(a, b) == _mul_bits(b, a)
-        assert _mul_bits(_SETBIT_BOUND, _SETBIT_BOUND) == 1 << 256
 
 
 class TestSqrt:

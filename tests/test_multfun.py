@@ -10,8 +10,6 @@ from gf2mf.multfun import (
     BUILTINS,
     MAX_EXPRESSION_TERMS,
     _divsum_affine,
-    _sigma_bits,
-    _sigma_star_bits,
     builtin,
     convolve,
     convolve_bruteforce,
@@ -109,19 +107,23 @@ class TestBuiltins:
             a = Poly(m)
             assert sigma_star(a) == _xor(unitary_divisors(factor(a)))
 
-    @pytest.mark.parametrize("unitary, rule", [(False, _sigma_bits),
-                                               (True, _sigma_star_bits)],
-                             ids=["sigma", "sigma_star"])
+    @pytest.mark.parametrize("unitary, rule", [
+        (False, lambda p, n: _xor([p**j for j in range(n + 1)]).bits),
+        (True, lambda p, n: (p**n).bits ^ 1),
+    ], ids=["sigma", "sigma_star"])
     @pytest.mark.parametrize("step", [1, 2])
     def test_affine_pair_reproduces_the_rule(self, unitary, rule, step):
-        # s_k = s_(k-1) * P^step + c from the pair (s_0, c) is the rule's
-        # value at P^(k * step), for every prime of degree <= 8 and k <= 8.
+        # s_k = s_(k-1) * P^step + c from the pair (s_0, c) is the divisor
+        # sum of P^(k * step), written out literally, for every prime of
+        # degree <= 8 and k <= 8; so is the builtin's value there.
+        f = sigma_star if unitary else sigma
         for p in irreducibles_up_to(8):
             p_step = (p**step).bits
             s, c = _divsum_affine(p.bits, p_step, step, unitary)
             for k in range(1, 9):
                 s = _mul_bits(s, p_step) ^ c
-                assert s == rule(p.bits, k * step)
+                assert s == rule(p, k * step)
+                assert f.at_prime_power(p, k * step).bits == s
 
     def test_mu_matches_squarefree_rule(self):
         for m in range(1, 1 << 9):
