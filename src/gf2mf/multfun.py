@@ -14,7 +14,8 @@ composing per-prime convolutions.  The two routes must agree
 everywhere; the test suite holds them to that.  _divsum_affine is the
 one home of the sigma and sigma_star rules: it states each as an affine
 recurrence in P^step, which _divsum_bits runs at step 1 for the two
-builtins and gf2mf.perfect carries through its fixed-point searches.
+builtins and for the exhaustive search's closure prune, and which
+gf2mf.perfect carries through its fixed-point searches.
 
 Prime-power values are cached per function.  Caches are insert-once
 with deterministic values, so concurrent readers are safe, and they are

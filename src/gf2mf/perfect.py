@@ -1,19 +1,29 @@
 """Fixed-point search for the divisor-sum functions over F2[x].
 
 A polynomial is perfect when sigma(A) = A and unitary-perfect when
-sigma_star(A) = A.  Both searches run on one walker, _walk, which
-multiplies prime powers depth first, primes in ascending order with
-their exponents, and extends A and its divisor sum by one prime power
-per step, so no candidate is ever factored.  The divisor sum of a prime
-power is carried from one exponent to the next by the affine rule that
-gf2mf.multfun._divsum_affine gives, so no rule is evaluated from scratch
-and a walked product costs two carryless products.  Exhaustive mode
-walks every prime power of degree <= max_deg // 2: if P^e exactly
-divides a fixed point A, then P^e divides the divisor sum of A / P^e, so
-no fixed point has a larger one.  Odd mode exploits the fact that a
-fixed point with no linear factor must be a square, so it walks A = S*S
-over the S with constant term 1 and S(1) = 1, the products of odd
-irreducibles, taking even exponents only.
+sigma_star(A) = A.  Both searches multiply prime powers depth first,
+primes in ascending order with their exponents, and extend A and its
+divisor sum by one prime power per step, so no candidate is ever
+factored and a walked product costs two carryless products.  The
+divisor sum of a prime power comes from the affine rule that
+gf2mf.multfun._divsum_affine gives.
+
+Exhaustive mode walks prime powers of degree <= max_deg // 2: if P^e
+exactly divides a fixed point A, then P^e divides the divisor sum of
+A / P^e, so no fixed point has a larger one.  It walks only products
+that can still be closed.  Since sigma is multiplicative, sigma(P^e)
+divides sigma(A) = A, so every irreducible of sigma(P^e) divides A, and
+likewise 1 + P^e for sigma_star.  Primes are taken in ascending index
+order, so a prime the walk skipped is absent below that node, and three
+rules follow: a P^e whose divisor sum has a skipped prime is dropped
+with its subtree; a sibling loop stops at the lowest prime still
+required; and A is compared with its divisor sum only once no prime is
+still required.  Nor is a product extended once its largest required
+prime no longer fits in the degree.  Odd mode exploits the fact that a fixed point with no
+linear factor must be a square, so it walks A = S*S over the S with
+constant term 1 and S(1) = 1, the products of odd irreducibles, taking
+even exponents only.  It keeps an unpruned walk of its own, _walk,
+because its report counts every candidate.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -34,7 +44,8 @@ from .divisors import big_omega, divisors, is_special, omega, unitary_divisors
 from .divisors import ResourceLimitError
 from .factorize import _factor_sieve, _irreducible_masks, factor, parity
 from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits, sqrt_if_square
-from .multfun import _divsum_affine, convolve_bruteforce, ident, z
+from .multfun import (_divsum_affine, _divsum_bits, convolve_bruteforce,
+                      ident, z)
 
 __all__ = [
     "SearchResult",
@@ -50,7 +61,7 @@ __all__ = [
     "odd_perfect_filter",
 ]
 
-EXHAUSTIVE_MAX_DEG = 22
+EXHAUSTIVE_MAX_DEG = 24
 ODD_SCAN_MAX_DEG = 40
 
 # The odd-mode pre-filter compares this many low coefficients before
@@ -146,20 +157,19 @@ def classify(a: Poly) -> str:
 _SIGMA_PP = _SIGMASTAR_PP = MappingProxyType({})
 
 
-def _walk(primes, step, cap, max_deg, unitary, bounds):
-    """Every product A of prime powers, with its divisor sum, as (a, acc).
+def _walk(primes, max_deg, unitary, bounds):
+    """Every square A = S*S of degree <= max_deg, with its divisor sum,
+    as (a, acc).
 
-    A is a product of P^e over ascending primes from the list, e a
-    positive multiple of step (1 or 2), each P^e of degree <= cap and A
-    of degree <= max_deg; acc is sigma(A), or sigma_star(A) if unitary.
-    The first prime's index runs over bounds = (first, stop).  Each step
-    multiplies A and acc by one prime power, so no A is ever factored.
-    The divisor sum of P^(k*step) is carried across k by the affine rule
-    s_k = s_(k-1) * P^step + c that multfun._divsum_affine gives, so each
-    yield costs the two products a * P^e and acc * s_k, and each further
-    exponent two more.
+    S is a product of P^k over ascending primes from the list; acc is
+    sigma(A), or sigma_star(A) if unitary.  The first prime's index runs
+    over bounds = (first, stop).  Each step multiplies A and acc by one
+    prime power P^(2k), so no A is ever factored.  The divisor sum of
+    P^(2k) is carried across k by the affine rule s_k = s_(k-1) * P^2 + c
+    that multfun._divsum_affine gives, so each yield costs the two
+    products a * P^(2k) and acc * s_k, and each further exponent two more.
     """
-    bases = primes if step == 1 else [_sqr_bits(p) for p in primes]
+    bases = [_sqr_bits(p) for p in primes]
     weights = [b.bit_length() - 1 for b in bases]
     n = len(primes)
 
@@ -169,8 +179,8 @@ def _walk(primes, step, cap, max_deg, unitary, bounds):
             if w > room:
                 break
             base = bases[i]
-            s0, c = _divsum_affine(primes[i], base, step, unitary)
-            top = min(room, cap) // w
+            s0, c = _divsum_affine(primes[i], base, 2, unitary)
+            top = room // w
             pw = base
             sig = s0 * base ^ c  # s_0 is 0 or 1, so * is carryless here
             k = 1
@@ -187,6 +197,84 @@ def _walk(primes, step, cap, max_deg, unitary, bounds):
                 k += 1
 
     return walk(*bounds, max_deg, 1, 1)
+
+
+def _prime_power_rows(primes, cap, unitary):
+    """Per prime P_i of the list, one row (deg, P^k, s_k, req) for each
+    k >= 1 with deg P^k <= cap.
+
+    s_k is the divisor sum of P^k, sigma or sigma_star if unitary,
+    carried across k by the affine rule of multfun._divsum_affine.  req
+    is the index mask of the irreducibles of that divisor sum, factored
+    from multfun._divsum_bits, so the prune does not rest on the carried
+    sums.  Each of those irreducibles has degree <= cap, so it is in the
+    list.
+    """
+    index = {p: i for i, p in enumerate(primes)}
+    rows = []
+    for p in primes:
+        d = p.bit_length() - 1
+        top = cap // d
+        s0, c = _divsum_affine(p, p, 1, unitary)
+        pw = p
+        sig = s0 * p ^ c  # s_0 is 0 or 1, so * is carryless here
+        row = []
+        for k in range(1, top + 1):
+            req = 0
+            for q, _ in factor(Poly(_divsum_bits(p, k, unitary))):
+                req |= 1 << index[q.bits]
+            row.append((k * d, pw, sig, req))
+            if k < top:
+                pw = _mul_bits(pw, p)
+                sig = _mul_bits(sig, p) ^ c
+        rows.append(row)
+    return rows
+
+
+def _closed_hits(rows, max_deg, bounds) -> "list[int]":
+    """The fixed points among the products search_fixed_points walks,
+    in walk order, by the rules its docstring states.
+
+    A node carries A, its divisor sum acc, the index mask have of the
+    primes taken and the mask need of the primes that a taken P^k's
+    divisor sum requires and A lacks.  The first prime's index runs over
+    bounds = (first, stop).
+    """
+    weights = [row[0][0] for row in rows]
+    n = len(rows)
+    hits: "list[int]" = []
+
+    def walk(first, stop, room, a, acc, have, need):
+        if need:  # skipping the lowest needed prime leaves A unclosable
+            stop = min(stop, (need & -need).bit_length())
+        for i in range(first, stop):
+            if weights[i] > room:
+                break
+            bit = 1 << i
+            below = bit - 1
+            have2 = have | bit
+            after = weights[i + 1] if i + 1 < n else room + 1
+            for e, pw, sig, req in rows[i]:
+                if e > room:
+                    break
+                if req & below & ~have:
+                    continue  # requires a prime the walk skipped
+                need2 = (need | req) & ~have2
+                rest = room - e
+                if need2:
+                    if weights[need2.bit_length() - 1] <= rest:
+                        walk(i + 1, n, rest, _mul_bits(a, pw),
+                             _mul_bits(acc, sig), have2, need2)
+                    continue
+                a2 = _mul_bits(a, pw)
+                acc2 = _mul_bits(acc, sig)
+                if acc2 == a2:
+                    hits.append(a2)
+                if after <= rest:
+                    walk(i + 1, n, rest, a2, acc2, have2, 0)
+
+    walk(*bounds, max_deg, 1, 1, 0, 0)
+    return hits
 
 
 def _shards(start: int, stop: int, jobs: int) -> "list[tuple[int, int]]":
@@ -225,9 +313,17 @@ def search_fixed_points(
 
     If P^e exactly divides a fixed point A then P^e divides the divisor
     sum of A / P^e, because that of P^e is 1 modulo P; so 2 deg P^e <=
-    deg A, and the search walks every product of prime powers of degree
-    <= max_deg // 2.  Shards split the first prime's index and their hits
-    are merged in order, so the result is identical for every jobs value.
+    deg A, and the search walks products of prime powers of degree
+    <= max_deg // 2.  It walks only those that can still be closed: the
+    divisor sum of P^e divides that of A, which is A, so each of its
+    irreducibles divides A.  Primes are taken in ascending order, so a
+    prime the walk skipped is absent from every product below; a P^e
+    whose divisor sum needs a skipped prime is dropped with its subtree,
+    a sibling loop stops at the lowest prime still needed, a product is
+    not extended once its largest needed prime no longer fits, and
+    A = sigma(A) is tested only when no prime is needed.  Shards split
+    the first prime's index and their hits are merged in order, so the
+    result is identical for every jobs value.
     """
     if odd_only:
         return odd_square_scan(max_deg, unitary=unitary, jobs=jobs).hits
@@ -236,10 +332,10 @@ def search_fixed_points(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
         )
     primes = _irreducible_masks(max_deg // 2)
+    rows = _prime_power_rows(primes, max_deg // 2, unitary)
 
     def scan(bounds: "tuple[int, int]") -> "list[int]":
-        walk = _walk(primes, 1, max_deg // 2, max_deg, unitary, bounds)
-        return [a for a, acc in walk if acc == a]
+        return _closed_hits(rows, max_deg, bounds)
 
     chunks = _run_shards(scan, _shards(0, len(primes), jobs), jobs)
     masks = sorted(m for chunk in chunks for m in chunk)
@@ -275,7 +371,7 @@ def odd_square_scan(
         rej = full = 0
         hit_masks: "list[int]" = []
         sample: "list[int]" = []  # negated: a max-heap of the smallest
-        for a, acc in _walk(primes, 2, max_deg, max_deg, unitary, bounds):
+        for a, acc in _walk(primes, max_deg, unitary, bounds):
             if (acc ^ a) & _LOW_MASK:
                 rej += 1
                 if len(sample) < sample_rejected:

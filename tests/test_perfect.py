@@ -1,5 +1,6 @@
 """Tests for fixed-point (perfect polynomial) search and odd-case scans."""
 
+import hashlib
 import json
 import os
 import random
@@ -42,6 +43,25 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 def id_affine(p, p_step, step, unitary):
     """id's prime-power rule P^r as the walk's affine pair (s_0, c)."""
     return 1, 0
+
+
+def smooth_masks(max_deg, f):
+    """(mask, factorization, missing) for each mask below 2^(max_deg+1)
+    whose prime powers P^e all have degree <= max_deg // 2; missing lists
+    the irreducibles of the multfun f(P^e) that do not divide the mask,
+    by factor()."""
+    for m in range(2, 1 << (max_deg + 1)):
+        pairs = list(factor(Poly(m)))
+        if all(e * p.degree <= max_deg // 2 for p, e in pairs):
+            primes = {p for p, _ in pairs}
+            missing = {q for p, e in pairs for q, _ in factor(f(p**e))
+                       if q not in primes}
+            yield m, pairs, missing
+
+
+def closed_masks(max_deg, f):
+    """The masks a fixed point of f of degree <= max_deg can be."""
+    return [m for m, _, missing in smooth_masks(max_deg, f) if not missing]
 
 
 ODD_PRIMES = [Poly("x^2+x+1"), Poly("x^3+x+1"), Poly("x^3+x^2+1"),
@@ -175,17 +195,41 @@ class TestSearch:
     def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch,
                                                           jobs):
         # With id's rule, the affine pair (s_0, c) = (1, 0), in place of
-        # sigma's, the walked divisor sum is A itself, so every visited A
-        # is a hit: the hits are then exactly the masks whose prime powers
-        # all have degree <= 6, each once.
+        # sigma's, the walked divisor sum is A itself, so every product
+        # the walk compares is a hit.  The prune still reads sigma's
+        # primes, so the hits are exactly the closed masks: each prime
+        # power has degree <= 6 and each irreducible of its multfun
+        # sigma divides the mask, each mask once.
         monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
-        expected = [m for m in range(2, 1 << 13)
-                    if all(e * p.degree <= 6 for p, e in factor(Poly(m)))]
+        expected = closed_masks(12, sigma)
         assert search_fixed_points(12, jobs=jobs) == expected
         # Any other constant term reaches the hits.
         monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
         assert search_fixed_points(12, jobs=jobs) != expected
+
+    # (max_deg, unitary): count and sha256 of the listing's lines, from
+    # the walk over every product of prime powers of degree <= max_deg // 2.
+    LISTINGS = {
+        (20, False): (14, "e5d6a6aed8b6e3ea8babf844ffb68a5c"
+                          "fffaa47badd4b5b628a3cf0b6299be5c"),
+        (20, True): (20, "1f14f9bbb504d077182d373973b35930"
+                         "c7a5c612df411559b75314d1e27fe212"),
+        (21, False): (14, "e5d6a6aed8b6e3ea8babf844ffb68a5c"
+                          "fffaa47badd4b5b628a3cf0b6299be5c"),
+        (21, True): (20, "1f14f9bbb504d077182d373973b35930"
+                         "c7a5c612df411559b75314d1e27fe212"),
+        (22, False): (14, "e5d6a6aed8b6e3ea8babf844ffb68a5c"
+                          "fffaa47badd4b5b628a3cf0b6299be5c"),
+        (22, True): (22, "ed75a0c78e9a26296fa0d72219aa2e9f"
+                         "a5938f19d0dc81c237cc89b351b2b40c"),
+    }
+
+    @pytest.mark.parametrize("max_deg, unitary", sorted(LISTINGS))
+    def test_listing_above_the_degree_19_reference(self, max_deg, unitary):
+        lines = [r.line() for r in search_fixed_points(max_deg, unitary)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.LISTINGS[max_deg, unitary]
 
     def test_degree_19_adds_no_fixed_point(self):
         # No perfect polynomial has degree 17..19, so the listing is the
@@ -207,7 +251,7 @@ class TestSearch:
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            search_fixed_points(23)
+            search_fixed_points(25)
 
     def test_result_guard_rejects_non_perfect(self):
         with pytest.raises(RuntimeError):
@@ -307,7 +351,8 @@ class TestOddScan:
 
 
 class TestWalkCost:
-    """Two carryless products per walked product, two more per exponent."""
+    """Two carryless products per walked product; the odd scan pays two
+    more per further exponent, the exhaustive search a table of them."""
 
     @staticmethod
     def count_products(monkeypatch):
@@ -342,9 +387,24 @@ class TestWalkCost:
     def test_exhaustive_search(self, monkeypatch, unitary):
         calls = self.count_products(monkeypatch)
         search_fixed_points(12, unitary)
-        walked = [m for m in range(2, 1 << 13)
-                  if all(e * p.degree <= 6 for p, e in factor(Poly(m)))]
-        assert 0 < calls[0] <= self.budget(walked)
+        spent = calls[0]  # multfun products below are the test's own
+        # The search pays two products per mask it enters: the closed
+        # ones, and the open ones whose missing primes all lie above
+        # their largest prime and still fit in the degree.
+        masks = list(smooth_masks(12, sigma_star if unitary else sigma))
+        entered = [m for m, pairs, missing in masks
+                   if all(q.bits > pairs[-1][0].bits
+                          and q.degree <= 12 - Poly(m).degree
+                          for q in missing)]
+        # Its table of P^k, their divisor sums and the sums' primes costs
+        # 2 products per k >= 2 and k - 1 more in multfun._divsum_bits.
+        table = sum(2 * (top - 1) + top * (top - 1) // 2
+                    for top in (6 // (p.bit_length() - 1)
+                                for p in _irreducible_masks(6)))
+        assert 0 < spent <= 2 * len(entered) + table
+        # The unpruned walk over every smooth mask paid more than twice
+        # as much.
+        assert spent < self.budget([m for m, _, _ in masks]) / 2
 
 
 class TestOddFilter:
