@@ -50,6 +50,9 @@ _TRIAL_MAX_DEG = 24
 # Public table bound; internal callers never need more than degree 12.
 _TABLE_MAX_DEG = 16
 
+# Swaps the flag bytes 0 and 1: doubling the weight-parity flags.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
 
 class Factorization:
     """An immutable factored form: ((irreducible, multiplicity), ...)."""
@@ -122,23 +125,31 @@ def _factor_sieve(max_deg: int) -> bytearray:
     """Prime flags of every mask of degree <= max_deg.
 
     flags[m] is 1 exactly when m is irreducible and 0 otherwise, so
-    compress(count(), flags) lists the irreducibles.
+    compress(count(), flags) lists the irreducibles.  The flags start as
+    the weight parity m(1), built by doubling, which clears every multiple
+    of x+1; one slice clears the multiples of x.  What is left to clear
+    are the composites m with m(0) = m(1) = 1, and each is p * q with p
+    an irreducible of degree 2..max_deg // 2 and q(0) = q(1) = 1.
     """
     limit = 1 << (max_deg + 1)
-    flags = bytearray(b"\1") * limit
-    flags[0] = flags[1] = 0
-    # The multiples of x are the even masks above x itself.
-    flags[4::2] = bytes(len(range(4, limit, 2)))
-    # A composite of degree <= max_deg has a factor of degree <= max_deg // 2,
-    # so only those irreducibles need sieving; a p still flagged is irreducible.
-    for p in range(3, 1 << (max_deg // 2 + 1), 2):
+    if max_deg < 1:
+        return bytearray(limit)
+    flags = bytearray(1)
+    while len(flags) < limit:
+        flags += flags.translate(_FLIP)
+    flags[::2] = bytes(limit >> 1)
+    flags[1:4] = b"\0\1\1"  # 1 is a unit; x and x+1 are irreducible
+    # A p still flagged is irreducible: its factors are all below it.
+    for p in range(7, 1 << (max_deg // 2 + 1), 2):
         if not flags[p]:
             continue
         prod = p
-        for i in range(2, limit >> (p.bit_length() - 1)):
-            # Cofactors in Gray-code order q = i ^ (i >> 1): each step flips
-            # the single bit i & -i of q, so p * q changes by one shifted p.
-            prod ^= p * (i & -i)
+        p2 = p << 1
+        for i in range(2, limit >> p.bit_length(), 2):
+            # Cofactors q = 1 + 2t with t = i ^ (i >> 1) in Gray-code
+            # order: an even i gives t(1) = 0, and from i - 2 to i, t flips
+            # bit 0 and bit i & -i, so p * q changes by two shifted p.
+            prod ^= p2 ^ p2 * (i & -i)
             flags[prod] = 0
     return flags
 

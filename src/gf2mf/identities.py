@@ -415,6 +415,7 @@ class _Lattice:
         self.co_squarefree = [n for n, ok in enumerate(flags) if ok]
         self._fs = {ident: self.ds}
         self._gs = {ident: self.qs}
+        self._values: "dict[tuple[MultiplicativeFunction, int], Poly]" = {}
 
     def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Yield (exponents, divisor mask, codivisor mask) in counting order."""
@@ -433,6 +434,17 @@ class _Lattice:
         if g not in self._gs:
             self._gs[g] = _products(self._corows, _values(g))
         return self._gs[g]
+
+    def value(self, f: MultiplicativeFunction, b: Poly) -> Poly:
+        """f(b), evaluated by f itself once per (f, b) on this lattice.
+
+        Right sides read this, never table(f), so they stay independent
+        of the tables the left sides XOR.
+        """
+        key = (f, b.bits)
+        if key not in self._values:
+            self._values[key] = f(b)
+        return self._values[key]
 
 
 def _values(f: MultiplicativeFunction) -> Callable[[Poly, int], int]:
@@ -506,7 +518,7 @@ def _squareconv_spec(name: str) -> CorollarySpec:
     def run(a: Poly, lat: "_Lattice") -> "tuple[Poly | None, Poly, bool]":
         got = convolve_bruteforce(f, f, a)
         root = sqrt_if_square(a)
-        predicted_fixed = root is not None and f(root) == root
+        predicted_fixed = root is not None and lat.value(f, root) == root
         passed = (got == a) == predicted_fixed
         expected = a if predicted_fixed else None
         return expected, got, passed
@@ -523,41 +535,45 @@ def _sq(p: Poly) -> Poly:
 _COROLLARIES: "tuple[CorollarySpec, ...]" = (
     _sum_spec("corol_sigma_mu", "square", _is_square,
               sigma, z, _mid_co_squarefree,
-              lambda a, lat: a + sigma(a)),
+              lambda a, lat: a + lat.value(sigma, a)),
     _sum_spec("corol_sigma_z", "special", _special_nontrivial,
               sigma, z, _mid,
-              lambda a, lat: sigma(a) + ONE + sigma_star(a)),
+              lambda a, lat: (lat.value(sigma, a) + ONE
+                              + lat.value(sigma_star, a))),
     _sum_spec("corol_sigma_id", "square", _square_nontrivial,
               sigma, ident, _mid,
-              lambda a, lat: _sq(sigma(sqrt_if_square(a))) + sigma(a) + a),
+              lambda a, lat: (_sq(lat.value(sigma, sqrt_if_square(a)))
+                              + lat.value(sigma, a) + a)),
     _sum_spec("corol_sigma_phi", "square", _square_nontrivial,
               sigma, phi, _mid,
-              lambda a, lat: a + sigma(a) + phi(a)),
+              lambda a, lat: a + lat.value(sigma, a) + lat.value(phi, a)),
     _sum_spec("corol_sigmastar_mu", "square", _is_square,
               sigma_star, z, _co_squarefree,
-              lambda a, lat: phi(a)),
+              lambda a, lat: lat.value(phi, a)),
     _sum_spec("corol_sigmastar_z", "special", is_special,
               sigma_star, z, _every,
-              lambda a, lat: sigma(a)),
+              lambda a, lat: lat.value(sigma, a)),
     _sum_spec("corol_sigmastar_id", "square", _square_nontrivial,
               sigma_star, ident, _mid,
-              lambda a, lat: sigma(a) + sigma_star(a) + a),
+              lambda a, lat: (lat.value(sigma, a) + lat.value(sigma_star, a)
+                              + a)),
     _sum_spec("corol_sigmastar_phi", "square", _square_nontrivial,
               sigma_star, phi, _mid,
-              lambda a, lat: sigma_star(a)),
+              lambda a, lat: lat.value(sigma_star, a)),
     _sum_spec("corol_sigmastar_sigma", "square", _square_nontrivial,
               sigma_star, sigma, _mid,
-              lambda a, lat: sigma_star(a)),
+              lambda a, lat: lat.value(sigma_star, a)),
     *(_squareconv_spec(name) for name in ("sigma", "sigma_star", "id")),
     _sum_spec("corol_sigma_idinv", "square", _is_square,
               sigma, ident, _proper_co_squarefree,
-              lambda a, lat: ONE + sigma(a)),
+              lambda a, lat: ONE + lat.value(sigma, a)),
     _sum_spec("corol_sigma_phiinv", "square", _square_nontrivial,
               sigma, _PHI_INV, _mid,
-              lambda a, lat: ONE + sigma(a) + sigma(radical(lat.fact))),
+              lambda a, lat: (ONE + lat.value(sigma, a)
+                              + lat.value(sigma, radical(lat.fact)))),
     _sum_spec("corol_sigmainv_sigma", "all", _all_nontrivial,
               _SIGMA_INV, sigma, _mid,
-              lambda a, lat: sigma(a) + _SIGMA_INV(a)),
+              lambda a, lat: lat.value(sigma, a) + lat.value(_SIGMA_INV, a)),
     _sum_spec("corol_sigmainv_id", "special", _special_nontrivial,
               _SIGMA_INV, ident, _mid,
               lambda a, lat: a + radical(lat.fact)),
@@ -569,10 +585,10 @@ _COROLLARIES: "tuple[CorollarySpec, ...]" = (
               lambda a, lat: sqrt_if_square(a) + a),
     _sum_spec("corol_sigmastarinv_mu", "special", _special_nontrivial,
               _SIGMASTAR_INV, z, _mid_co_squarefree,
-              lambda a, lat: sigma(radical(lat.fact))),
+              lambda a, lat: lat.value(sigma, radical(lat.fact))),
     _sum_spec("corol_sigmastarinv_sigma", "square", _square_nontrivial,
               _SIGMASTAR_INV, sigma, _mid,
-              lambda a, lat: sigma(a) + sqrt_if_square(a)),
+              lambda a, lat: lat.value(sigma, a) + sqrt_if_square(a)),
 )
 
 

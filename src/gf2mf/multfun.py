@@ -280,21 +280,30 @@ def parse_expression(text: str) -> MultiplicativeFunction:
     """Build a function from an expression like 'inv(sigma_star)*mu'.
 
     Expressions with more than MAX_EXPRESSION_TERMS names are refused.
+    Each ValueError names the offset in text where parsing failed.
     """
     tokens = _tokenize_expression(text)
-    terms = sum(1 for kind, _ in tokens if kind == "name")
-    if terms > MAX_EXPRESSION_TERMS:
-        raise ValueError(
-            f"{terms} function terms exceed the expression bound of "
-            f"{MAX_EXPRESSION_TERMS}"
+    names = [at for kind, _, at in tokens if kind == "name"]
+    if len(names) > MAX_EXPRESSION_TERMS:
+        raise _expression_error(
+            f"{len(names)} function terms exceed the expression bound of "
+            f"{MAX_EXPRESSION_TERMS}", names[MAX_EXPRESSION_TERMS]
         )
     expr, pos = _parse_expr(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError(f"unexpected {tokens[pos][1]!r} in function expression")
+    kind, value, at = tokens[pos]
+    if kind != "end":
+        raise _expression_error(
+            f"unexpected {value!r} in function expression", at)
     return expr
 
 
-def _tokenize_expression(text: str) -> list[tuple[str, str]]:
+def _expression_error(message: str, position: int) -> ValueError:
+    return ValueError(f"{message} (position {position})")
+
+
+def _tokenize_expression(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, closed by an "end" token at the
+    end of text."""
     tokens = []
     i = 0
     n = len(text)
@@ -303,40 +312,48 @@ def _tokenize_expression(text: str) -> list[tuple[str, str]]:
         if c.isspace():
             i += 1
         elif c in "*()":
-            tokens.append((c, c))
+            tokens.append((c, c, i))
             i += 1
         elif c.isalpha() or c == "_":
             start = i
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(("name", text[start:i]))
+            tokens.append(("name", text[start:i], start))
         else:
-            raise ValueError(f"unexpected character {c!r} in function expression")
+            raise _expression_error(
+                f"unexpected character {c!r} in function expression", i)
     if not tokens:
-        raise ValueError("empty function expression")
+        raise _expression_error("empty function expression", n)
+    tokens.append(("end", "", n))
     return tokens
 
 
-def _parse_expr(tokens: list[tuple[str, str]], pos: int
+def _parse_expr(tokens: list[tuple[str, str, int]], pos: int
                 ) -> tuple[MultiplicativeFunction, int]:
     acc, pos = _parse_atom(tokens, pos)
-    while pos < len(tokens) and tokens[pos][0] == "*":
+    while tokens[pos][0] == "*":
         rhs, pos = _parse_atom(tokens, pos + 1)
         acc = convolve(acc, rhs)
     return acc, pos
 
 
-def _parse_atom(tokens: list[tuple[str, str]], pos: int
+def _parse_atom(tokens: list[tuple[str, str, int]], pos: int
                 ) -> tuple[MultiplicativeFunction, int]:
-    if pos >= len(tokens):
-        raise ValueError("function expression ends where a name was expected")
-    kind, value = tokens[pos]
+    kind, value, at = tokens[pos]
+    if kind == "end":
+        raise _expression_error(
+            "function expression ends where a name was expected", at)
     if kind != "name":
-        raise ValueError(f"unexpected {value!r} in function expression")
-    if value in ("inv", "sq") and pos + 1 < len(tokens) and tokens[pos + 1][0] == "(":
+        raise _expression_error(
+            f"unexpected {value!r} in function expression", at)
+    if value in ("inv", "sq") and tokens[pos + 1][0] == "(":
         inner, after = _parse_expr(tokens, pos + 2)
-        if after >= len(tokens) or tokens[after][0] != ")":
-            raise ValueError(f"unclosed {value}( in function expression")
+        if tokens[after][0] != ")":
+            raise _expression_error(
+                f"unclosed {value}( in function expression", tokens[after][2])
         wrapped = inverse(inner) if value == "inv" else square_conv(inner)
         return wrapped, after + 1
-    return builtin(value), pos + 1
+    try:
+        return builtin(value), pos + 1
+    except ValueError as exc:
+        raise _expression_error(str(exc), at) from None

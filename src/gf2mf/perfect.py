@@ -23,7 +23,9 @@ prime no longer fits in the degree.  Odd mode exploits the fact that a fixed poi
 linear factor must be a square, so it walks A = S*S over the S with
 constant term 1 and S(1) = 1, the products of odd irreducibles, taking
 even exponents only.  It keeps an unpruned walk of its own, _walk,
-because its report counts every candidate.
+because its report counts every candidate.  That walk compares and
+tallies each candidate where it is made, so no candidate is handed up
+through the recursion.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -157,23 +159,32 @@ def classify(a: Poly) -> str:
 _SIGMA_PP = _SIGMASTAR_PP = MappingProxyType({})
 
 
-def _walk(primes, max_deg, unitary, bounds):
-    """Every square A = S*S of degree <= max_deg, with its divisor sum,
-    as (a, acc).
+def _walk(primes, max_deg, unitary, bounds, sample_rejected):
+    """Check every square A = S*S of degree <= max_deg against its
+    divisor sum, as (rejected, full_checked, hit masks, sample).
 
-    S is a product of P^k over ascending primes from the list; acc is
-    sigma(A), or sigma_star(A) if unitary.  The first prime's index runs
-    over bounds = (first, stop).  Each step multiplies A and acc by one
-    prime power P^(2k), so no A is ever factored.  The divisor sum of
-    P^(2k) is carried across k by the affine rule s_k = s_(k-1) * P^2 + c
-    that multfun._divsum_affine gives, so each yield costs the two
-    products a * P^(2k) and acc * s_k, and each further exponent two more.
+    S is a product of P^k over ascending primes from the list; the
+    divisor sum is sigma(A), or sigma_star(A) if unitary.  The first
+    prime's index runs over bounds = (first, stop).  Each step multiplies
+    A and its divisor sum by one prime power P^(2k), so no A is ever
+    factored.  The divisor sum of P^(2k) is carried across k by the
+    affine rule s_k = s_(k-1) * P^2 + c that multfun._divsum_affine
+    gives, so each candidate costs the two products a * P^(2k) and
+    acc * s_k, and each further exponent two more.  A candidate whose low
+    coefficients differ from its divisor sum's is rejected; the others
+    are compared whole.  sample holds the sample_rejected smallest
+    rejected masks, in no order.
     """
     bases = [_sqr_bits(p) for p in primes]
     weights = [b.bit_length() - 1 for b in bases]
     n = len(primes)
+    hits: "list[int]" = []
+    heap: "list[int]" = []  # negated: a max-heap of the smallest
+    full = 0
 
-    def walk(first: int, stop: int, room: int, a: int, acc: int):
+    def walk(first: int, stop: int, room: int, a: int, acc: int) -> int:
+        nonlocal full
+        rej = 0
         for i in range(first, stop):
             w = weights[i]
             if w > room:
@@ -187,16 +198,27 @@ def _walk(primes, max_deg, unitary, bounds):
             while k <= top:  # cheaper than a range per visited prime
                 a2 = _mul_bits(a, pw)
                 acc2 = _mul_bits(acc, sig)
-                yield a2, acc2
+                if (acc2 ^ a2) & _LOW_MASK:
+                    rej += 1
+                    if len(heap) < sample_rejected:
+                        heapq.heappush(heap, -a2)
+                    elif heap and a2 < -heap[0]:
+                        heapq.heapreplace(heap, -a2)
+                else:
+                    full += 1
+                    if acc2 == a2:
+                        hits.append(a2)
                 rest = room - k * w
                 if i + 1 < n and weights[i + 1] <= rest:
-                    yield from walk(i + 1, n, rest, a2, acc2)
+                    rej += walk(i + 1, n, rest, a2, acc2)
                 if k < top:
                     pw = _mul_bits(pw, base)
                     sig = _mul_bits(sig, base) ^ c
                 k += 1
+        return rej
 
-    return walk(*bounds, max_deg, 1, 1)
+    rej = walk(*bounds, max_deg, 1, 1)
+    return rej, full, hits, [-m for m in heap]
 
 
 def _prime_power_rows(primes, cap, unitary):
@@ -363,26 +385,12 @@ def odd_square_scan(
             f"odd-square scan degree must be 2..{ODD_SCAN_MAX_DEG}"
         )
     # A sieve of the scan's own, freed once read: nothing of degree
-    # max_deg // 2 stays cached after the scan.
-    primes = [p for p in compress(count(), _factor_sieve(max_deg // 2))
-              if p > 3]
+    # max_deg // 2 stays cached after the scan.  Masks 2 and 3 are the
+    # linear primes.
+    primes = list(compress(count(4), _factor_sieve(max_deg // 2)[4:]))
 
     def scan(bounds: "tuple[int, int]"):
-        rej = full = 0
-        hit_masks: "list[int]" = []
-        sample: "list[int]" = []  # negated: a max-heap of the smallest
-        for a, acc in _walk(primes, max_deg, unitary, bounds):
-            if (acc ^ a) & _LOW_MASK:
-                rej += 1
-                if len(sample) < sample_rejected:
-                    heapq.heappush(sample, -a)
-                elif sample and a < -sample[0]:
-                    heapq.heapreplace(sample, -a)
-            else:
-                full += 1
-                if acc == a:
-                    hit_masks.append(a)
-        return rej, full, hit_masks, [-m for m in sample]
+        return _walk(primes, max_deg, unitary, bounds, sample_rejected)
 
     shards = _shards(0, len(primes), jobs)
     report = ScanReport(max_deg=max_deg, unitary=unitary)

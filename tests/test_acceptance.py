@@ -7,6 +7,7 @@ scan, the corollary suite) are computed once in session fixtures and
 shared between their primary criterion and the determinism criterion.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -223,8 +224,18 @@ print(json.dumps({
     "suite": corollary_suite(jobs=4).render(include_passes=True),
     "search": [r.line() for r in search_fixed_points(16, jobs=4)],
     "odd": repr(odd_square_scan(40, sample_rejected=1000, jobs=3)),
+    "odd36": [repr(odd_square_scan(36, unitary, sample_rejected=1000))
+              for unitary in (False, True)],
 }))
 """
+
+# sha256 of repr(odd_square_scan(36, unitary, sample_rejected=1000)) for
+# unitary False and True, from the scan whose walk yielded every
+# candidate to a separate tally loop.
+ODD_SCAN_36_SHA256 = [
+    "8870261167b7ce22dc0e0b999e23735725edc7f7f6a636922c0bfe451bdecc80",
+    "c0eb935a8b00072ac1a8d8cd0f716373bdd8158d18fc32069e02dbe5f398c1b2",
+]
 
 
 def test_criterion_10_determinism(criterion, lemma_grid, search16, odd40,
@@ -243,3 +254,5 @@ def test_criterion_10_determinism(criterion, lemma_grid, search16, odd40,
         assert fresh["suite"] == corollaries[0].render(include_passes=True)
         assert fresh["search"] == [r.line() for r in search16[0]]
         assert fresh["odd"] == repr(odd40[0])
+        assert [hashlib.sha256(r.encode()).hexdigest()
+                for r in fresh["odd36"]] == ODD_SCAN_36_SHA256

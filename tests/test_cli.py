@@ -53,6 +53,11 @@ class TestEval:
         assert code == 2
         assert "nosuch" in err
 
+    def test_malformed_expression_names_the_offset(self, capsys):
+        assert run(capsys, "eval", "sigma*(mu", "x") == (
+            2, "", "error: unexpected '(' in function expression "
+                   "(position 6)\n")
+
     @pytest.mark.parametrize("expr", [
         "inv(" * 3000 + "z" + ")" * 3000,
         "*".join(["sigma"] * 500),

@@ -373,6 +373,56 @@ class TestLatticeTables:
         assert failing == {i for i, fg in READS.items() if fg[side] == name}
 
 
+    @pytest.mark.parametrize("method, name, failing", [
+        ("table", "sigma", set()),
+        ("table", "sigma_star", {"corol_sigmastar_mu", "corol_sigmastar_z"}),
+        ("table", "sigma_inv", set()),
+        ("cotable", "sigma", set()),
+        ("cotable", "phi", set()),
+    ])
+    def test_right_sides_do_not_read_the_entry_of_a_itself(
+            self, monkeypatch, method, name, failing):
+        # Flip f(A) in a table (its last entry, D = A) or a cotable (its
+        # first, A/D = A).  Only the left sides whose filter keeps that
+        # entry fail; a right side that read f(A) off the lattice would
+        # fail with them.
+        a = (X * X1 * P2) ** 2
+        original = getattr(identities._Lattice, method)
+        target = FUNCTIONS[name]
+        index = -1 if method == "table" else 0
+
+        def corrupted(lat, f):
+            values = original(lat, f)
+            if f is not target:
+                return values
+            values = list(values)
+            values[index] ^= 1
+            return values
+
+        monkeypatch.setattr(identities._Lattice, method, corrupted)
+        assert {r.spec_id for r in check_corollaries(a)
+                if not r.passed} == failing
+
+    def test_right_sides_evaluate_each_value_once(self, monkeypatch):
+        calls = []
+
+        class Counted(MultiplicativeFunction):
+            __slots__ = ()
+
+            def __call__(self, b):
+                calls.append((self.name, b.bits))
+                return super().__call__(b)
+
+        for name in ("sigma", "sigma_star", "phi", "_SIGMA_INV"):
+            f = getattr(identities, name)
+            monkeypatch.setattr(identities, name, Counted(f.name, f._rule))
+        a = (X * X1 * P2) ** 2  # special: every corollary applies
+        assert all(r.passed for r in check_corollaries(a))
+        # sigma, sigma_star, phi and inv(sigma) at A, and sigma at its
+        # root, which is also its radical.
+        assert len(calls) == len(set(calls)) == 5
+
+
 class TestSuite:
     def test_inputs_deterministic_and_square(self):
         inputs = suite_inputs()

@@ -345,6 +345,27 @@ class TestExpressionParser:
         with pytest.raises(ValueError):
             parse_expression(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty function expression (position 0)"),
+        ("  ", "empty function expression (position 2)"),
+        ("sig$ma", "unexpected character '$' in function expression "
+                   "(position 3)"),
+        ("nosuch", "unknown function name 'nosuch' (position 0)"),
+        ("sigma*", "function expression ends where a name was expected "
+                   "(position 6)"),
+        ("*mu", "unexpected '*' in function expression (position 0)"),
+        ("inv(sigma", "unclosed inv( in function expression (position 9)"),
+        ("sq(sigma mu)", "unclosed sq( in function expression (position 9)"),
+        ("inv()", "unexpected ')' in function expression (position 4)"),
+        ("sigma mu", "unexpected 'mu' in function expression (position 6)"),
+        ("z * " * 100 + "mu", "101 function terms exceed the expression "
+                              "bound of 100 (position 400)"),
+    ])
+    def test_errors_name_the_offset(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_expression(text)
+        assert str(info.value) == message
+
     def test_deepest_expressions_at_the_bound_evaluate(self):
         n = MAX_EXPRESSION_TERMS
         nested = parse_expression("inv(" * (n - 1) + "sigma" + ")" * (n - 1))

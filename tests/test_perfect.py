@@ -115,15 +115,64 @@ class TestClassify:
         assert classify(Poly("x^2+x+1") ** 2) == "odd"
 
 
+def gray_code_sieve(max_deg):
+    """Prime flags of every mask of degree <= max_deg, the plain way:
+    clear the even masks above x, then every multiple p * q of each
+    irreducible p of degree <= max_deg // 2, cofactors q in Gray-code
+    order."""
+    limit = 1 << (max_deg + 1)
+    flags = bytearray(b"\1") * limit
+    flags[0] = flags[1] = 0
+    flags[4::2] = bytes(len(range(4, limit, 2)))
+    for p in range(3, 1 << (max_deg // 2 + 1), 2):
+        if not flags[p]:
+            continue
+        prod = p
+        for i in range(2, limit >> (p.bit_length() - 1)):
+            prod ^= p * (i & -i)  # q = i ^ (i >> 1) flips bit i & -i
+            flags[prod] = 0
+    return flags
+
+
+def mobius(n):
+    """The integer Mobius function."""
+    sign = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
 class TestFactorSieve:
-    """The sieve's prime flags against factor() and the Frobenius test."""
+    """The sieve's prime flags against a plain Gray-code sieve, factor(),
+    the Frobenius test and Gauss's count."""
+
+    def test_flags_equal_the_plain_sieve(self):
+        for d in range(0, 17):
+            assert _factor_sieve(d) == gray_code_sieve(d), d
 
     def test_flags_match_the_frobenius_test(self):
-        flags = _factor_sieve(12)
-        assert len(flags) == 1 << 13
-        assert flags[0] == flags[1] == 0
-        for m in range(2, 1 << 13):
-            assert flags[m] == _is_irreducible_bits(m), m
+        # Every bound, since the degrees 1-3 and masks 1-3 are set apart
+        # from the sieving.
+        expected = bytes(_is_irreducible_bits(m) if m > 1 else 0
+                         for m in range(1 << 14))
+        for d in range(0, 14):
+            flags = _factor_sieve(d)
+            assert len(flags) == 1 << (d + 1)
+            assert flags == expected[:1 << (d + 1)], d
+
+    @pytest.mark.parametrize("max_deg", [18, 20])
+    def test_counts_per_degree_are_gauss_counts(self, max_deg):
+        flags = _factor_sieve(max_deg)
+        for d in range(1, max_deg + 1):
+            gauss = sum(mobius(e) * 2 ** (d // e)
+                        for e in range(1, d + 1) if d % e == 0) // d
+            assert sum(flags[1 << d:2 << d]) == gauss, d
 
     def test_flags_match_factor(self):
         deg = 18
@@ -330,6 +379,25 @@ class TestOddScan:
         assert report.hits == [a.bits for a in self.squares(24)]
         monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
         assert odd_square_scan(24, jobs=3).hits != report.hits
+
+    # sha256 of the reprs of odd_square_scan(D, unitary, sample_rejected=
+    # 1000) for D = 2..28, one per line: the counts, the hits and the
+    # rejected sample, from the scan whose walk yielded every candidate to
+    # a separate tally loop.
+    REPORTS = {
+        False: ("0193997716b487174d02e822ddc84235"
+                "ee7abbd1863f63e849a40d7fc112da1f"),
+        True: ("ea0791d1a6f1d64d8c9dd0d456c4047d"
+               "f600d2130037df7f8dd8ed7f2bbb136f"),
+    }
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_reports_at_degrees_2_to_28_are_pinned(self, unitary):
+        text = "\n".join(
+            repr(odd_square_scan(d, unitary, sample_rejected=1000))
+            for d in range(2, 29))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.REPORTS[unitary]
 
     def test_scan_leaves_no_irreducible_table_cached(self):
         # The scan reads its degree-18 primes off a sieve of its own; the
