@@ -3,11 +3,10 @@
 Subcommands: factor, eval, conv, verify, search, mersenne.  Polynomials
 are accepted in term form ("x^3+x+1") or hex form ("0xb").  Exit codes:
 0 success / all checks passed, 1 at least one identity check failed,
-2 usage or resource error.  GF2MF_JOBS sets the default worker count.
+2 usage or resource error.
 """
 
 import argparse
-import os
 import sys
 
 from .factorize import factor, mersenne_form
@@ -22,13 +21,6 @@ __all__ = ["main"]
 _MAX_VERIFY_PRIME_DEG = 8
 _MAX_VERIFY_EXP = 16
 _MAX_MERSENNE_DEG = 32
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("GF2MF_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
@@ -59,13 +51,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not 0 <= args.max_exp <= _MAX_VERIFY_EXP:
         raise ValueError(f"--max-exp must be 0..{_MAX_VERIFY_EXP}")
     spec_ids = [args.lemma] if args.lemma else None
-    summary = check_all(
-        args.max_prime_deg, args.max_exp, jobs=args.jobs, spec_ids=spec_ids
-    )
+    summary = check_all(args.max_prime_deg, args.max_exp, spec_ids=spec_ids)
     print(summary.render(include_passes=bool(args.lemma)))
     failed = not summary.all_passed()
     if args.corollaries:
-        suite = corollary_suite(jobs=args.jobs)
+        suite = corollary_suite()
         print(suite.render())
         failed = failed or not suite.all_passed()
     return 1 if failed else 0
@@ -76,7 +66,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         args.max_deg,
         unitary=args.kind == "unitary",
         odd_only=args.kind == "odd",
-        jobs=args.jobs,
     )
     for result in results:
         print(result.line())
@@ -129,13 +118,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", help="check one lemma id, printing every point")
     p.add_argument("--corollaries", action="store_true",
                    help="also run the divisor-lattice corollary suite")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    # Verification runs serially; the flag stays, hidden and ignored, so
+    # existing `verify --jobs N` calls keep working.
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="search for divisor-sum fixed points")
     p.add_argument("kind", choices=("perfect", "unitary", "odd"))
     p.add_argument("--max-deg", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("mersenne",

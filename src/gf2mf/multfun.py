@@ -18,8 +18,8 @@ builtins and for the exhaustive search's closure prune, and which
 gf2mf.perfect carries through its fixed-point searches.
 
 Prime-power values are cached per function.  Caches are insert-once
-with deterministic values, so concurrent readers are safe, and they are
-invisible to the function's behavior.
+with deterministic values, so they are invisible to the function's
+behavior.
 """
 
 from typing import Callable

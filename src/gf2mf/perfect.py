@@ -19,8 +19,10 @@ rules follow: a P^e whose divisor sum has a skipped prime is dropped
 with its subtree; a sibling loop stops at the lowest prime still
 required; and A is compared with its divisor sum only once no prime is
 still required.  Nor is a product extended once its largest required
-prime no longer fits in the degree.  Odd mode exploits the fact that a fixed point with no
-linear factor must be a square, so it walks A = S*S over the S with
+prime no longer fits in the degree.
+
+Odd mode exploits the fact that a fixed point with no linear factor
+must be a square, so it walks A = S*S over the S with
 constant term 1 and S(1) = 1, the products of odd irreducibles, taking
 even exponents only.  It keeps an unpruned walk of its own, _walk,
 because its report counts every candidate.  That walk compares and
@@ -37,7 +39,6 @@ them, and passing the filter never claims a candidate is perfect.
 """
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress, count
 from types import MappingProxyType
@@ -153,21 +154,23 @@ def classify(a: Poly) -> str:
     return "even-nontrivial" if parity(a) == "even" else "odd"
 
 
-# The searches keep no prime-power memo.  These names stay, as
-# empty read-only views, because perfbench/tracer.py reports their size
-# as the count of memo entries left alive after a run.
+# The searches keep no prime-power memo and run serially.  These names
+# stay, inert, because perfbench/tracer.py reads them: it reports the
+# size of the empty read-only views as the count of memo entries left
+# alive after a run, and it rebinds _run_shards and ThreadPoolExecutor,
+# which nothing here calls.
 _SIGMA_PP = _SIGMASTAR_PP = MappingProxyType({})
+_run_shards = ThreadPoolExecutor = None
 
 
-def _walk(primes, max_deg, unitary, bounds, sample_rejected):
+def _walk(primes, max_deg, unitary, sample_rejected):
     """Check every square A = S*S of degree <= max_deg against its
     divisor sum, as (rejected, full_checked, hit masks, sample).
 
     S is a product of P^k over ascending primes from the list; the
-    divisor sum is sigma(A), or sigma_star(A) if unitary.  The first
-    prime's index runs over bounds = (first, stop).  Each step multiplies
-    A and its divisor sum by one prime power P^(2k), so no A is ever
-    factored.  The divisor sum of P^(2k) is carried across k by the
+    divisor sum is sigma(A), or sigma_star(A) if unitary.  Each step
+    multiplies A and its divisor sum by one prime power P^(2k), so no A
+    is ever factored.  The divisor sum of P^(2k) is carried across k by the
     affine rule s_k = s_(k-1) * P^2 + c that multfun._divsum_affine
     gives, so each candidate costs the two products a * P^(2k) and
     acc * s_k, and each further exponent two more.  A candidate whose low
@@ -182,10 +185,10 @@ def _walk(primes, max_deg, unitary, bounds, sample_rejected):
     heap: "list[int]" = []  # negated: a max-heap of the smallest
     full = 0
 
-    def walk(first: int, stop: int, room: int, a: int, acc: int) -> int:
+    def walk(first: int, room: int, a: int, acc: int) -> int:
         nonlocal full
         rej = 0
-        for i in range(first, stop):
+        for i in range(first, n):
             w = weights[i]
             if w > room:
                 break
@@ -210,14 +213,14 @@ def _walk(primes, max_deg, unitary, bounds, sample_rejected):
                         hits.append(a2)
                 rest = room - k * w
                 if i + 1 < n and weights[i + 1] <= rest:
-                    rej += walk(i + 1, n, rest, a2, acc2)
+                    rej += walk(i + 1, rest, a2, acc2)
                 if k < top:
                     pw = _mul_bits(pw, base)
                     sig = _mul_bits(sig, base) ^ c
                 k += 1
         return rej
 
-    rej = walk(*bounds, max_deg, 1, 1)
+    rej = walk(0, max_deg, 1, 1)
     return rej, full, hits, [-m for m in heap]
 
 
@@ -253,22 +256,21 @@ def _prime_power_rows(primes, cap, unitary):
     return rows
 
 
-def _closed_hits(rows, max_deg, bounds) -> "list[int]":
+def _closed_hits(rows, max_deg) -> "list[int]":
     """The fixed points among the products search_fixed_points walks,
     in walk order, by the rules its docstring states.
 
     A node carries A, its divisor sum acc, the index mask have of the
     primes taken and the mask need of the primes that a taken P^k's
-    divisor sum requires and A lacks.  The first prime's index runs over
-    bounds = (first, stop).
+    divisor sum requires and A lacks.
     """
     weights = [row[0][0] for row in rows]
     n = len(rows)
     hits: "list[int]" = []
 
-    def walk(first, stop, room, a, acc, have, need):
-        if need:  # skipping the lowest needed prime leaves A unclosable
-            stop = min(stop, (need & -need).bit_length())
+    def walk(first, room, a, acc, have, need):
+        # Skipping the lowest needed prime leaves A unclosable.
+        stop = (need & -need).bit_length() if need else n
         for i in range(first, stop):
             if weights[i] > room:
                 break
@@ -285,7 +287,7 @@ def _closed_hits(rows, max_deg, bounds) -> "list[int]":
                 rest = room - e
                 if need2:
                     if weights[need2.bit_length() - 1] <= rest:
-                        walk(i + 1, n, rest, _mul_bits(a, pw),
+                        walk(i + 1, rest, _mul_bits(a, pw),
                              _mul_bits(acc, sig), have2, need2)
                     continue
                 a2 = _mul_bits(a, pw)
@@ -293,26 +295,10 @@ def _closed_hits(rows, max_deg, bounds) -> "list[int]":
                 if acc2 == a2:
                     hits.append(a2)
                 if after <= rest:
-                    walk(i + 1, n, rest, a2, acc2, have2, 0)
+                    walk(i + 1, rest, a2, acc2, have2, 0)
 
-    walk(*bounds, max_deg, 1, 1, 0, 0)
+    walk(0, max_deg, 1, 1, 0, 0)
     return hits
-
-
-def _shards(start: int, stop: int, jobs: int) -> "list[tuple[int, int]]":
-    jobs = max(1, jobs)
-    span = stop - start
-    if span <= 0:
-        return []
-    step = max(1, (span + jobs - 1) // jobs)
-    return [(a, min(a + step, stop)) for a in range(start, stop, step)]
-
-
-def _run_shards(fn, shards, jobs):
-    if jobs > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, shards))
-    return [fn(s) for s in shards]
 
 
 def _result(mask: int, unitary: bool) -> SearchResult:
@@ -329,7 +315,6 @@ def search_fixed_points(
     max_deg: int,
     unitary: bool = False,
     odd_only: bool = False,
-    jobs: int = 1,
 ) -> "list[SearchResult]":
     """All fixed points of sigma (or sigma_star) with degree 1..max_deg.
 
@@ -343,31 +328,23 @@ def search_fixed_points(
     whose divisor sum needs a skipped prime is dropped with its subtree,
     a sibling loop stops at the lowest prime still needed, a product is
     not extended once its largest needed prime no longer fits, and
-    A = sigma(A) is tested only when no prime is needed.  Shards split
-    the first prime's index and their hits are merged in order, so the
-    result is identical for every jobs value.
+    A = sigma(A) is tested only when no prime is needed.
     """
     if odd_only:
-        return odd_square_scan(max_deg, unitary=unitary, jobs=jobs).hits
+        return odd_square_scan(max_deg, unitary=unitary).hits
     if not 1 <= max_deg <= EXHAUSTIVE_MAX_DEG:
         raise ResourceLimitError(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
         )
     primes = _irreducible_masks(max_deg // 2)
     rows = _prime_power_rows(primes, max_deg // 2, unitary)
-
-    def scan(bounds: "tuple[int, int]") -> "list[int]":
-        return _closed_hits(rows, max_deg, bounds)
-
-    chunks = _run_shards(scan, _shards(0, len(primes), jobs), jobs)
-    masks = sorted(m for chunk in chunks for m in chunk)
+    masks = sorted(_closed_hits(rows, max_deg))
     return [_result(m, unitary) for m in masks]
 
 
 def odd_square_scan(
     max_deg: int,
     unitary: bool = False,
-    jobs: int = 1,
     sample_rejected: int = 0,
 ) -> ScanReport:
     """Scan A = S*S over all S without linear factors, deg A <= max_deg.
@@ -388,24 +365,16 @@ def odd_square_scan(
     # max_deg // 2 stays cached after the scan.  Masks 2 and 3 are the
     # linear primes.
     primes = list(compress(count(4), _factor_sieve(max_deg // 2)[4:]))
-
-    def scan(bounds: "tuple[int, int]"):
-        return _walk(primes, max_deg, unitary, bounds, sample_rejected)
-
-    shards = _shards(0, len(primes), jobs)
-    report = ScanReport(max_deg=max_deg, unitary=unitary)
-    hit_masks: "list[int]" = []
-    sample_masks: "list[int]" = []
-    for rej, full, hits, sample in _run_shards(scan, shards, jobs):
-        report.candidates += rej + full
-        report.filter_rejected += rej
-        report.full_checked += full
-        hit_masks.extend(hits)
-        sample_masks.extend(sample)
-    report.hits = [_result(m, unitary) for m in sorted(hit_masks)]
-    smallest = heapq.nsmallest(sample_rejected, sample_masks)
-    report.rejected_sample = [Poly(m) for m in smallest]
-    return report
+    rej, full, hits, sample = _walk(primes, max_deg, unitary, sample_rejected)
+    return ScanReport(
+        max_deg=max_deg,
+        unitary=unitary,
+        candidates=rej + full,
+        filter_rejected=rej,
+        full_checked=full,
+        hits=[_result(m, unitary) for m in sorted(hits)],
+        rejected_sample=[Poly(m) for m in sorted(sample)],
+    )
 
 
 def odd_perfect_filter(a: Poly) -> OddFilterReport:

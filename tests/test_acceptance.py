@@ -220,10 +220,10 @@ import json
 from gf2mf.identities import check_all, corollary_suite
 from gf2mf.perfect import odd_square_scan, search_fixed_points
 print(json.dumps({
-    "grid": check_all(5, 10, jobs=4).render(include_passes=True),
-    "suite": corollary_suite(jobs=4).render(include_passes=True),
-    "search": [r.line() for r in search_fixed_points(16, jobs=4)],
-    "odd": repr(odd_square_scan(40, sample_rejected=1000, jobs=3)),
+    "grid": check_all(5, 10).render(include_passes=True),
+    "suite": corollary_suite().render(include_passes=True),
+    "search": [r.line() for r in search_fixed_points(16)],
+    "odd": repr(odd_square_scan(40, sample_rejected=1000)),
     "odd36": [repr(odd_square_scan(36, unitary, sample_rejected=1000))
               for unitary in (False, True)],
 }))
@@ -240,9 +240,9 @@ ODD_SCAN_36_SHA256 = [
 
 def test_criterion_10_determinism(criterion, lemma_grid, search16, odd40,
                                   corollaries):
-    # Threaded reruns double as the repeat-run check: each artifact is
-    # recomputed from scratch and must render byte-identically.
-    with criterion(10, "byte-identical reports across jobs"):
+    # Each artifact is recomputed from scratch in a fresh interpreter and
+    # must render byte-identically.
+    with criterion(10, "byte-identical reports across fresh runs"):
         rerun = subprocess.run(
             [sys.executable, "-c", _RERUN],
             env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True,

@@ -1,7 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import gf2mf
 from gf2mf.cli import main
 from gf2mf.gf2poly import Poly
 from gf2mf.identities import CheckSummary, IdentityReport
@@ -111,12 +116,16 @@ class TestVerify:
         assert code == 2
         assert "--max-exp" in err
 
-    def test_jobs_do_not_change_output(self, capsys):
-        _, serial, _ = run(capsys, "verify",
-                           "--max-prime-deg", "2", "--max-exp", "3")
-        _, threaded, _ = run(capsys, "verify", "--jobs", "3",
-                             "--max-prime-deg", "2", "--max-exp", "3")
-        assert serial == threaded
+    def test_jobs_is_accepted_and_ignored(self, capsys):
+        _, serial, _ = run(capsys, "verify")
+        code, out, _ = run(capsys, "verify", "--jobs", "3")
+        assert code == 0
+        assert out == serial
+        # search has no --jobs at all.
+        code, out, _ = run(capsys, "search", "perfect", "--max-deg", "8",
+                           "--jobs", "2")
+        assert code == 2
+        assert out == ""
 
     def test_corollaries_flag(self, capsys):
         code, out, _ = run(capsys, "verify",
@@ -202,6 +211,17 @@ class TestMersenne:
 
 
 class TestTopLevel:
+    def test_cold_import_leaves_concurrent_futures_out(self):
+        # A fresh interpreter, so no earlier test has imported it already.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gf2mf.__file__)))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import sys, gf2mf.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True, timeout=60,
+        )
+        assert probe.stdout == "False\n"
+
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 2

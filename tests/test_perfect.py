@@ -223,11 +223,6 @@ class TestSearch:
         for r in search_fixed_points(8, unitary=True):
             assert verify_perfect(r.polynomial, unitary=True)
 
-    def test_jobs_do_not_change_results(self):
-        assert search_fixed_points(10, jobs=3) == search_fixed_points(10)
-        assert (search_fixed_points(8, unitary=True, jobs=4)
-                == search_fixed_points(8, unitary=True))
-
     @pytest.mark.parametrize("max_deg", [10, 12])
     @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
                              ids=["sigma", "sigma_star"])
@@ -236,13 +231,10 @@ class TestSearch:
         # The divisor sums are multfun's, and every mask is tried.
         expected = [m for m in range(2, 1 << (max_deg + 1))
                     if f(Poly(m)).bits == m]
-        for jobs in (1, 3):
-            hits = search_fixed_points(max_deg, unitary, jobs=jobs)
-            assert [r.polynomial.bits for r in hits] == expected
+        hits = search_fixed_points(max_deg, unitary)
+        assert [r.polynomial.bits for r in hits] == expected
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch,
-                                                          jobs):
+    def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch):
         # With id's rule, the affine pair (s_0, c) = (1, 0), in place of
         # sigma's, the walked divisor sum is A itself, so every product
         # the walk compares is a hit.  The prune still reads sigma's
@@ -252,10 +244,10 @@ class TestSearch:
         monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
         expected = closed_masks(12, sigma)
-        assert search_fixed_points(12, jobs=jobs) == expected
+        assert search_fixed_points(12) == expected
         # Any other constant term reaches the hits.
         monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
-        assert search_fixed_points(12, jobs=jobs) != expected
+        assert search_fixed_points(12) != expected
 
     # (max_deg, unitary): count and sha256 of the listing's lines, from
     # the walk over every product of prime powers of degree <= max_deg // 2.
@@ -329,12 +321,6 @@ class TestOddScan:
     def test_no_samples_by_default(self):
         assert odd_square_scan(20).rejected_sample == []
 
-    def test_jobs_do_not_change_report(self):
-        serial = odd_square_scan(24, sample_rejected=3)
-        threaded = odd_square_scan(24, sample_rejected=3, jobs=3)
-        assert serial == threaded
-        assert serial.candidates == 2047
-
     @staticmethod
     def squares(max_deg):
         """S^2 for every S > 1 with no linear factor, ascending, by factor()."""
@@ -360,8 +346,6 @@ class TestOddScan:
         everything = expected.filter_rejected
         assert odd_square_scan(max_deg, unitary,
                                sample_rejected=everything) == expected
-        assert odd_square_scan(max_deg, unitary, jobs=3,
-                               sample_rejected=everything) == expected
         few = odd_square_scan(max_deg, unitary, sample_rejected=7)
         assert few.rejected_sample == expected.rejected_sample[:7]
 
@@ -373,12 +357,12 @@ class TestOddScan:
         # itself, which makes every candidate a hit.
         monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
-        report = odd_square_scan(24, jobs=3)
+        report = odd_square_scan(24)
         assert report.filter_rejected == 0
         assert report.full_checked == report.candidates == 2047
         assert report.hits == [a.bits for a in self.squares(24)]
         monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
-        assert odd_square_scan(24, jobs=3).hits != report.hits
+        assert odd_square_scan(24).hits != report.hits
 
     # sha256 of the reprs of odd_square_scan(D, unitary, sample_rejected=
     # 1000) for D = 2..28, one per line: the counts, the hits and the
