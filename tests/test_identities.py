@@ -172,6 +172,14 @@ class TestCheckAll:
         keys = [(r.spec_id, r.prime.bits, r.exponent) for r in summary.reports]
         assert keys == sorted(keys)
 
+    def test_jobs_do_not_change_output(self):
+        # jobs is accepted and ignored: the grid is checked serially.
+        serial = check_all(2, 4)
+        threaded = check_all(2, 4, jobs=3)
+        assert serial.status_line() == "PASS 555/555"
+        assert (serial.render(include_passes=True)
+                == threaded.render(include_passes=True))
+
     def test_spec_ids_filter(self):
         summary = check_all(2, 3, spec_ids=["sigma_mu"])
         assert {r.spec_id for r in summary.reports} == {"sigma_mu"}
@@ -455,6 +463,15 @@ class TestSuite:
         # by the per-vector evaluation the lattice tables replaced.
         text = corollary_suite(**kwargs).render(include_passes=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_suite_jobs_do_not_change_output(self):
+        # jobs is accepted and ignored: the inputs are checked serially.
+        kwargs = dict(square_count=25, square_max_deg=12,
+                      special_max_deg=8, seed=11)
+        serial = corollary_suite(**kwargs)
+        threaded = corollary_suite(jobs=3, **kwargs)
+        assert (serial.render(include_passes=True)
+                == threaded.render(include_passes=True))
 
     def test_one_lattice_per_input(self, monkeypatch):
         built = []

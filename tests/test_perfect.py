@@ -223,6 +223,13 @@ class TestSearch:
         for r in search_fixed_points(8, unitary=True):
             assert verify_perfect(r.polynomial, unitary=True)
 
+    def test_searches_take_no_jobs(self):
+        # Both searches are serial; a jobs keyword is an error, not ignored.
+        with pytest.raises(TypeError):
+            search_fixed_points(10, jobs=3)
+        with pytest.raises(TypeError):
+            odd_square_scan(24, jobs=3)
+
     @pytest.mark.parametrize("max_deg", [10, 12])
     @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
                              ids=["sigma", "sigma_star"])
@@ -320,6 +327,13 @@ class TestOddScan:
 
     def test_no_samples_by_default(self):
         assert odd_square_scan(20).rejected_sample == []
+
+    def test_degree_24_counts(self):
+        report = odd_square_scan(24, sample_rejected=3)
+        assert report.candidates == 2047
+        assert report.filter_rejected + report.full_checked == 2047
+        assert len(report.rejected_sample) == 3
+        assert odd_square_scan(24, sample_rejected=3) == report
 
     @staticmethod
     def squares(max_deg):
