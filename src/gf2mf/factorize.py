@@ -2,11 +2,12 @@
 
 Factorization is exact and deterministic: results are tuples of
 (irreducible, multiplicity) pairs sorted by (degree, mask), which for
-int masks is plain integer order.  Small inputs (degree <= 24) go
-through trial division against the irreducibles of the factor sieve;
-larger inputs go through squarefree reduction, distinct-degree splitting
-by Frobenius powers, and an equal-degree splitter based on the trace
-map, the variant suited to characteristic 2.  Any randomness in the
+int masks is plain integer order.  A square (zero derivative) is
+factored through its root at every degree.  Other small inputs (degree
+<= 24) go through trial division against the irreducibles of the factor
+sieve; larger ones go through squarefree reduction, distinct-degree
+splitting by Frobenius powers, and an equal-degree splitter based on the
+trace map, the variant suited to characteristic 2.  Any randomness in the
 splitter is driven by a fixed, configurable seed, so repeated runs agree.
 
 The factor sieve, the package's one bulk table, is one byte per mask up
@@ -171,6 +172,9 @@ def irreducibles_up_to(d: int) -> list[Poly]:
     return [Poly(m) for m in _irreducible_masks(d)]
 
 
+# The lemma grid tests each prime once per (spec, exponent) point; the
+# bound keeps the cache small for callers that test many masks.
+@functools.lru_cache(maxsize=1 << 12)
 def _is_irreducible_bits(f: int) -> bool:
     """Deterministic Frobenius-based irreducibility test on a mask."""
     n = f.bit_length() - 1
@@ -275,14 +279,14 @@ def _factor_bits(bits: int, seed: int = 0) -> tuple[tuple[int, int], ...]:
         f, mult = work.pop()
         if f == 1:
             continue
+        der = _derivative_bits(f)
+        if der == 0:
+            # Zero derivative means f is a perfect square: factor its root.
+            work.append((_sqrt_bits(f), 2 * mult))
+            continue
         if f.bit_length() - 1 <= _TRIAL_MAX_DEG:
             for p, e in _trial_division(f):
                 counts[p] = counts.get(p, 0) + e * mult
-            continue
-        der = _derivative_bits(f)
-        if der == 0:
-            # Zero derivative means f is a perfect square.
-            work.append((_sqrt_bits(f), 2 * mult))
             continue
         # f // gcd(f, f') is the squarefree product of the primes of odd
         # multiplicity; what remains after dividing those out is a square.

@@ -10,12 +10,16 @@ Each CorollarySpec states a divisor-lattice identity at a whole
 polynomial A.  The registered forms do not assume any fixed-point
 property of A: sides that classical statements shorten using sigma(A)=A
 are kept as computed values, so the identities are checkable on
-arbitrary squares and special polynomials today.  A lattice-sum
-corollary is declared as (f, g, filter): its left side is the literal
-XOR of f(D) g(A/D) over the divisors D the filter picks.  The lattice of
-A tabulates f(D) and g(A/D) once per function, each entry evaluated
-multiplicatively at its own divisor, and every spec at A shares them.
-The catalogue is built once, at import.
+arbitrary squares and special polynomials today.  Every corollary,
+the square convolutions f*f included, is declared as (f, g, filter):
+its left side is the literal XOR of f(D) g(A/D) over the divisors D the
+filter picks.  The lattice of A factors A once and tabulates f(D) and
+g(A/D) once per function, each entry evaluated multiplicatively at its
+own divisor; every spec at A shares them, and its precondition (square,
+special, nontrivial) reads the lattice's exponent vector.  A right side
+of None means the left side must differ from A: a square convolution
+equals A exactly when f fixes the square root of A.  The catalogue is
+built once, at import.
 
 registry(functions=...) accepts an alternative table of the seven named
 functions so tests can corrupt one rule and watch the right lemmas
@@ -27,9 +31,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator, Mapping
 
-from .divisors import _power_bits, _products, is_special, radical
+from .divisors import _power_bits, _products, radical
 from .factorize import factor, irreducibles_up_to, is_irreducible
-from .gf2poly import ONE, Poly, ZERO, _mul_bits, sqrt_if_square
+from .gf2poly import ONE, Poly, ZERO, _mul_bits, _sqrt_bits
 from .multfun import (
     BUILTINS,
     MultiplicativeFunction,
@@ -83,12 +87,13 @@ class CorollarySpec:
 
     id: str
     input_kind: str  # "all" | "square" | "special"
-    applies: Callable[[Poly], bool]
-    # run(a, lattice) gets the divisor lattice of a, shared by every spec.
+    # applies(lattice) and run(a, lattice) get the divisor lattice of a,
+    # shared by every spec.
+    applies: Callable[["_Lattice"], bool]
     run: Callable[[Poly, "_Lattice"], "tuple[Poly | None, Poly, bool]"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IdentityReport:
     """Outcome of one check at one test point."""
 
@@ -390,12 +395,15 @@ class _Lattice:
     table(f) and cotable(g) hold f(D) and g(A/D).  All come from the
     walker of gf2mf.divisors, the codivisors over reversed exponent rows,
     and each table is built once per function and kept with the lattice.
-    co_squarefree lists the n whose A/D is squarefree.
+    co_squarefree lists the n whose A/D is squarefree.  root is the
+    square root of A when every exponent is even, else None.
     """
 
     def __init__(self, a: Poly):
         self.fact = factor(a)
         self.exps = [e for _, e in self.fact]
+        self.root = (Poly(_sqrt_bits(a.bits))
+                     if all(e % 2 == 0 for e in self.exps) else None)
         self._rows = [(p, range(e + 1)) for p, e in self.fact]
         self._corows = [(p, range(e, -1, -1)) for p, e in self.fact]
         self.ds = _products(self._rows, _power_bits)
@@ -464,25 +472,38 @@ def _proper_co_squarefree(lat: _Lattice) -> list[int]:
     return [n for n in lat.co_squarefree if n < last]
 
 
-def _is_square(a: Poly) -> bool:
-    return sqrt_if_square(a) is not None
+# Preconditions, read off the exponent vector of A.  A = 1 has none.
+def _always(lat: _Lattice) -> bool:
+    return True
 
 
-def _square_nontrivial(a: Poly) -> bool:
-    return a.bits != 1 and _is_square(a)
+def _nontrivial(lat: _Lattice) -> bool:
+    return bool(lat.exps)
 
 
-def _special_nontrivial(a: Poly) -> bool:
-    return a.bits != 1 and is_special(a)
+def _square(lat: _Lattice) -> bool:
+    return lat.root is not None
 
 
-def _all_nontrivial(a: Poly) -> bool:
-    return a.bits != 1
+def _square_nontrivial(lat: _Lattice) -> bool:
+    return bool(lat.exps) and _square(lat)
+
+
+def _special(lat: _Lattice) -> bool:
+    return all(e == 2 for e in lat.exps)
+
+
+def _special_nontrivial(lat: _Lattice) -> bool:
+    return bool(lat.exps) and _special(lat)
 
 
 def _sum_spec(cid, kind, applies, f, g, where, rhs) -> CorollarySpec:
     """A corollary whose left side is the XOR of f(D) g(A/D) over the
-    divisors D that where(lattice) picks; g = z drops its factor 1."""
+    divisors D that where(lattice) picks; g = z drops its factor 1.
+
+    It passes when the left side equals rhs(a, lattice), or, where that
+    is None, when the left side differs from A.
+    """
 
     def run(a: Poly, lat: "_Lattice") -> "tuple[Poly | None, Poly, bool]":
         fs = lat.table(f)
@@ -496,25 +517,22 @@ def _sum_spec(cid, kind, applies, f, g, where, rhs) -> CorollarySpec:
                 acc ^= _mul_bits(fs[n], gs[n])
         got = Poly(acc)
         expected = rhs(a, lat)
-        return expected, got, expected == got
+        passed = got != a if expected is None else got == expected
+        return expected, got, passed
 
     return CorollarySpec(cid, kind, applies, run)
 
 
 def _squareconv_spec(name: str) -> CorollarySpec:
+    """f*f at A: A itself when f fixes the root of A, otherwise not A."""
     f = BUILTINS[name]
 
-    def run(a: Poly, lat: "_Lattice") -> "tuple[Poly | None, Poly, bool]":
-        got = convolve_bruteforce(f, f, a)
-        root = sqrt_if_square(a)
-        predicted_fixed = root is not None and lat.value(f, root) == root
-        passed = (got == a) == predicted_fixed
-        expected = a if predicted_fixed else None
-        return expected, got, passed
+    def fixed(a: Poly, lat: _Lattice) -> "Poly | None":
+        root = lat.root
+        return a if root is not None and lat.value(f, root) == root else None
 
-    return CorollarySpec(
-        f"corol_squareconv_{name}", "all", lambda a: True, run
-    )
+    return _sum_spec(f"corol_squareconv_{name}", "all", _always,
+                     f, f, _every, fixed)
 
 
 def _sq(p: Poly) -> Poly:
@@ -522,7 +540,7 @@ def _sq(p: Poly) -> Poly:
 
 
 _COROLLARIES: "tuple[CorollarySpec, ...]" = (
-    _sum_spec("corol_sigma_mu", "square", _is_square,
+    _sum_spec("corol_sigma_mu", "square", _square,
               sigma, z, _mid_co_squarefree,
               lambda a, lat: a + lat.value(sigma, a)),
     _sum_spec("corol_sigma_z", "special", _special_nontrivial,
@@ -531,15 +549,15 @@ _COROLLARIES: "tuple[CorollarySpec, ...]" = (
                               + lat.value(sigma_star, a))),
     _sum_spec("corol_sigma_id", "square", _square_nontrivial,
               sigma, ident, _mid,
-              lambda a, lat: (_sq(lat.value(sigma, sqrt_if_square(a)))
+              lambda a, lat: (_sq(lat.value(sigma, lat.root))
                               + lat.value(sigma, a) + a)),
     _sum_spec("corol_sigma_phi", "square", _square_nontrivial,
               sigma, phi, _mid,
               lambda a, lat: a + lat.value(sigma, a) + lat.value(phi, a)),
-    _sum_spec("corol_sigmastar_mu", "square", _is_square,
+    _sum_spec("corol_sigmastar_mu", "square", _square,
               sigma_star, z, _co_squarefree,
               lambda a, lat: lat.value(phi, a)),
-    _sum_spec("corol_sigmastar_z", "special", is_special,
+    _sum_spec("corol_sigmastar_z", "special", _special,
               sigma_star, z, _every,
               lambda a, lat: lat.value(sigma, a)),
     _sum_spec("corol_sigmastar_id", "square", _square_nontrivial,
@@ -553,14 +571,14 @@ _COROLLARIES: "tuple[CorollarySpec, ...]" = (
               sigma_star, sigma, _mid,
               lambda a, lat: lat.value(sigma_star, a)),
     *(_squareconv_spec(name) for name in ("sigma", "sigma_star", "id")),
-    _sum_spec("corol_sigma_idinv", "square", _is_square,
+    _sum_spec("corol_sigma_idinv", "square", _square,
               sigma, ident, _proper_co_squarefree,
               lambda a, lat: ONE + lat.value(sigma, a)),
     _sum_spec("corol_sigma_phiinv", "square", _square_nontrivial,
               sigma, _PHI_INV, _mid,
               lambda a, lat: (ONE + lat.value(sigma, a)
                               + lat.value(sigma, radical(lat.fact)))),
-    _sum_spec("corol_sigmainv_sigma", "all", _all_nontrivial,
+    _sum_spec("corol_sigmainv_sigma", "all", _nontrivial,
               _SIGMA_INV, sigma, _mid,
               lambda a, lat: lat.value(sigma, a) + lat.value(_SIGMA_INV, a)),
     _sum_spec("corol_sigmainv_id", "special", _special_nontrivial,
@@ -571,13 +589,13 @@ _COROLLARIES: "tuple[CorollarySpec, ...]" = (
               lambda a, lat: ONE + radical(lat.fact)),
     _sum_spec("corol_sigmastarinv_id", "square", _square_nontrivial,
               _SIGMASTAR_INV, ident, _mid,
-              lambda a, lat: sqrt_if_square(a) + a),
+              lambda a, lat: lat.root + a),
     _sum_spec("corol_sigmastarinv_mu", "special", _special_nontrivial,
               _SIGMASTAR_INV, z, _mid_co_squarefree,
               lambda a, lat: lat.value(sigma, radical(lat.fact))),
     _sum_spec("corol_sigmastarinv_sigma", "square", _square_nontrivial,
               _SIGMASTAR_INV, sigma, _mid,
-              lambda a, lat: lat.value(sigma, a) + sqrt_if_square(a)),
+              lambda a, lat: lat.value(sigma, a) + lat.root),
 )
 
 
@@ -593,7 +611,7 @@ def check_corollaries(a: Poly) -> list[IdentityReport]:
     reports = []
     lat = _Lattice(a)  # every input has some lattice corollary that applies
     for spec in _COROLLARIES:
-        if not spec.applies(a):
+        if not spec.applies(lat):
             reports.append(IdentityReport(
                 kind="corollary", spec_id=spec.id, point=a, skipped=True,
             ))

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from gf2mf.factorize import (
+    _TRIAL_MAX_DEG,
     Factorization,
     MersenneForm,
     _is_irreducible_bits,
+    _trial_division,
     factor,
     irreducibles_up_to,
     is_irreducible,
@@ -153,6 +155,20 @@ class TestFactor:
         assert factor(p * p * q).factors == ((p, 2), (q, 1))
         small = irreducibles_up_to(13)[-1]
         assert factor(small * q).factors == ((small, 1), (q, 1))
+
+    def test_squares_factor_through_their_root(self):
+        # deg S = 1..30 puts S^2 on both sides of the trial-division bound.
+        rng = random.Random(0x5A5A)
+        for deg in range(1, 31):
+            s = Poly((1 << deg) | rng.getrandbits(deg))
+            square = s * s
+            doubled = tuple((p, 2 * e) for p, e in factor(s))
+            assert factor(square).factors == doubled, s
+            assert factor(square).product() == square
+            if 2 * deg <= _TRIAL_MAX_DEG:
+                trial = tuple((Poly(p), e)
+                              for p, e in _trial_division(square.bits))
+                assert trial == doubled, s
 
     def test_seed_does_not_change_result(self):
         big = [m for m in range(1 << 26, (1 << 26) + 600) if _is_irreducible_bits(m)]

@@ -1,5 +1,6 @@
 """Tests for fixed-point (perfect polynomial) search and odd-case scans."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -307,6 +308,13 @@ class TestSearch:
 
 
 class TestOddScan:
+    def test_report_replace_and_value_equality(self):
+        report = ScanReport(max_deg=4, unitary=False, candidates=3)
+        other = dataclasses.replace(report, candidates=4)
+        assert other.candidates == 4 and report.candidates == 3
+        assert dataclasses.replace(other, candidates=3) == report
+        assert odd_square_scan(12) == odd_square_scan(12)
+
     def test_degree_20_all_filtered(self):
         report = odd_square_scan(20, sample_rejected=5)
         assert report.max_deg == 20

@@ -54,6 +54,10 @@ def test_traced_calls_match_untraced_ones():
     # The tracer counts search_fixed_points(8) as its 2^9 - 2 masks.
     assert counts["perfect.candidates"] == untraced["odd"].candidates + 510
     assert counts["identities.corollary_checks"] > 0
+    # The tracer counts lemma checks as calls of check_lemma, one per point.
+    grid = identities.check_all(1, 2)
+    lemma_calls = snapshot["agg"]["identities>identities.check_lemma"][0]
+    assert lemma_calls == len(grid.reports)
     assert perfect.odd_square_scan is scan
     assert (perfect._run_shards, perfect.ThreadPoolExecutor,
             identities.ThreadPoolExecutor) == placeholders
