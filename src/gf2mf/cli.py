@@ -14,7 +14,7 @@ from .divisors import ResourceLimitError
 from .gf2poly import ONE, Poly, PolyParseError, X, X1
 from .identities import check_all, corollary_suite
 from .multfun import convolve, convolve_bruteforce, parse_expression
-from .perfect import search_fixed_points
+from .perfect import odd_square_scan, search_fixed_points
 
 __all__ = ["main"]
 
@@ -62,11 +62,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    results = search_fixed_points(
-        args.max_deg,
-        unitary=args.kind == "unitary",
-        odd_only=args.kind == "odd",
-    )
+    if args.kind == "odd":
+        results = odd_square_scan(args.max_deg).hits
+    else:
+        results = search_fixed_points(args.max_deg,
+                                      unitary=args.kind == "unitary")
     for result in results:
         print(result.line())
     return 0

@@ -86,7 +86,6 @@ class CorollarySpec:
     """One divisor-lattice identity with an input-shape precondition."""
 
     id: str
-    input_kind: str  # "all" | "square" | "special"
     # applies(lattice) and run(a, lattice) get the divisor lattice of a,
     # shared by every spec.
     applies: Callable[["_Lattice"], bool]
@@ -497,7 +496,7 @@ def _special_nontrivial(lat: _Lattice) -> bool:
     return bool(lat.exps) and _special(lat)
 
 
-def _sum_spec(cid, kind, applies, f, g, where, rhs) -> CorollarySpec:
+def _sum_spec(cid, applies, f, g, where, rhs) -> CorollarySpec:
     """A corollary whose left side is the XOR of f(D) g(A/D) over the
     divisors D that where(lattice) picks; g = z drops its factor 1.
 
@@ -520,7 +519,7 @@ def _sum_spec(cid, kind, applies, f, g, where, rhs) -> CorollarySpec:
         passed = got != a if expected is None else got == expected
         return expected, got, passed
 
-    return CorollarySpec(cid, kind, applies, run)
+    return CorollarySpec(cid, applies, run)
 
 
 def _squareconv_spec(name: str) -> CorollarySpec:
@@ -531,8 +530,7 @@ def _squareconv_spec(name: str) -> CorollarySpec:
         root = lat.root
         return a if root is not None and lat.value(f, root) == root else None
 
-    return _sum_spec(f"corol_squareconv_{name}", "all", _always,
-                     f, f, _every, fixed)
+    return _sum_spec(f"corol_squareconv_{name}", _always, f, f, _every, fixed)
 
 
 def _sq(p: Poly) -> Poly:
@@ -540,60 +538,60 @@ def _sq(p: Poly) -> Poly:
 
 
 _COROLLARIES: "tuple[CorollarySpec, ...]" = (
-    _sum_spec("corol_sigma_mu", "square", _square,
+    _sum_spec("corol_sigma_mu", _square,
               sigma, z, _mid_co_squarefree,
               lambda a, lat: a + lat.value(sigma, a)),
-    _sum_spec("corol_sigma_z", "special", _special_nontrivial,
+    _sum_spec("corol_sigma_z", _special_nontrivial,
               sigma, z, _mid,
               lambda a, lat: (lat.value(sigma, a) + ONE
                               + lat.value(sigma_star, a))),
-    _sum_spec("corol_sigma_id", "square", _square_nontrivial,
+    _sum_spec("corol_sigma_id", _square_nontrivial,
               sigma, ident, _mid,
               lambda a, lat: (_sq(lat.value(sigma, lat.root))
                               + lat.value(sigma, a) + a)),
-    _sum_spec("corol_sigma_phi", "square", _square_nontrivial,
+    _sum_spec("corol_sigma_phi", _square_nontrivial,
               sigma, phi, _mid,
               lambda a, lat: a + lat.value(sigma, a) + lat.value(phi, a)),
-    _sum_spec("corol_sigmastar_mu", "square", _square,
+    _sum_spec("corol_sigmastar_mu", _square,
               sigma_star, z, _co_squarefree,
               lambda a, lat: lat.value(phi, a)),
-    _sum_spec("corol_sigmastar_z", "special", _special,
+    _sum_spec("corol_sigmastar_z", _special,
               sigma_star, z, _every,
               lambda a, lat: lat.value(sigma, a)),
-    _sum_spec("corol_sigmastar_id", "square", _square_nontrivial,
+    _sum_spec("corol_sigmastar_id", _square_nontrivial,
               sigma_star, ident, _mid,
               lambda a, lat: (lat.value(sigma, a) + lat.value(sigma_star, a)
                               + a)),
-    _sum_spec("corol_sigmastar_phi", "square", _square_nontrivial,
+    _sum_spec("corol_sigmastar_phi", _square_nontrivial,
               sigma_star, phi, _mid,
               lambda a, lat: lat.value(sigma_star, a)),
-    _sum_spec("corol_sigmastar_sigma", "square", _square_nontrivial,
+    _sum_spec("corol_sigmastar_sigma", _square_nontrivial,
               sigma_star, sigma, _mid,
               lambda a, lat: lat.value(sigma_star, a)),
     *(_squareconv_spec(name) for name in ("sigma", "sigma_star", "id")),
-    _sum_spec("corol_sigma_idinv", "square", _square,
+    _sum_spec("corol_sigma_idinv", _square,
               sigma, ident, _proper_co_squarefree,
               lambda a, lat: ONE + lat.value(sigma, a)),
-    _sum_spec("corol_sigma_phiinv", "square", _square_nontrivial,
+    _sum_spec("corol_sigma_phiinv", _square_nontrivial,
               sigma, _PHI_INV, _mid,
               lambda a, lat: (ONE + lat.value(sigma, a)
                               + lat.value(sigma, radical(lat.fact)))),
-    _sum_spec("corol_sigmainv_sigma", "all", _nontrivial,
+    _sum_spec("corol_sigmainv_sigma", _nontrivial,
               _SIGMA_INV, sigma, _mid,
               lambda a, lat: lat.value(sigma, a) + lat.value(_SIGMA_INV, a)),
-    _sum_spec("corol_sigmainv_id", "special", _special_nontrivial,
+    _sum_spec("corol_sigmainv_id", _special_nontrivial,
               _SIGMA_INV, ident, _mid,
               lambda a, lat: a + radical(lat.fact)),
-    _sum_spec("corol_sigmainv_mu", "special", _special_nontrivial,
+    _sum_spec("corol_sigmainv_mu", _special_nontrivial,
               _SIGMA_INV, z, _mid_co_squarefree,
               lambda a, lat: ONE + radical(lat.fact)),
-    _sum_spec("corol_sigmastarinv_id", "square", _square_nontrivial,
+    _sum_spec("corol_sigmastarinv_id", _square_nontrivial,
               _SIGMASTAR_INV, ident, _mid,
               lambda a, lat: lat.root + a),
-    _sum_spec("corol_sigmastarinv_mu", "special", _special_nontrivial,
+    _sum_spec("corol_sigmastarinv_mu", _special_nontrivial,
               _SIGMASTAR_INV, z, _mid_co_squarefree,
               lambda a, lat: lat.value(sigma, radical(lat.fact))),
-    _sum_spec("corol_sigmastarinv_sigma", "square", _square_nontrivial,
+    _sum_spec("corol_sigmastarinv_sigma", _square_nontrivial,
               _SIGMASTAR_INV, sigma, _mid,
               lambda a, lat: lat.value(sigma, a) + lat.root),
 )

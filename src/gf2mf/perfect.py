@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from types import MappingProxyType
 
-from .divisors import big_omega, divisors, is_special, omega, unitary_divisors
+from .divisors import big_omega, divisors, omega, unitary_divisors
 from .divisors import ResourceLimitError
 from .factorize import _factor_sieve, _irreducible_masks, factor, parity
-from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits, sqrt_if_square
+from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits
 from .multfun import (_divsum_affine, _divsum_bits, convolve_bruteforce,
                       ident, z)
 
@@ -314,7 +314,6 @@ def _result(mask: int, unitary: bool) -> SearchResult:
 def search_fixed_points(
     max_deg: int,
     unitary: bool = False,
-    odd_only: bool = False,
 ) -> "list[SearchResult]":
     """All fixed points of sigma (or sigma_star) with degree 1..max_deg.
 
@@ -330,8 +329,6 @@ def search_fixed_points(
     not extended once its largest needed prime no longer fits, and
     A = sigma(A) is tested only when no prime is needed.
     """
-    if odd_only:
-        return odd_square_scan(max_deg, unitary=unitary).hits
     if not 1 <= max_deg <= EXHAUSTIVE_MAX_DEG:
         raise ResourceLimitError(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
@@ -388,8 +385,8 @@ def odd_perfect_filter(a: Poly) -> OddFilterReport:
     w = omega(fact)
     big_w = big_omega(fact)
     deg = a.degree
-    special = is_special(a)
-    square = sqrt_if_square(a) is not None
+    special = all(e == 2 for _, e in fact)
+    square = all(e % 2 == 0 for _, e in fact)
     conditions = {
         "is_square": square,
         f"omega_ge_{ODD_MIN_OMEGA}": w >= ODD_MIN_OMEGA,

@@ -1,6 +1,8 @@
 """Tests for irreducibility, factorization, and form recognition."""
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +10,12 @@ from gf2mf.factorize import (
     _TRIAL_MAX_DEG,
     Factorization,
     MersenneForm,
+    _derivative_bits,
+    _factor_bits,
+    _factor_squarefree,
+    _irreducible_masks,
     _is_irreducible_bits,
+    _split_equal_degree,
     _trial_division,
     factor,
     irreducibles_up_to,
@@ -16,7 +23,7 @@ from gf2mf.factorize import (
     mersenne_form,
     parity,
 )
-from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, conjugate
+from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _gcd_bits, _mul_bits, conjugate
 
 
 def _int_mobius(n: int) -> int:
@@ -157,7 +164,6 @@ class TestFactor:
         assert factor(small * q).factors == ((small, 1), (q, 1))
 
     def test_squares_factor_through_their_root(self):
-        # deg S = 1..30 puts S^2 on both sides of the trial-division bound.
         rng = random.Random(0x5A5A)
         for deg in range(1, 31):
             s = Poly((1 << deg) | rng.getrandbits(deg))
@@ -165,15 +171,71 @@ class TestFactor:
             doubled = tuple((p, 2 * e) for p, e in factor(s))
             assert factor(square).factors == doubled, s
             assert factor(square).product() == square
-            if 2 * deg <= _TRIAL_MAX_DEG:
-                trial = tuple((Poly(p), e)
-                              for p, e in _trial_division(square.bits))
-                assert trial == doubled, s
 
-    def test_seed_does_not_change_result(self):
-        big = [m for m in range(1 << 26, (1 << 26) + 600) if _is_irreducible_bits(m)]
-        a = Poly(big[0]) * Poly(big[1])
-        assert factor(a, seed=1) == factor(a, seed=2)
+    def test_trial_division_agrees_with_splitting(self):
+        rng = random.Random(0x7D1A)
+        for deg in range(1, _TRIAL_MAX_DEG + 1):
+            found = 0
+            while found < 20:
+                s = (1 << deg) | rng.getrandbits(deg)
+                if _gcd_bits(s, _derivative_bits(s)) != 1:
+                    continue  # not squarefree
+                found += 1
+                assert sorted(_trial_division(s)) == sorted(_factor_squarefree(s)), s
+
+    def test_equal_degree_split_is_exhaustive(self):
+        # The deterministic trace sweep splits every pair of distinct
+        # irreducibles of one degree, and the product of all of them.
+        table = _irreducible_masks(9)
+        for d in range(1, 10):
+            primes = [p for p in table if p.bit_length() - 1 == d]
+            if d <= 8:
+                for p, q in combinations(primes, 2):
+                    assert sorted(_split_equal_degree(_mul_bits(p, q), d)) == [p, q]
+            product = 1
+            for p in primes:
+                product = _mul_bits(product, p)
+            assert sorted(_split_equal_degree(product, d)) == primes
+
+    # sha256 of the "mask:factors" lines of _PINNED_INPUTS, computed before
+    # the splitter became deterministic; every factorization must keep it.
+    PINNED_DIGEST = (
+        "02422e18f016bb64c83a06c5d6c081fdcd344363cc222bf605f967e0dfd9359f")
+
+    @staticmethod
+    def _pinned_inputs() -> "list[int]":
+        """Seeded masks of degree 1..128, and products of irreducibles of
+        equal degree (<= 12, and 20) with repeats, alone and mixed."""
+        rng = random.Random(0xF4C7)
+        masks = [(1 << d) | rng.getrandbits(d)
+                 for d in range(1, 129) for _ in range(16)]
+        small = _irreducible_masks(12)
+        big = [m for m in range(1 << 20, (1 << 20) + 2000)
+               if _is_irreducible_bits(m)]
+        for pool in (small, big):
+            by_deg: "dict[int, list[int]]" = {}
+            for p in pool:
+                by_deg.setdefault(p.bit_length() - 1, []).append(p)
+            for ps in by_deg.values():
+                for _ in range(8):
+                    a = 1
+                    for p in rng.sample(ps, min(len(ps), rng.randint(1, 4))):
+                        for _ in range(rng.randint(1, 3)):
+                            a = _mul_bits(a, p)
+                    masks.append(a)
+        for _ in range(64):
+            a = 1
+            for p in rng.sample(small, 3) + rng.sample(big, 2):
+                for _ in range(rng.randint(1, 4)):
+                    a = _mul_bits(a, p)
+            masks.append(a)
+        return masks
+
+    def test_factorizations_are_pinned(self):
+        masks = self._pinned_inputs()
+        assert len(masks) == 2216
+        text = "\n".join(f"{m:x}:{_factor_bits(m)}" for m in masks)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_DIGEST
 
 
 class TestMersenneForm:

@@ -295,9 +295,6 @@ class TestSearch:
                 and value}
         assert left == {}
 
-    def test_odd_only_delegates_to_scan(self):
-        assert search_fixed_points(20, odd_only=True) == []
-
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
             search_fixed_points(25)
