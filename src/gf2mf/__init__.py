@@ -36,7 +36,6 @@ from .divisors import (
     DIVISOR_LIMIT,
     ResourceLimitError,
     big_omega,
-    divisor_count,
     divisors,
     is_special,
     omega,

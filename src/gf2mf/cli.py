@@ -9,7 +9,7 @@ are accepted in term form ("x^3+x+1") or hex form ("0xb").  Exit codes:
 import argparse
 import sys
 
-from .factorize import factor, mersenne_form
+from .factorize import factor, is_irreducible
 from .divisors import ResourceLimitError
 from .gf2poly import ONE, Poly, PolyParseError, X, X1
 from .identities import check_all, corollary_suite
@@ -80,11 +80,10 @@ def _cmd_mersenne(args: argparse.Namespace) -> int:
     for a in range(1, n):
         for b in range(1, n - a + 1):
             p = X**a * X1**b + ONE
-            form = mersenne_form(p)
-            if form is not None:
-                found.append((p.degree, p.bits, form.a, form.b))
-    for _, bits, fa, fb in sorted(found):
-        print(f"{Poly(bits)} a={fa} b={fb}")
+            if is_irreducible(p):
+                found.append((p.degree, p.bits, a, b))
+    for _, bits, a, b in sorted(found):
+        print(f"{Poly(bits)} a={a} b={b}")
     return 0
 
 

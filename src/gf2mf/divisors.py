@@ -18,7 +18,6 @@ from .gf2poly import ONE, Poly, _mul_bits
 __all__ = [
     "DIVISOR_LIMIT",
     "ResourceLimitError",
-    "divisor_count",
     "divisors",
     "unitary_divisors",
     "radical",
@@ -32,14 +31,6 @@ DIVISOR_LIMIT = 1 << 20
 
 class ResourceLimitError(RuntimeError):
     """An enumeration or search would exceed its configured size bound."""
-
-
-def divisor_count(f: Factorization) -> int:
-    """Number of divisors: the product of e + 1 over the prime powers."""
-    count = 1
-    for _, e in f:
-        count *= e + 1
-    return count
 
 
 def _products(rows: "list[tuple[Poly, Sequence[int]]]",

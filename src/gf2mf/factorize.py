@@ -247,8 +247,6 @@ def _split_equal_degree(g: int, d: int) -> list[int]:
 
 def _factor_squarefree(f: int) -> list[int]:
     """Factor a squarefree mask by distinct-degree then equal-degree splitting."""
-    if f == 1:
-        return []
     out = []
     x_mod = _mod_bits(2, f)
     h = x_mod

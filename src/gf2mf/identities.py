@@ -10,16 +10,19 @@ Each CorollarySpec states a divisor-lattice identity at a whole
 polynomial A.  The registered forms do not assume any fixed-point
 property of A: sides that classical statements shorten using sigma(A)=A
 are kept as computed values, so the identities are checkable on
-arbitrary squares and special polynomials today.  Every corollary,
-the square convolutions f*f included, is declared as (f, g, filter):
+arbitrary squares and special polynomials today.  Every corollary is
+declared as the convolution f*g its id names, over a range of divisors:
 its left side is the literal XOR of f(D) g(A/D) over the divisors D the
-filter picks.  The lattice of A factors A once and tabulates f(D) and
-g(A/D) once per function, each entry evaluated multiplicatively at its
-own divisor; every spec at A shares them, and its precondition (square,
-special, nontrivial) reads the lattice's exponent vector.  A right side
-of None means the left side must differ from A: a square convolution
-equals A exactly when f fixes the square root of A.  The catalogue is
-built once, at import.
+filter picks (every D, the proper ones, or those other than 1 and A).
+Sums over the D with A/D squarefree are convolutions with mu, since in
+characteristic 2 mu(Q) is 1 exactly when Q is squarefree, and with
+inv(id), since inv(id)(Q) = mu(Q) Q.  The lattice of A factors A once
+and tabulates f(D) and g(A/D) once per function, each entry evaluated
+multiplicatively at its own divisor; every spec at A shares them, and
+its precondition (square, special, nontrivial) reads the lattice's
+exponent vector.  A right side of None means the left side must differ
+from A: a square convolution equals A exactly when f fixes the square
+root of A.  The catalogue is built once, at import.
 
 registry(functions=...) accepts an alternative table of the seven named
 functions so tests can corrupt one rule and watch the right lemmas
@@ -40,6 +43,7 @@ from .multfun import (
     convolve_bruteforce,
     ident,
     inverse,
+    mu,
     phi,
     sigma,
     sigma_star,
@@ -65,6 +69,7 @@ _BUILTIN_ORDER = ("delta", "z", "id", "mu", "phi", "sigma", "sigma_star")
 _SIGMA_INV = inverse(sigma)
 _SIGMASTAR_INV = inverse(sigma_star)
 _PHI_INV = inverse(phi)
+_ID_INV = inverse(ident)
 
 # Every check runs serially.  This name stays, unused, because
 # perfbench/tracer.py rebinds it when it installs.
@@ -83,13 +88,20 @@ class LemmaSpec:
 
 @dataclass(frozen=True)
 class CorollarySpec:
-    """One divisor-lattice identity with an input-shape precondition."""
+    """The XOR of f(D) g(A/D) over the divisors D that where(lattice)
+    picks, when applies(lattice), against rhs(a, lattice).
+
+    It passes when the left side equals the right side, or, where that
+    is None, when the left side differs from A.  Every callable gets the
+    divisor lattice of A, shared by every spec.
+    """
 
     id: str
-    # applies(lattice) and run(a, lattice) get the divisor lattice of a,
-    # shared by every spec.
     applies: Callable[["_Lattice"], bool]
-    run: Callable[[Poly, "_Lattice"], "tuple[Poly | None, Poly, bool]"]
+    f: MultiplicativeFunction
+    g: MultiplicativeFunction
+    where: Callable[["_Lattice"], range]
+    rhs: Callable[[Poly, "_Lattice"], "Poly | None"]
 
 
 @dataclass(slots=True)
@@ -394,8 +406,7 @@ class _Lattice:
     table(f) and cotable(g) hold f(D) and g(A/D).  All come from the
     walker of gf2mf.divisors, the codivisors over reversed exponent rows,
     and each table is built once per function and kept with the lattice.
-    co_squarefree lists the n whose A/D is squarefree.  root is the
-    square root of A when every exponent is even, else None.
+    root is the square root of A when every exponent is even, else None.
     """
 
     def __init__(self, a: Poly):
@@ -407,8 +418,6 @@ class _Lattice:
         self._corows = [(p, range(e, -1, -1)) for p, e in self.fact]
         self.ds = _products(self._rows, _power_bits)
         self.qs = _products(self._corows, _power_bits)
-        flags = _products(self._corows, lambda p, j: int(j <= 1))
-        self.co_squarefree = [n for n, ok in enumerate(flags) if ok]
         self._fs = {ident: self.ds}
         self._gs = {ident: self.qs}
         self._values: "dict[tuple[MultiplicativeFunction, int], Poly]" = {}
@@ -457,18 +466,8 @@ def _mid(lat: _Lattice) -> "range":
     return range(1, len(lat.ds) - 1)
 
 
-def _co_squarefree(lat: _Lattice) -> list[int]:
-    return lat.co_squarefree
-
-
-def _mid_co_squarefree(lat: _Lattice) -> list[int]:
-    last = len(lat.ds) - 1
-    return [n for n in lat.co_squarefree if 0 < n < last]
-
-
-def _proper_co_squarefree(lat: _Lattice) -> list[int]:
-    last = len(lat.ds) - 1
-    return [n for n in lat.co_squarefree if n < last]
+def _proper(lat: _Lattice) -> "range":
+    return range(len(lat.ds) - 1)
 
 
 # Preconditions, read off the exponent vector of A.  A = 1 has none.
@@ -496,32 +495,6 @@ def _special_nontrivial(lat: _Lattice) -> bool:
     return bool(lat.exps) and _special(lat)
 
 
-def _sum_spec(cid, applies, f, g, where, rhs) -> CorollarySpec:
-    """A corollary whose left side is the XOR of f(D) g(A/D) over the
-    divisors D that where(lattice) picks; g = z drops its factor 1.
-
-    It passes when the left side equals rhs(a, lattice), or, where that
-    is None, when the left side differs from A.
-    """
-
-    def run(a: Poly, lat: "_Lattice") -> "tuple[Poly | None, Poly, bool]":
-        fs = lat.table(f)
-        acc = 0
-        if g is z:
-            for n in where(lat):
-                acc ^= fs[n]
-        else:
-            gs = lat.cotable(g)
-            for n in where(lat):
-                acc ^= _mul_bits(fs[n], gs[n])
-        got = Poly(acc)
-        expected = rhs(a, lat)
-        passed = got != a if expected is None else got == expected
-        return expected, got, passed
-
-    return CorollarySpec(cid, applies, run)
-
-
 def _squareconv_spec(name: str) -> CorollarySpec:
     """f*f at A: A itself when f fixes the root of A, otherwise not A."""
     f = BUILTINS[name]
@@ -530,7 +503,8 @@ def _squareconv_spec(name: str) -> CorollarySpec:
         root = lat.root
         return a if root is not None and lat.value(f, root) == root else None
 
-    return _sum_spec(f"corol_squareconv_{name}", _always, f, f, _every, fixed)
+    return CorollarySpec(f"corol_squareconv_{name}", _always, f, f, _every,
+                         fixed)
 
 
 def _sq(p: Poly) -> Poly:
@@ -538,62 +512,62 @@ def _sq(p: Poly) -> Poly:
 
 
 _COROLLARIES: "tuple[CorollarySpec, ...]" = (
-    _sum_spec("corol_sigma_mu", _square,
-              sigma, z, _mid_co_squarefree,
-              lambda a, lat: a + lat.value(sigma, a)),
-    _sum_spec("corol_sigma_z", _special_nontrivial,
-              sigma, z, _mid,
-              lambda a, lat: (lat.value(sigma, a) + ONE
-                              + lat.value(sigma_star, a))),
-    _sum_spec("corol_sigma_id", _square_nontrivial,
-              sigma, ident, _mid,
-              lambda a, lat: (_sq(lat.value(sigma, lat.root))
-                              + lat.value(sigma, a) + a)),
-    _sum_spec("corol_sigma_phi", _square_nontrivial,
-              sigma, phi, _mid,
-              lambda a, lat: a + lat.value(sigma, a) + lat.value(phi, a)),
-    _sum_spec("corol_sigmastar_mu", _square,
-              sigma_star, z, _co_squarefree,
-              lambda a, lat: lat.value(phi, a)),
-    _sum_spec("corol_sigmastar_z", _special,
-              sigma_star, z, _every,
-              lambda a, lat: lat.value(sigma, a)),
-    _sum_spec("corol_sigmastar_id", _square_nontrivial,
-              sigma_star, ident, _mid,
-              lambda a, lat: (lat.value(sigma, a) + lat.value(sigma_star, a)
-                              + a)),
-    _sum_spec("corol_sigmastar_phi", _square_nontrivial,
-              sigma_star, phi, _mid,
-              lambda a, lat: lat.value(sigma_star, a)),
-    _sum_spec("corol_sigmastar_sigma", _square_nontrivial,
-              sigma_star, sigma, _mid,
-              lambda a, lat: lat.value(sigma_star, a)),
+    CorollarySpec("corol_sigma_mu", _square,
+                  sigma, mu, _mid,
+                  lambda a, lat: a + lat.value(sigma, a)),
+    CorollarySpec("corol_sigma_z", _special_nontrivial,
+                  sigma, z, _mid,
+                  lambda a, lat: (lat.value(sigma, a) + ONE
+                                  + lat.value(sigma_star, a))),
+    CorollarySpec("corol_sigma_id", _square_nontrivial,
+                  sigma, ident, _mid,
+                  lambda a, lat: (_sq(lat.value(sigma, lat.root))
+                                  + lat.value(sigma, a) + a)),
+    CorollarySpec("corol_sigma_phi", _square_nontrivial,
+                  sigma, phi, _mid,
+                  lambda a, lat: a + lat.value(sigma, a) + lat.value(phi, a)),
+    CorollarySpec("corol_sigmastar_mu", _square,
+                  sigma_star, mu, _every,
+                  lambda a, lat: lat.value(phi, a)),
+    CorollarySpec("corol_sigmastar_z", _special,
+                  sigma_star, z, _every,
+                  lambda a, lat: lat.value(sigma, a)),
+    CorollarySpec("corol_sigmastar_id", _square_nontrivial,
+                  sigma_star, ident, _mid,
+                  lambda a, lat: (lat.value(sigma, a) + lat.value(sigma_star, a)
+                                  + a)),
+    CorollarySpec("corol_sigmastar_phi", _square_nontrivial,
+                  sigma_star, phi, _mid,
+                  lambda a, lat: lat.value(sigma_star, a)),
+    CorollarySpec("corol_sigmastar_sigma", _square_nontrivial,
+                  sigma_star, sigma, _mid,
+                  lambda a, lat: lat.value(sigma_star, a)),
     *(_squareconv_spec(name) for name in ("sigma", "sigma_star", "id")),
-    _sum_spec("corol_sigma_idinv", _square,
-              sigma, ident, _proper_co_squarefree,
-              lambda a, lat: ONE + lat.value(sigma, a)),
-    _sum_spec("corol_sigma_phiinv", _square_nontrivial,
-              sigma, _PHI_INV, _mid,
-              lambda a, lat: (ONE + lat.value(sigma, a)
-                              + lat.value(sigma, radical(lat.fact)))),
-    _sum_spec("corol_sigmainv_sigma", _nontrivial,
-              _SIGMA_INV, sigma, _mid,
-              lambda a, lat: lat.value(sigma, a) + lat.value(_SIGMA_INV, a)),
-    _sum_spec("corol_sigmainv_id", _special_nontrivial,
-              _SIGMA_INV, ident, _mid,
-              lambda a, lat: a + radical(lat.fact)),
-    _sum_spec("corol_sigmainv_mu", _special_nontrivial,
-              _SIGMA_INV, z, _mid_co_squarefree,
-              lambda a, lat: ONE + radical(lat.fact)),
-    _sum_spec("corol_sigmastarinv_id", _square_nontrivial,
-              _SIGMASTAR_INV, ident, _mid,
-              lambda a, lat: lat.root + a),
-    _sum_spec("corol_sigmastarinv_mu", _special_nontrivial,
-              _SIGMASTAR_INV, z, _mid_co_squarefree,
-              lambda a, lat: lat.value(sigma, radical(lat.fact))),
-    _sum_spec("corol_sigmastarinv_sigma", _square_nontrivial,
-              _SIGMASTAR_INV, sigma, _mid,
-              lambda a, lat: lat.value(sigma, a) + lat.root),
+    CorollarySpec("corol_sigma_idinv", _square,
+                  sigma, _ID_INV, _proper,
+                  lambda a, lat: ONE + lat.value(sigma, a)),
+    CorollarySpec("corol_sigma_phiinv", _square_nontrivial,
+                  sigma, _PHI_INV, _mid,
+                  lambda a, lat: (ONE + lat.value(sigma, a)
+                                  + lat.value(sigma, radical(lat.fact)))),
+    CorollarySpec("corol_sigmainv_sigma", _nontrivial,
+                  _SIGMA_INV, sigma, _mid,
+                  lambda a, lat: lat.value(sigma, a) + lat.value(_SIGMA_INV, a)),
+    CorollarySpec("corol_sigmainv_id", _special_nontrivial,
+                  _SIGMA_INV, ident, _mid,
+                  lambda a, lat: a + radical(lat.fact)),
+    CorollarySpec("corol_sigmainv_mu", _special_nontrivial,
+                  _SIGMA_INV, mu, _mid,
+                  lambda a, lat: ONE + radical(lat.fact)),
+    CorollarySpec("corol_sigmastarinv_id", _square_nontrivial,
+                  _SIGMASTAR_INV, ident, _mid,
+                  lambda a, lat: lat.root + a),
+    CorollarySpec("corol_sigmastarinv_mu", _special_nontrivial,
+                  _SIGMASTAR_INV, mu, _mid,
+                  lambda a, lat: lat.value(sigma, radical(lat.fact))),
+    CorollarySpec("corol_sigmastarinv_sigma", _square_nontrivial,
+                  _SIGMASTAR_INV, sigma, _mid,
+                  lambda a, lat: lat.value(sigma, a) + lat.root),
 )
 
 
@@ -614,7 +588,18 @@ def check_corollaries(a: Poly) -> list[IdentityReport]:
                 kind="corollary", spec_id=spec.id, point=a, skipped=True,
             ))
             continue
-        expected, got, passed = spec.run(a, lat)
+        fs = lat.table(spec.f)
+        acc = 0
+        if spec.g is z:  # z(A/D) = 1
+            for n in spec.where(lat):
+                acc ^= fs[n]
+        else:
+            gs = lat.cotable(spec.g)
+            for n in spec.where(lat):
+                acc ^= _mul_bits(fs[n], gs[n])
+        got = Poly(acc)
+        expected = spec.rhs(a, lat)
+        passed = got != a if expected is None else got == expected
         reports.append(IdentityReport(
             kind="corollary", spec_id=spec.id, point=a,
             expected=expected, got=got, passed=passed,

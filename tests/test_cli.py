@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -203,6 +204,13 @@ class TestMersenne:
         code, out, _ = run(capsys, "mersenne", "--max-deg", "2")
         assert code == 0
         assert out == "x^2+x+1 a=1 b=1\n"
+
+    def test_degree_16_catalogue_is_pinned(self, capsys):
+        # sha256 of the stdout the benchmark's cold mersenne call gates on.
+        code, out, _ = run(capsys, "mersenne", "--max-deg", "16")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3ffb93fdedd22477f8885923f29c2731e7195db52ddfd26705fa3637dd385eff")
 
     def test_bound(self, capsys):
         code, _, err = run(capsys, "mersenne", "--max-deg", "33")

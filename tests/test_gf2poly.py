@@ -1,11 +1,13 @@
 """Tests for the bitmask polynomial ring."""
 
+import operator
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gf2mf.gf2poly import (
+    MAX_PARSE_DEGREE,
     ONE,
     Poly,
     PolyParseError,
@@ -59,6 +61,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Poly(-1)
 
+    def test_other_types_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            Poly(1.5)
+
     def test_degree_of_zero_is_none(self):
         assert ZERO.degree is None
 
@@ -89,6 +95,20 @@ class TestParse:
             assert Poly("x+x") == ZERO
         with pytest.warns(UserWarning):
             assert Poly("x^2+1+x^2") == ONE
+        with pytest.warns(UserWarning, match="duplicate term.s. 1 "):
+            assert Poly("1+x+1") == X
+
+    def test_exponent_bound(self):
+        assert Poly(f"x^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+        with pytest.raises(PolyParseError, match="too large") as info:
+            Poly(f"x+x^{MAX_PARSE_DEGREE + 1}")
+        assert info.value.position == 4
+
+    def test_hex_width_bound(self):
+        digits = MAX_PARSE_DEGREE // 4
+        assert Poly("0x1" + "0" * digits).degree == MAX_PARSE_DEGREE
+        with pytest.raises(PolyParseError, match="too large"):
+            Poly("0x2" + "0" * digits)
 
     @pytest.mark.parametrize("text", ["", "  ", "+", "x+", "x^", "y", "x**2", "2x"])
     def test_malformed_raises(self, text):
@@ -262,6 +282,17 @@ class TestConjugate:
 class TestOrdering:
     def test_total_order_matches_degree_then_mask(self):
         assert ZERO < ONE < X < X1 < Poly("x^2")
+
+    def test_non_strict_comparisons(self):
+        assert X <= X and X <= X1 and not X1 <= X
+        assert X1 > X and not X > X
+        assert X >= X and X1 >= X and not X >= X1
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt,
+                                    operator.ge])
+    def test_comparison_with_int_refused(self, op):
+        with pytest.raises(TypeError):
+            op(X, 1)
 
     def test_hashable(self):
         assert len({Poly(6), Poly(6), Poly(7)}) == 2

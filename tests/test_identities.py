@@ -23,6 +23,7 @@ from gf2mf.multfun import (
     BUILTINS,
     MultiplicativeFunction,
     ident,
+    mu,
     parse_expression,
     phi,
     sigma,
@@ -168,6 +169,10 @@ class TestCheckAll:
         assert summary.all_passed()
         assert summary.checked == 37 * 2
 
+    def test_negative_max_exp_rejected(self):
+        with pytest.raises(ValueError, match="max_exp"):
+            check_all(1, -1)
+
     def test_reports_sorted(self):
         summary = check_all(2, 3)
         keys = [(r.spec_id, r.prime.bits, r.exponent) for r in summary.reports]
@@ -306,19 +311,21 @@ FUNCTIONS = {
     "phi": phi,
     "id": ident,
     "z": z,
+    "mu": mu,
     "sigma_inv": identities._SIGMA_INV,
     "sigmastar_inv": identities._SIGMASTAR_INV,
     "phi_inv": identities._PHI_INV,
+    "id_inv": identities._ID_INV,
 }
 
 # The left side of each corollary: f(D) g(A/D), written out here
 # independently of the registry.
 READS = {
-    "corol_sigma_mu": ("sigma", "z"),
+    "corol_sigma_mu": ("sigma", "mu"),
     "corol_sigma_z": ("sigma", "z"),
     "corol_sigma_id": ("sigma", "id"),
     "corol_sigma_phi": ("sigma", "phi"),
-    "corol_sigmastar_mu": ("sigma_star", "z"),
+    "corol_sigmastar_mu": ("sigma_star", "mu"),
     "corol_sigmastar_z": ("sigma_star", "z"),
     "corol_sigmastar_id": ("sigma_star", "id"),
     "corol_sigmastar_phi": ("sigma_star", "phi"),
@@ -326,13 +333,13 @@ READS = {
     "corol_squareconv_sigma": ("sigma", "sigma"),
     "corol_squareconv_sigma_star": ("sigma_star", "sigma_star"),
     "corol_squareconv_id": ("id", "id"),
-    "corol_sigma_idinv": ("sigma", "id"),
+    "corol_sigma_idinv": ("sigma", "id_inv"),
     "corol_sigma_phiinv": ("sigma", "phi_inv"),
     "corol_sigmainv_sigma": ("sigma_inv", "sigma"),
     "corol_sigmainv_id": ("sigma_inv", "id"),
-    "corol_sigmainv_mu": ("sigma_inv", "z"),
+    "corol_sigmainv_mu": ("sigma_inv", "mu"),
     "corol_sigmastarinv_id": ("sigmastar_inv", "id"),
-    "corol_sigmastarinv_mu": ("sigmastar_inv", "z"),
+    "corol_sigmastarinv_mu": ("sigmastar_inv", "mu"),
     "corol_sigmastarinv_sigma": ("sigmastar_inv", "sigma"),
 }
 
@@ -359,19 +366,19 @@ class TestLatticeTables:
                 for n, (_, d, q) in enumerate(vectors):
                     assert table[n] == f(Poly(d)).bits, (a, name, n)
                     assert cotable[n] == f(Poly(q)).bits, (a, name, n)
-            assert lat.co_squarefree == [
-                n for n, (_, _, q) in enumerate(vectors)
-                if all(e == 1 for _, e in factor(Poly(q)))
-            ]
 
     def test_registry_reads_what_is_declared(self):
-        assert {s.id for s in corollary_registry()} == set(READS)
+        specs = corollary_registry()
+        assert {s.id for s in specs} == set(READS)
+        for spec in specs:
+            f, g = READS[spec.id]
+            assert (spec.f, spec.g) == (FUNCTIONS[f], FUNCTIONS[g]), spec.id
 
     @pytest.mark.parametrize("method, name", [
         ("table", "sigma"), ("table", "sigma_star"),
         ("table", "sigma_inv"), ("table", "sigmastar_inv"),
         ("cotable", "sigma"), ("cotable", "phi"), ("cotable", "id"),
-        ("cotable", "phi_inv"),
+        ("cotable", "phi_inv"), ("cotable", "mu"), ("cotable", "id_inv"),
     ])
     def test_one_flipped_entry_fails_exactly_its_readers(
             self, monkeypatch, method, name):

@@ -207,6 +207,10 @@ class TestConvolve:
         for m in range(1, 1 << 7):
             assert lhs(Poly(m)) == rhs(Poly(m))
 
+    def test_bruteforce_rejects_zero(self):
+        with pytest.raises(ValueError, match="undefined at 0"):
+            convolve_bruteforce(sigma, z, ZERO)
+
     def test_bruteforce_resource_limit(self):
         with pytest.raises(ResourceLimitError):
             convolve_bruteforce(sigma, z, Poly("x^2+x") ** 1024)

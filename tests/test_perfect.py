@@ -303,6 +303,16 @@ class TestSearch:
         with pytest.raises(RuntimeError):
             _result(Poly("x^2").bits, False)
 
+    def test_result_guard_rejects_a_convolution_mismatch(self, monkeypatch):
+        hit = Poly("x^2+x")  # sigma(x (x+1)) = (x+1) x
+        assert _result(hit.bits, False).polynomial == hit
+        monkeypatch.setattr(perfect, "convolve_bruteforce",
+                            lambda f, g, a: a + ONE)
+        with pytest.raises(RuntimeError, match="convolution"):
+            _result(hit.bits, False)
+        # The unitary search has no convolution check.
+        assert _result(hit.bits, True).polynomial == hit
+
 
 class TestOddScan:
     def test_report_replace_and_value_equality(self):
