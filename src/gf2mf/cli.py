@@ -3,18 +3,21 @@
 Subcommands: factor, eval, conv, verify, search, mersenne.  Polynomials
 are accepted in term form ("x^3+x+1") or hex form ("0xb").  Exit codes:
 0 success / all checks passed, 1 at least one identity check failed,
-2 usage or resource error.
+2 usage or resource error, 141 (128 + SIGPIPE) stdout closed by its
+reader, as in `gf2mf verify ... | head -1`.
+
+Each subcommand imports only the modules it runs: factor and mersenne
+need the ring, factorization and divisor modules that every call loads;
+eval and conv add multfun, search adds perfect and verify identities.
 """
 
 import argparse
+import os
 import sys
 
 from .factorize import factor, is_irreducible
 from .divisors import ResourceLimitError
 from .gf2poly import ONE, Poly, PolyParseError, X, X1
-from .identities import check_all, corollary_suite
-from .multfun import convolve, convolve_bruteforce, parse_expression
-from .perfect import odd_square_scan, search_fixed_points
 
 __all__ = ["main"]
 
@@ -29,12 +32,16 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .multfun import parse_expression
+
     f = parse_expression(args.expr)
     print(f(Poly(args.poly)))
     return 0
 
 
 def _cmd_conv(args: argparse.Namespace) -> int:
+    from .multfun import convolve, convolve_bruteforce, parse_expression
+
     f = parse_expression(args.expr1)
     g = parse_expression(args.expr2)
     a = Poly(args.poly)
@@ -44,6 +51,8 @@ def _cmd_conv(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .identities import check_all, corollary_suite
+
     if not 1 <= args.max_prime_deg <= _MAX_VERIFY_PRIME_DEG:
         raise ValueError(
             f"--max-prime-deg must be 1..{_MAX_VERIFY_PRIME_DEG}"
@@ -62,6 +71,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .perfect import odd_square_scan, search_fixed_points
+
     if args.kind == "odd":
         results = odd_square_scan(args.max_deg).hits
     else:
@@ -143,7 +154,13 @@ def main(argv: "list[str] | None" = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (PolyParseError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

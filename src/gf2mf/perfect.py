@@ -353,6 +353,11 @@ def odd_square_scan(
     The low coefficients of the divisor sum are compared first; survivors
     get the full comparison.  Counters and the smallest filter-rejected
     candidates are recorded for conservativeness checks.
+
+    With unitary=True the hits are always empty: no odd A != 1 is
+    unitary-perfect.  Each P^e exactly dividing A has P(1) = 1, so x+1
+    divides 1 + P^e = sigma_star(P^e) and hence sigma_star(A), while x+1
+    does not divide A.
     """
     if not 2 <= max_deg <= ODD_SCAN_MAX_DEG:
         raise ResourceLimitError(

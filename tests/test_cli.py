@@ -143,7 +143,7 @@ class TestVerify:
             prime=Poly("x"), exponent=1,
             expected=Poly("1"), got=Poly("0"), passed=False,
         )])
-        monkeypatch.setattr("gf2mf.cli.check_all",
+        monkeypatch.setattr("gf2mf.identities.check_all",
                             lambda *a, **k: failing)
         code, out, _ = run(capsys, "verify")
         assert code == 1
@@ -219,16 +219,46 @@ class TestMersenne:
 
 
 class TestTopLevel:
-    def test_cold_import_leaves_concurrent_futures_out(self):
-        # A fresh interpreter, so no earlier test has imported it already.
+    def test_cold_import_leaves_concurrent_futures_out(self, fresh_python):
+        # Nor the modules only some subcommands run, nor what they import.
+        out = fresh_python(
+            "import sys, gf2mf.cli; print(sorted(m for m in ("
+            "'gf2mf.multfun', 'gf2mf.identities', 'gf2mf.perfect', "
+            "'dataclasses', 'concurrent.futures') if m in sys.modules))")
+        assert out == "[]\n"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["factor", "0xb"], []),
+        (["mersenne", "--max-deg", "4"], []),
+        (["eval", "sigma", "0xb"], ["multfun"]),
+        (["conv", "mu", "z", "0xb"], ["multfun"]),
+        (["search", "odd", "--max-deg", "8"], ["multfun", "perfect"]),
+        (["verify", "--max-prime-deg", "1", "--max-exp", "1"],
+         ["identities", "multfun"]),
+    ])
+    def test_subcommand_loads_only_what_it_runs(self, fresh_python, argv,
+                                                loaded):
+        out = fresh_python(
+            "import sys; from gf2mf.cli import main; "
+            f"code = main({argv!r}); print(code, sorted(m for m in ("
+            "'multfun', 'identities', 'perfect') "
+            "if 'gf2mf.' + m in sys.modules))")
+        assert out.splitlines()[-1] == f"0 {loaded}"
+
+    def test_closed_stdout_ends_without_traceback(self):
+        # The reader closes the pipe before the child writes its first
+        # line, as `| head -1` does to a long listing.
         src = os.path.dirname(os.path.dirname(os.path.abspath(gf2mf.__file__)))
-        probe = subprocess.run(
-            [sys.executable, "-c", "import sys, gf2mf.cli; "
-             "print('concurrent.futures' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-            text=True, check=True, timeout=60,
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gf2mf.cli", "verify", "--lemma",
+             "sigma_z", "--max-prime-deg", "8", "--max-exp", "16"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
         )
-        assert probe.stdout == "False\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert "Traceback" not in err
 
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, err = run(capsys)

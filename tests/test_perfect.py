@@ -426,6 +426,16 @@ class TestOddScan:
     def test_unitary_scan_is_empty_too(self):
         assert odd_square_scan(20, unitary=True).hits == []
 
+    def test_no_odd_polynomial_is_unitary_perfect(self):
+        # x+1 divides sigma_star(A) but not A, for every A != 1 with
+        # A(0) = A(1) = 1 (the odd_square_scan docstring).  By brute force
+        # to degree 12, and through the scan to degree 28.
+        odd = [m for m in range(3, 1 << 13) if m & 1 and m.bit_count() & 1]
+        assert len(odd) == 2047
+        assert not any(verify_perfect(Poly(m), unitary=True) for m in odd)
+        for max_deg in range(2, 29):
+            assert odd_square_scan(max_deg, unitary=True).hits == []
+
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
             odd_square_scan(41)
