@@ -5,13 +5,12 @@ Factorization is exact and deterministic: results are tuples of
 int masks is plain integer order.  Every input takes one route: the
 squarefree part f / gcd(f, f') is split into irreducibles, which are
 divided out, and the square left over is factored through its root.
-Up to the measured crossover the split is trial division against the
-factor sieve's irreducibles; above it, distinct-degree splitting by
-Frobenius powers and a trace-map equal-degree splitter that sweeps
-c = x, x^2, x^3, ..., so no step is random.
+The split is distinct-degree splitting by Frobenius powers, then a
+trace-map equal-degree splitter that sweeps c = x, x^2, x^3, ..., so
+no step is random and factoring reads no table.
 
 The factor sieve, the package's one bulk table, is one byte per mask up
-to a degree that flags the irreducibles.  Trial division and exhaustive
+to a degree that flags the irreducibles.  Enumeration and exhaustive
 fixed-point search read their primes off the cached irreducible list
 built from it; the odd-square scan reads its odd irreducibles off a
 sieve of its own.
@@ -43,12 +42,6 @@ __all__ = [
     "mersenne_form",
     "parity",
 ]
-
-# Largest squarefree degree split by trial division, the measured
-# crossover: on seeded squarefree masks (CPython 3.11, 2-vCPU Xeon) trial
-# division vs splitting took 6.3 vs 6.9 us at degree 12, 7.8 vs 7.9 at 13,
-# 10.8 vs 9.0 at 14 and 150 vs 22 at 24.
-_TRIAL_MAX_DEG = 13
 
 # Public table bound; internal callers never need more than degree 12.
 _TABLE_MAX_DEG = 16
@@ -199,21 +192,6 @@ def is_irreducible(a: Poly) -> bool:
     return _is_irreducible_bits(a.bits)
 
 
-def _trial_division(f: int) -> list[int]:
-    """The irreducibles of a squarefree mask of degree <= _TRIAL_MAX_DEG."""
-    out = []
-    for p in _irreducible_masks(_TRIAL_MAX_DEG // 2):
-        if (p.bit_length() - 1) * 2 > f.bit_length() - 1:
-            break
-        q, r = _divmod_bits(f, p)
-        if not r:
-            out.append(p)
-            f = q
-    if f != 1:
-        out.append(f)
-    return out
-
-
 def _split_equal_degree(g: int, d: int) -> list[int]:
     """Split a product of distinct degree-d irreducibles into its factors.
 
@@ -274,14 +252,11 @@ def _factor_bits(bits: int) -> tuple[tuple[int, int], ...]:
         if der:
             # f = A^2 B with B squarefree and gcd(f, f') = A^2: each prime
             # of B divides A^2 once less than f, and A^2 is left a square.
+            # B is split by Frobenius powers alone; no table is read.
             g = _gcd_bits(f, der)
             odd_part = _divmod_bits(f, g)[0]
             f = g
-            if odd_part.bit_length() - 1 <= _TRIAL_MAX_DEG:
-                primes = _trial_division(odd_part)
-            else:
-                primes = _factor_squarefree(odd_part)
-            for p in primes:
+            for p in _factor_squarefree(odd_part):
                 e = 1
                 while True:
                     q, r = _divmod_bits(f, p)

@@ -2,9 +2,12 @@
 
 Each LemmaSpec pairs a left-hand side (one derived multiplicative
 function, or a pair to convolve) with a closed form at prime powers.
-check_lemma evaluates the left side through the brute-force divisor-sum
-oracle at P**m and compares it with the closed form exactly; nothing is
-trusted symbolically on the checked side.
+check_lemma evaluates a pair's convolution through the brute-force
+divisor-sum oracle at P**m and compares it with the closed form
+exactly.  The four single-function specs (id_inv, phi_inv, sigma_inv,
+sigmastar_inv) are evaluated by the inverse's own recursion; their
+defining law f * inv(f) = delta is checked through the oracle in the
+tests.
 
 Each CorollarySpec states a divisor-lattice identity at a whole
 polynomial A.  The registered forms do not assume any fixed-point
@@ -344,7 +347,7 @@ def registry(
 
 
 def check_lemma(spec: LemmaSpec, prime: Poly, m: int) -> IdentityReport:
-    """Check one spec at P**m: brute-force left side vs closed form."""
+    """Check one spec at P**m: its left side vs its closed form."""
     if not is_irreducible(prime):
         raise ValueError(f"test point requires an irreducible P, got {prime}")
     if m < 0:
@@ -615,8 +618,14 @@ def suite_inputs(
 ) -> list[Poly]:
     """Deterministic corollary-suite inputs: random squares plus all
     special polynomials up to the degree bound."""
-    rng = random.Random(seed)
     half = square_max_deg // 2
+    # The roots are the masks of degree 1..half; drawing more than there
+    # are would never end.
+    if square_count > (1 << (half + 1)) - 2:
+        raise ValueError(
+            "square_count exceeds 2^(square_max_deg // 2 + 1) - 2, the "
+            "number of roots of degree 1..square_max_deg // 2")
+    rng = random.Random(seed)
     roots: set[int] = set()
     while len(roots) < square_count:
         roots.add(rng.randrange(2, 1 << (half + 1)))

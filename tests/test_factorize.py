@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 
 from gf2mf.factorize import (
-    _TRIAL_MAX_DEG,
     Factorization,
     MersenneForm,
     _derivative_bits,
@@ -16,14 +15,23 @@ from gf2mf.factorize import (
     _irreducible_masks,
     _is_irreducible_bits,
     _split_equal_degree,
-    _trial_division,
     factor,
     irreducibles_up_to,
     is_irreducible,
     mersenne_form,
     parity,
 )
-from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _gcd_bits, _mul_bits, conjugate
+from gf2mf.gf2poly import (
+    ONE,
+    Poly,
+    X,
+    X1,
+    ZERO,
+    _divmod_bits,
+    _gcd_bits,
+    _mul_bits,
+    conjugate,
+)
 
 
 def _int_mobius(n: int) -> int:
@@ -154,7 +162,7 @@ class TestFactor:
                     assert _is_irreducible_bits(p.bits)
 
     def test_large_degree_paths(self):
-        # Exercise the Frobenius splitting paths above the trial bound.
+        # Exercise the Frobenius splitting paths on degree-25 primes.
         big = [m for m in range(1 << 25, (1 << 25) + 600) if _is_irreducible_bits(m)]
         p, q = Poly(big[0]), Poly(big[1])
         assert factor(p * q).factors == ((p, 1), (q, 1))
@@ -172,16 +180,35 @@ class TestFactor:
             assert factor(square).factors == doubled, s
             assert factor(square).product() == square
 
-    def test_trial_division_agrees_with_splitting(self):
-        rng = random.Random(0x7D1A)
-        for deg in range(1, _TRIAL_MAX_DEG + 1):
-            found = 0
-            while found < 20:
-                s = (1 << deg) | rng.getrandbits(deg)
-                if _gcd_bits(s, _derivative_bits(s)) != 1:
-                    continue  # not squarefree
-                found += 1
-                assert sorted(_trial_division(s)) == sorted(_factor_squarefree(s)), s
+    def test_splitting_agrees_with_trial_division(self):
+        # Reference: divide out the irreducibles of degree <= 6; what is
+        # left of a squarefree mask of degree <= 13 is 1 or one prime.
+        primes = _irreducible_masks(6)
+        checked = 0
+        for s in range(2, 1 << 14):
+            if _gcd_bits(s, _derivative_bits(s)) != 1:
+                continue  # not squarefree
+            expected = []
+            f = s
+            for p in primes:
+                q, r = _divmod_bits(f, p)
+                if not r:
+                    expected.append(p)
+                    f = q
+            if f != 1:
+                expected.append(f)
+            assert sorted(_factor_squarefree(s)) == expected, s
+            checked += 1
+        assert checked == 8192
+
+    def test_factor_reads_no_table(self, fresh_python):
+        out = fresh_python(
+            "from gf2mf.factorize import _irreducible_masks, factor\n"
+            "from gf2mf.gf2poly import Poly\n"
+            "for m in range(1, 1 << 12):\n"
+            "    factor(Poly(m))\n"
+            "print(_irreducible_masks.cache_info().currsize)")
+        assert out == "0\n"
 
     def test_equal_degree_split_is_exhaustive(self):
         # The deterministic trace sweep splits every pair of distinct

@@ -474,6 +474,22 @@ class TestSuite:
             if all(e == 1 for _, e in factor(Poly(s))):
                 assert (Poly(s) ** 2).bits in inputs
 
+    def test_more_squares_than_roots_is_refused(self, fresh_python):
+        # In a fresh process with a timeout, so that a draw that never
+        # ends fails the test: only x and x+1 have degree 1.
+        out = fresh_python(
+            "from gf2mf.identities import corollary_suite, suite_inputs\n"
+            "for run in (suite_inputs, corollary_suite):\n"
+            "    try:\n"
+            "        run(square_count=3, square_max_deg=2)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+        assert out.splitlines() == [
+            "square_count exceeds 2^(square_max_deg // 2 + 1) - 2, the "
+            "number of roots of degree 1..square_max_deg // 2"] * 2
+        assert len(suite_inputs(square_count=2, square_max_deg=2,
+                                special_max_deg=0)) == 2
+
     def test_small_suite_green(self):
         summary = corollary_suite(square_count=25, square_max_deg=12,
                                   special_max_deg=8, seed=11)

@@ -10,7 +10,8 @@ calls under it and checks that nothing they return changes.
 import importlib.util
 import os
 
-from gf2mf import identities, perfect
+from gf2mf import factorize, identities, perfect
+from gf2mf.gf2poly import Poly
 
 _TRACER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -29,6 +30,8 @@ def _calls():
     suite = identities.corollary_suite(square_count=5, square_max_deg=6,
                                        special_max_deg=4, jobs=2)
     return {
+        # x (x^2+x+1)^3 (x^3+x+1)^2, split as x (x^2+x+1), then x^3+x+1.
+        "factor": str(factorize.factor(Poly(0b11011000001110))),
         "odd": perfect.odd_square_scan(12, sample_rejected=3),
         "search": perfect.search_fixed_points(8),
         "grid": identities.check_all(1, 2, jobs=2).render(include_passes=True),
@@ -41,7 +44,10 @@ def test_traced_calls_match_untraced_ones():
     scan = perfect.odd_square_scan
     placeholders = (perfect._run_shards, perfect.ThreadPoolExecutor,
                     identities.ThreadPoolExecutor)
-    tracer = _load_tracer().Tracer()
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    # Factor afresh under the tracer, so that every split is seen.
+    factorize._factor_bits.cache_clear()
     tracer.install()
     try:
         assert perfect.odd_square_scan is not scan
@@ -54,6 +60,10 @@ def test_traced_calls_match_untraced_ones():
     # The tracer counts search_fixed_points(8) as its 2^9 - 2 masks.
     assert counts["perfect.candidates"] == untraced["odd"].candidates + 510
     assert counts["identities.corollary_checks"] > 0
+    # Every squarefree part is split by _factor_squarefree, which is
+    # what factorize.ddf_calls counts.
+    metrics = tracer_module.layer_metrics(snapshot, 1.0)
+    assert metrics["factorize.ddf_calls"] > 0
     # The tracer counts lemma checks as calls of check_lemma, one per point.
     grid = identities.check_all(1, 2)
     lemma_calls = snapshot["agg"]["identities>identities.check_lemma"][0]
