@@ -13,6 +13,15 @@ comparison operators; comparing masks as plain integers coincides with
 (degree, mask) order, which is the canonical order used everywhere in
 this package.  The raw-int helpers (_mul_bits, _divmod_bits, _sqr_bits,
 ...) back the hot loops in the other modules.
+
+The fixed-point walks keep their values in a second, "lane" form
+(_spread, _unspread): coefficient i of the mask at bit 8i.  There a
+carryless product is one C-level integer multiply, x * y & M with M the
+lane form of 2^(n+1) - 1, exact while the product has degree <= n and a
+factor degree <= 254, since no 8-bit lane then counts past 255.  XOR,
+== and < act on lane values as on their masks.  Converting costs about as
+much as a product, so the form pays only where values stay converted
+across many products; _mul_bits stays the kernel everywhere else.
 """
 
 import warnings
@@ -63,7 +72,7 @@ def _mul_bits(a: int, b: int) -> int:
 
 # Squaring in characteristic 2 just spreads the bits apart; one byte at a
 # time through a 256-entry table.  Must stay bit-identical to _mul_bits(n, n).
-_SPREAD = tuple(
+_SQR_BYTE = tuple(
     sum(((byte >> i) & 1) << (2 * i) for i in range(8)) for byte in range(256)
 )
 
@@ -73,10 +82,34 @@ def _sqr_bits(n: int) -> int:
     r = 0
     shift = 0
     while n:
-        r |= _SPREAD[n & 0xFF] << shift
+        r |= _SQR_BYTE[n & 0xFF] << shift
         n >>= 8
         shift += 16
     return r
+
+
+# Lane k of the integer product of two lane values counts the pairs
+# i + j = k, at most min(deg) + 1: below 256, so no lane carries into the
+# next, while one factor has degree <= _LANE_MAX_DEG.
+_LANE_MAX_DEG = 254
+_LANE_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _spread(m: int) -> int:
+    """Lane form of a mask: coefficient i at bit 8i.
+
+    x * y & _spread(2^(n+1) - 1) is the lane form of the carryless
+    product of the masks of x and y when that product has degree <= n and
+    one of them has degree <= _LANE_MAX_DEG (254).  XOR acts on lane
+    values as on masks, and the integer order of lane values is the order
+    of their masks.
+    """
+    return int.from_bytes(format(m, "b").encode().translate(_LANE_DIGITS), "big")
+
+
+def _unspread(x: int) -> int:
+    """The mask of a lane value whose every lane is 0 or 1."""
+    return int(x.to_bytes(x.bit_length() // 8 + 1, "big").hex()[1::2], 2)
 
 
 def _sqrt_bits(n: int) -> int:

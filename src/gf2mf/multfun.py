@@ -121,7 +121,10 @@ def _divsum_affine(p: int, p_step: int, step: int,
     divisor sum of P^(k * step), on masks; p_step is P^step, step 1 or 2.
 
     For sigma, s_0 = 1 and c = sigma(P^(step - 1)), which is 1 or P + 1;
-    for sigma_star, s_0 = 0 and c = P^step + 1.  Nothing is multiplied.
+    for sigma_star, s_0 = 0 and c = P^step + 1.  Nothing is multiplied,
+    only XORed with 1, so given P and P^step as lane values
+    (gf2poly._spread) it returns c as a lane value; gf2mf.perfect's walks
+    call it so.
     """
     if unitary:
         return 0, p_step ^ 1

@@ -8,6 +8,12 @@ factored and a walked product costs two carryless products.  The
 divisor sum of a prime power comes from the affine rule that
 gf2mf.multfun._divsum_affine gives.
 
+Both walks hold A, its divisor sum and the prime powers as lane values
+(gf2poly._spread), so each carryless product is one integer multiply
+masked to the lanes' low bits.  Each prime is converted once, and only
+the hits and the rejected sample are converted back.  Both caps lie far
+inside the lane bound of degree 254.
+
 Exhaustive mode walks prime powers of degree <= max_deg // 2: if P^e
 exactly divides a fixed point A, then P^e divides the divisor sum of
 A / P^e, so no fixed point has a larger one.  It walks only products
@@ -46,7 +52,7 @@ from types import MappingProxyType
 from .divisors import big_omega, divisors, omega, unitary_divisors
 from .divisors import ResourceLimitError
 from .factorize import _factor_sieve, _irreducible_masks, factor, parity
-from .gf2poly import Poly, X, X1, _mul_bits, _sqr_bits
+from .gf2poly import Poly, X, X1, _spread, _unspread
 from .multfun import (_divsum_affine, _divsum_bits, convolve_bruteforce,
                       ident, z)
 
@@ -75,6 +81,12 @@ _LOW_MASK = (1 << _FILTER_BITS) - 1
 
 # Known published lower bounds for odd perfect polynomials.  These are
 # configuration data for the filter, not facts derived by this package.
+# Sources: E. F. Canaday, "The sum of the divisors of a polynomial", Duke
+# Math. J. 8 (1941), for the square condition; L. H. Gallardo and
+# O. Rahavandrainy, "Odd perfect polynomials over F2", J. Théor. Nombres
+# Bordeaux 19 (2007), for the bounds on omega, big omega, the degree and
+# the special (all exponents 2) case.  The values below are those first
+# configured; none has been re-read against the papers' statements.
 ODD_MIN_OMEGA = 5
 ODD_MIN_BIG_OMEGA = 12
 ODD_MIN_DEGREE = 200  # viable candidates need degree strictly above this
@@ -167,7 +179,7 @@ def _walk(primes, max_deg, unitary, sample_rejected):
     """Check every square A = S*S of degree <= max_deg against its
     divisor sum, as (rejected, full_checked, hit masks, sample).
 
-    S is a product of P^k over ascending primes from the list; the
+    S is a product of P^k over ascending primes from the iterable; the
     divisor sum is sigma(A), or sigma_star(A) if unitary.  Each step
     multiplies A and its divisor sum by one prime power P^(2k), so no A
     is ever factored.  The divisor sum of P^(2k) is carried across k by the
@@ -177,10 +189,18 @@ def _walk(primes, max_deg, unitary, sample_rejected):
     coefficients differ from its divisor sum's is rejected; the others
     are compared whole.  sample holds the sample_rejected smallest
     rejected masks, in no order.
+
+    The walk runs on lane values (gf2poly._spread), so each product is
+    one integer multiply masked by keep; each visited prime's lane is
+    squared once for P^2.  _divsum_affine only XORs, so it gives c in
+    lane form from lane inputs.  Only the hits and the sample are read
+    back into masks.
     """
-    bases = [_sqr_bits(p) for p in primes]
-    weights = [b.bit_length() - 1 for b in bases]
-    n = len(primes)
+    lanes = list(map(_spread, primes))
+    weights = [(lp.bit_length() - 1) >> 2 for lp in lanes]  # 2 deg P
+    keep = _spread((1 << (max_deg + 1)) - 1)
+    low = _spread(_LOW_MASK)
+    n = len(lanes)
     hits: "list[int]" = []
     heap: "list[int]" = []  # negated: a max-heap of the smallest
     full = 0
@@ -192,16 +212,17 @@ def _walk(primes, max_deg, unitary, sample_rejected):
             w = weights[i]
             if w > room:
                 break
-            base = bases[i]
-            s0, c = _divsum_affine(primes[i], base, 2, unitary)
+            lp = lanes[i]
+            base = lp * lp & keep
+            s0, c = _divsum_affine(lp, base, 2, unitary)
             top = room // w
             pw = base
-            sig = s0 * base ^ c  # s_0 is 0 or 1, so * is carryless here
+            sig = base ^ c if s0 else c  # s_1 = s_0 * P^2 + c, s_0 is 0 or 1
             k = 1
             while k <= top:  # cheaper than a range per visited prime
-                a2 = _mul_bits(a, pw)
-                acc2 = _mul_bits(acc, sig)
-                if (acc2 ^ a2) & _LOW_MASK:
+                a2 = a * pw & keep
+                acc2 = acc * sig & keep
+                if (acc2 ^ a2) & low:
                     rej += 1
                     if len(heap) < sample_rejected:
                         heapq.heappush(heap, -a2)
@@ -215,34 +236,37 @@ def _walk(primes, max_deg, unitary, sample_rejected):
                 if i + 1 < n and weights[i + 1] <= rest:
                     rej += walk(i + 1, rest, a2, acc2)
                 if k < top:
-                    pw = _mul_bits(pw, base)
-                    sig = _mul_bits(sig, base) ^ c
+                    pw = pw * base & keep
+                    sig = sig * base & keep ^ c
                 k += 1
         return rej
 
     rej = walk(0, max_deg, 1, 1)
-    return rej, full, hits, [-m for m in heap]
+    return (rej, full, [_unspread(x) for x in hits],
+            [_unspread(-x) for x in heap])
 
 
 def _prime_power_rows(primes, cap, unitary):
     """Per prime P_i of the list, one row (deg, P^k, s_k, req) for each
     k >= 1 with deg P^k <= cap.
 
-    s_k is the divisor sum of P^k, sigma or sigma_star if unitary,
-    carried across k by the affine rule of multfun._divsum_affine.  req
-    is the index mask of the irreducibles of that divisor sum, factored
-    from multfun._divsum_bits, so the prune does not rest on the carried
-    sums.  Each of those irreducibles has degree <= cap, so it is in the
-    list.
+    P^k and s_k are lane values (gf2poly._spread).  s_k is the divisor
+    sum of P^k, sigma or sigma_star if unitary, carried across k by the
+    affine rule of multfun._divsum_affine.  req is the index mask of the
+    irreducibles of that divisor sum, factored from multfun._divsum_bits,
+    so the prune does not rest on the carried sums.  Each of those
+    irreducibles has degree <= cap, so it is in the list.
     """
     index = {p: i for i, p in enumerate(primes)}
+    keep = _spread((1 << (cap + 1)) - 1)
     rows = []
     for p in primes:
         d = p.bit_length() - 1
         top = cap // d
-        s0, c = _divsum_affine(p, p, 1, unitary)
-        pw = p
-        sig = s0 * p ^ c  # s_0 is 0 or 1, so * is carryless here
+        lp = _spread(p)
+        s0, c = _divsum_affine(lp, lp, 1, unitary)
+        pw = lp
+        sig = lp ^ c if s0 else c  # s_1 = s_0 * P + c, s_0 is 0 or 1
         row = []
         for k in range(1, top + 1):
             req = 0
@@ -250,21 +274,23 @@ def _prime_power_rows(primes, cap, unitary):
                 req |= 1 << index[q.bits]
             row.append((k * d, pw, sig, req))
             if k < top:
-                pw = _mul_bits(pw, p)
-                sig = _mul_bits(sig, p) ^ c
+                pw = pw * lp & keep
+                sig = sig * lp & keep ^ c
         rows.append(row)
     return rows
 
 
 def _closed_hits(rows, max_deg) -> "list[int]":
     """The fixed points among the products search_fixed_points walks,
-    in walk order, by the rules its docstring states.
+    as masks in walk order, by the rules its docstring states.
 
-    A node carries A, its divisor sum acc, the index mask have of the
-    primes taken and the mask need of the primes that a taken P^k's
-    divisor sum requires and A lacks.
+    A node carries A and its divisor sum acc as lane values, the index
+    mask have of the primes taken and the mask need of the primes that a
+    taken P^k's divisor sum requires and A lacks.  Each product is one
+    integer multiply masked by keep; only the hits are read back.
     """
     weights = [row[0][0] for row in rows]
+    keep = _spread((1 << (max_deg + 1)) - 1)
     n = len(rows)
     hits: "list[int]" = []
 
@@ -287,18 +313,18 @@ def _closed_hits(rows, max_deg) -> "list[int]":
                 rest = room - e
                 if need2:
                     if weights[need2.bit_length() - 1] <= rest:
-                        walk(i + 1, rest, _mul_bits(a, pw),
-                             _mul_bits(acc, sig), have2, need2)
+                        walk(i + 1, rest, a * pw & keep, acc * sig & keep,
+                             have2, need2)
                     continue
-                a2 = _mul_bits(a, pw)
-                acc2 = _mul_bits(acc, sig)
+                a2 = a * pw & keep
+                acc2 = acc * sig & keep
                 if acc2 == a2:
                     hits.append(a2)
                 if after <= rest:
                     walk(i + 1, rest, a2, acc2, have2, 0)
 
     walk(0, max_deg, 1, 1, 0, 0)
-    return hits
+    return [_unspread(x) for x in hits]
 
 
 def _result(mask: int, unitary: bool) -> SearchResult:
@@ -366,7 +392,7 @@ def odd_square_scan(
     # A sieve of the scan's own, freed once read: nothing of degree
     # max_deg // 2 stays cached after the scan.  Masks 2 and 3 are the
     # linear primes.
-    primes = list(compress(count(4), _factor_sieve(max_deg // 2)[4:]))
+    primes = compress(count(4), _factor_sieve(max_deg // 2)[4:])
     rej, full, hits, sample = _walk(primes, max_deg, unitary, sample_rejected)
     return ScanReport(
         max_deg=max_deg,

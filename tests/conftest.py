@@ -1,12 +1,19 @@
 """Shared pytest plumbing: collect acceptance-criterion result lines and
 echo them in the terminal summary so a plain `pytest -v` run shows one
-PASS/FAIL line per criterion, and run scripts in fresh interpreters."""
+PASS/FAIL line per criterion, run scripts in fresh interpreters, and
+derandomize hypothesis."""
 
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same hypothesis examples, so a failure reruns as it
+# happened.  Example counts stay the defaults and the per-test settings.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def pytest_configure(config):

@@ -14,8 +14,11 @@ from gf2mf.gf2poly import (
     X,
     X1,
     ZERO,
+    _LANE_MAX_DEG,
     _mul_bits,
+    _spread,
     _sqr_bits,
+    _unspread,
     add,
     conjugate,
     divrem,
@@ -25,6 +28,8 @@ from gf2mf.gf2poly import (
     power,
     sqrt_if_square,
 )
+from gf2mf.multfun import _divsum_affine
+from gf2mf.perfect import EXHAUSTIVE_MAX_DEG, ODD_SCAN_MAX_DEG
 
 # Degree <= 64 covers the multi-word regime on top of machine-word sizes.
 masks = st.integers(min_value=0, max_value=(1 << 65) - 1)
@@ -32,6 +37,10 @@ nonzero_masks = st.integers(min_value=1, max_value=(1 << 65) - 1)
 
 # From single bits through word and multi-digit widths up to 1100 bits.
 wide_masks = st.sampled_from([1, 8, 30, 31, 64, 128, 256, 1024, 1100]).flatmap(
+    lambda n: st.integers(min_value=0, max_value=(1 << n) - 1))
+
+# Degree <= 254, the lane bound of _spread, at several widths.
+lane_masks = st.sampled_from([1, 8, 31, 64, 128, 255]).flatmap(
     lambda n: st.integers(min_value=0, max_value=(1 << n) - 1))
 
 
@@ -242,6 +251,56 @@ class TestMulKernel:
     @given(wide_masks, wide_masks)
     def test_matches_the_schoolbook_reference(self, a, b):
         assert _mul_bits(a, b) == schoolbook(a, b) == _mul_bits(b, a)
+
+
+class TestLaneForm:
+    """_spread/_unspread against the mask kernels, up to the lane bound."""
+
+    @staticmethod
+    def keep(a: int, b: int) -> int:
+        # The low bit of each lane up to the degree of a * b.
+        return _spread((1 << (a.bit_length() + b.bit_length())) - 1)
+
+    @given(lane_masks)
+    def test_round_trip(self, a):
+        assert _unspread(_spread(a)) == a
+
+    @given(lane_masks, lane_masks)
+    def test_order_is_the_mask_order(self, a, b):
+        assert (a < b) == (_spread(a) < _spread(b))
+
+    @settings(max_examples=300)
+    @given(lane_masks, lane_masks)
+    def test_product_is_the_carryless_product(self, a, b):
+        assert (_spread(a) * _spread(b) & self.keep(a, b)
+                == _spread(_mul_bits(a, b)))
+
+    @given(lane_masks, lane_masks)
+    def test_xor_commutes_with_spread(self, a, b):
+        assert _spread(a ^ b) == _spread(a) ^ _spread(b)
+
+    def test_bound_is_tight(self):
+        # The square of 1 + x + ... + x^d counts d + 1 pairs in lane d.
+        full = (1 << (_LANE_MAX_DEG + 1)) - 1
+        assert (_spread(full) * _spread(full) & self.keep(full, full)
+                == _spread(_mul_bits(full, full)))
+        over = (full << 1) | 1
+        assert (_spread(over) * _spread(over) & self.keep(over, over)
+                != _spread(_mul_bits(over, over)))
+
+    @given(st.integers(min_value=1, max_value=(1 << 128) - 1),
+           st.sampled_from([1, 2]), st.booleans())
+    def test_divsum_affine_on_lanes(self, p, step, unitary):
+        # The rule only XORs, so lane inputs give the lane pair.
+        p_step = _mul_bits(p, p) if step == 2 else p
+        s0, c = _divsum_affine(p, p_step, step, unitary)
+        assert (_divsum_affine(_spread(p), _spread(p_step), step, unitary)
+                == (_spread(s0), _spread(c)))
+
+    def test_search_caps_are_within_the_bound(self):
+        assert f"<= _LANE_MAX_DEG ({_LANE_MAX_DEG})" in _spread.__doc__
+        assert ODD_SCAN_MAX_DEG <= _LANE_MAX_DEG
+        assert EXHAUSTIVE_MAX_DEG <= _LANE_MAX_DEG
 
 
 class TestSqrt:

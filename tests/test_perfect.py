@@ -19,7 +19,7 @@ from gf2mf.factorize import (
     _is_irreducible_bits,
     factor,
 )
-from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, conjugate
+from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, _spread, conjugate
 from gf2mf.multfun import sigma, sigma_star
 from gf2mf.perfect import (
     _LOW_MASK,
@@ -257,6 +257,21 @@ class TestSearch:
         monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
         assert search_fixed_points(12) != expected
 
+    @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
+                             ids=["sigma", "sigma_star"])
+    def test_rows_hold_reduced_lane_values(self, unitary, f):
+        # Unreduced lanes keep the right parity until one passes 255, so
+        # the walk's hits alone would not notice a missing mask; (x+1)^12
+        # has the coefficient C(12, 6) = 924.
+        primes = _irreducible_masks(12)
+        rows = perfect._prime_power_rows(primes, 12, unitary)
+        for p, row in zip(primes, rows):
+            assert len(row) == 12 // (p.bit_length() - 1)
+            for k, (e, pw, sig, _) in enumerate(row, 1):
+                assert e == k * (p.bit_length() - 1)
+                assert pw == _spread((Poly(p) ** k).bits)
+                assert sig == _spread(f.at_prime_power(Poly(p), k).bits)
+
     # (max_deg, unitary): count and sha256 of the listing's lines, from
     # the walk over every product of prime powers of degree <= max_deg // 2.
     LISTINGS = {
@@ -393,6 +408,16 @@ class TestOddScan:
         monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
         assert odd_square_scan(24).hits != report.hits
 
+    def test_walk_reaches_the_top_power_exactly(self, monkeypatch):
+        # With id's rule every candidate is a hit.  Over x^2+x+1 alone the
+        # candidates are its even powers up to P^20, the trinomial
+        # coefficients of whose carried powers pass 255 (8953 in P^20).
+        monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
+        p = Poly("x^2+x+1")
+        _, full, hits, _ = perfect._walk(iter([p.bits]), 40, False, 0)
+        assert full == 10
+        assert hits == [(p ** (2 * k)).bits for k in range(1, 11)]
+
     # sha256 of the reprs of odd_square_scan(D, unitary, sample_rejected=
     # 1000) for D = 2..28, one per line: the counts, the hits and the
     # rejected sample, from the scan whose walk yielded every candidate to
@@ -443,18 +468,47 @@ class TestOddScan:
 
 class TestWalkCost:
     """Two carryless products per walked product; the odd scan pays two
-    more per further exponent, the exhaustive search a table of them."""
+    more per further exponent and one square per visited prime, the
+    exhaustive search a table of them."""
 
     @staticmethod
     def count_products(monkeypatch):
-        # Counts the walk's products and any the rules would make in multfun.
-        calls = [0]
+        # The walks multiply lane values, which all come from
+        # perfect._spread: each product has a Lane operand, and Lane
+        # results of *, & and ^ keep the count going down the walk.  A
+        # lane straight from _spread times itself squares a prime.
+        # multfun._mul_bits is counted too, for the products its rules
+        # make.
+        calls = {"walk": 0, "square": 0}
+
+        class Lane(int):
+            spread = False  # made by perfect._spread, not by arithmetic
+
+            def __mul__(self, other):
+                square = self.spread and other is self
+                calls["square" if square else "walk"] += 1
+                return Lane(int.__mul__(self, other))
+
+            def __and__(self, other):
+                return Lane(int.__and__(self, other))
+
+            def __xor__(self, other):
+                return Lane(int.__xor__(self, other))
+
+            __rmul__ = __mul__
+            __rand__ = __and__
+            __rxor__ = __xor__
 
         def counted(a, b):
-            calls[0] += 1
+            calls["walk"] += 1
             return _mul_bits(a, b)
 
-        monkeypatch.setattr(perfect, "_mul_bits", counted)
+        def spread(m, spread=perfect._spread):
+            x = Lane(spread(m))
+            x.spread = True
+            return x
+
+        monkeypatch.setattr(perfect, "_spread", spread)
         monkeypatch.setattr(multfun, "_mul_bits", counted)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
         return calls
@@ -472,13 +526,18 @@ class TestWalkCost:
         roots = [s for s in range(2, 1 << 13)
                  if not any(p in (X, X1) for p, _ in factor(Poly(s)))]
         assert report.candidates == len(roots) == 2047
-        assert 0 < calls[0] <= self.budget(roots)
+        assert 0 < calls["walk"] <= self.budget(roots)
+        # Each visit of a prime P squares it once for P^2, and first
+        # makes the candidate with P^2: one whose largest prime has
+        # exponent 1 in S.
+        visits = sum(1 for s in roots if list(factor(Poly(s)))[-1][1] == 1)
+        assert 0 < calls["square"] <= visits
 
     @pytest.mark.parametrize("unitary", [False, True])
     def test_exhaustive_search(self, monkeypatch, unitary):
         calls = self.count_products(monkeypatch)
         search_fixed_points(12, unitary)
-        spent = calls[0]  # multfun products below are the test's own
+        spent = calls["walk"] + calls["square"]  # multfun's below are ours
         # The search pays two products per mask it enters: the closed
         # ones, and the open ones whose missing primes all lie above
         # their largest prime and still fit in the degree.
