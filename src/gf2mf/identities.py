@@ -2,12 +2,16 @@
 
 Each LemmaSpec pairs a left-hand side (one derived multiplicative
 function, or a pair to convolve) with a closed form at prime powers.
-check_lemma evaluates a pair's convolution through the brute-force
-divisor-sum oracle at P**m and compares it with the closed form
-exactly.  The four single-function specs (id_inv, phi_inv, sigma_inv,
-sigmastar_inv) are evaluated by the inverse's own recursion; their
-defining law f * inv(f) = delta is checked through the oracle in the
-tests.
+Each closed form h is declared as a row (id, lhs, N, D) of _LEMMAS:
+its Bell series, the sum over m of h(P^m) T^m, is N(T) / D(T) (Apostol,
+Introduction to Analytic Number Theory, 1976, 2.16), and closed_form(P,
+m) is coefficient m.  The tests prove every row exactly from the
+builtins' series: N_f N_g D_h = N_h D_f D_g in F2[P][T].  check_lemma
+evaluates a pair's convolution through the brute-force divisor-sum
+oracle at P**m and compares it with the closed form exactly.  The four
+single-function specs (id_inv, phi_inv, sigma_inv, sigmastar_inv) are
+evaluated by the inverse's own recursion; their defining law
+f * inv(f) = delta is checked through the oracle in the tests.
 
 Each CorollarySpec states a divisor-lattice identity at a whole
 polynomial A.  The registered forms do not assume any fixed-point
@@ -29,7 +33,7 @@ root of A.  The catalogue is built once, at import.
 
 registry(functions=...) accepts an alternative table of the seven named
 functions so tests can corrupt one rule and watch the right lemmas
-fail; closed forms always use the true builtins.
+fail; closed forms read no table.
 """
 
 import random
@@ -65,8 +69,6 @@ __all__ = [
     "check_corollaries",
     "corollary_suite",
 ]
-
-_BUILTIN_ORDER = ("delta", "z", "id", "mu", "phi", "sigma", "sigma_star")
 
 # Derived functions used on the right-hand side of corollaries.
 _SIGMA_INV = inverse(sigma)
@@ -172,8 +174,96 @@ class CheckSummary:
         return "\n".join(lines)
 
 
-def _pp(f: MultiplicativeFunction, prime: Poly, r: int) -> Poly:
-    return f.at_prime_power(prime, r)
+# Rows (id, lhs, N, D): N and D are coefficient tuples in T, lowest
+# first, whose entries are masks in P (bit j is P^j); D starts with 1.
+_LEMMAS: "tuple[tuple[str, str, tuple[int, ...], tuple[int, ...]], ...]" = (
+    # sq(f): the series of f in T^2, each coefficient squared.
+    ("squareconv_delta", "sq(delta)", (1,), (1,)),
+    ("squareconv_z", "sq(z)", (1,), (1, 0, 1)),
+    ("squareconv_id", "sq(id)", (1,), (1, 0, 0b100)),
+    ("squareconv_mu", "sq(mu)", (1, 0, 1), (1,)),
+    ("squareconv_phi", "sq(phi)", (1, 0, 1), (1, 0, 0b100)),
+    ("squareconv_sigma", "sq(sigma)", (1,), (1, 0, 0b101, 0, 0b100)),
+    ("squareconv_sigma_star", "sq(sigma_star)",
+     (1, 0, 0, 0, 0b100), (1, 0, 0b101, 0, 0b100)),
+    # Convolutions of plain builtins.
+    ("conv_z_mu", "z*mu", (1,), (1,)),
+    ("conv_phi_z", "phi*z", (1,), (1, 0b10)),
+    ("conv_id_z", "id*z", (1,), (1, 0b11, 0b10)),
+    ("sigma_mu", "sigma*mu", (1,), (1, 0b10)),
+    ("sigma_z", "sigma*z", (1,), (1, 0b10, 1, 0b10)),
+    ("sigma_id", "sigma*id", (1,), (1, 1, 0b100, 0b100)),
+    ("sigma_phi", "sigma*phi", (1,), (1, 0, 0b100)),
+    ("sigmastar_mu", "sigma_star*mu", (1, 0, 0b10), (1, 0b10)),
+    ("sigmastar_z", "sigma_star*z", (1, 0, 0b10), (1, 0b10, 1, 0b10)),
+    ("sigmastar_id", "sigma_star*id", (1, 0, 0b10), (1, 1, 0b100, 0b100)),
+    ("sigmastar_phi", "sigma_star*phi", (1, 0, 0b10), (1, 0, 0b100)),
+    ("sigmastar_sigma", "sigma_star*sigma",
+     (1, 0, 0b10), (1, 0, 0b101, 0, 0b100)),
+    # Dirichlet inverses and their convolutions.
+    ("id_inv", "inv(id)", (1, 0b10), (1,)),
+    ("idinv_z", "inv(id)*z", (1, 0b10), (1, 1)),
+    ("sigma_idinv", "sigma*inv(id)", (1,), (1, 1)),
+    ("phi_inv", "inv(phi)", (1, 0b10), (1, 1)),
+    ("sigma_phiinv", "sigma*inv(phi)", (1,), (1, 0, 1)),
+    ("sigma_inv", "inv(sigma)", (1, 0b11, 0b10), (1,)),
+    ("sigmainv_z", "inv(sigma)*z", (1, 0b10), (1,)),
+    ("sigmainv_id", "inv(sigma)*id", (1, 1), (1,)),
+    ("sigmainv_mu", "inv(sigma)*mu", (1, 0b10, 1, 0b10), (1,)),
+    ("sigmastar_sigmainv", "sigma_star*inv(sigma)", (1, 0, 0b10), (1,)),
+    ("sigmastar_inv", "inv(sigma_star)", (1, 0b11, 0b10), (1, 0, 0b10)),
+    ("sigmastarinv_z", "inv(sigma_star)*z", (1, 0b10), (1, 0, 0b10)),
+    ("sigmastarinv_id", "inv(sigma_star)*id", (1, 1), (1, 0, 0b10)),
+    ("sigmastarinv_mu", "inv(sigma_star)*mu",
+     (1, 0b10, 1, 0b10), (1, 0, 0b10)),
+    ("sigma_sigmastarinv", "sigma*inv(sigma_star)", (1,), (1, 0, 0b10)),
+    ("sigmainv_phi", "inv(sigma)*phi", (1, 0, 1), (1,)),
+    ("sigmastarinv_phi", "inv(sigma_star)*phi", (1, 0, 1), (1, 0, 0b10)),
+    ("phi_id", "phi*id", (1, 1), (1, 0, 0b100)),
+)
+
+
+def _at(c: int, p: int) -> int:
+    """The mask c in P, with P replaced by the mask p (Horner)."""
+    r = 0
+    for j in range(c.bit_length() - 1, -1, -1):
+        r = _mul_bits(r, p) ^ (c >> j & 1)
+    return r
+
+
+class _BellSeries:
+    """closed_form(prime, m): coefficient m of N(T) / D(T) at P = prime.
+
+    It runs h_k = N_k + (the sum over j >= 1 of D_j h_(k-j)) and keeps
+    only the last len(D) coefficients, so memory stays linear in m.  A
+    call at the same prime and an exponent no smaller than the last
+    resumes where that call stopped, as the (P, m) grid asks.
+    """
+
+    __slots__ = ("num", "den", "_prime", "_k", "_ns", "_ds", "_window")
+
+    def __init__(self, num: "tuple[int, ...]", den: "tuple[int, ...]"):
+        self.num, self.den, self._prime = num, den, None
+
+    def __call__(self, prime: Poly, m: int) -> Poly:
+        p = prime.bits
+        if p != self._prime or m + 1 < self._k:
+            self._prime, self._k = p, 0
+            self._ns = [_at(c, p) for c in self.num]
+            self._ds = [(j, _at(c, p))
+                        for j, c in enumerate(self.den) if j and c]
+            self._window = [0] * len(self.den)
+        ns, ds, window, k = self._ns, self._ds, self._window, self._k
+        while k <= m:
+            h = ns[k] if k < len(ns) else 0
+            for j, d in ds:
+                h ^= _mul_bits(d, window[-j])
+            window.append(h)
+            del window[0]
+            k += 1
+        self._k = k
+        h = window[-1]
+        return ZERO if h == 0 else ONE if h == 1 else Poly(h)
 
 
 def registry(
@@ -181,169 +271,29 @@ def registry(
 ) -> list[LemmaSpec]:
     """The fixed lemma catalogue, built over the given function table.
 
-    Left-hand sides come from the table (so a corrupted table makes the
-    right lemmas fail); closed forms always use the true builtins.
+    Each spec's parts are read off its lhs, from the table (so a
+    corrupted table makes the right lemmas fail): sq(f) gives (f, f),
+    a*b gives (a, b), and inv(f) is one inverse per call, shared by
+    every spec that names it, so they share its prime-power cache.
+    Closed forms are the declared series and read no table.
     """
-    table = dict(BUILTINS) if functions is None else dict(functions)
-    f_z = table["z"]
-    f_id = table["id"]
-    f_mu = table["mu"]
-    f_phi = table["phi"]
-    f_sigma = table["sigma"]
-    f_sigmastar = table["sigma_star"]
-    inv_id = inverse(f_id)
-    inv_phi = inverse(f_phi)
-    inv_sigma = inverse(f_sigma)
-    inv_sigmastar = inverse(f_sigmastar)
+    table = BUILTINS if functions is None else functions
+    inverses: dict[str, MultiplicativeFunction] = {}
 
-    specs: list[LemmaSpec] = []
+    def term(name: str) -> MultiplicativeFunction:
+        if not name.startswith("inv("):
+            return table[name]
+        name = name[4:-1]
+        if name not in inverses:
+            inverses[name] = inverse(table[name])
+        return inverses[name]
 
-    def add(spec_id: str, lhs: str, parts, closed) -> None:
-        specs.append(LemmaSpec(spec_id, lhs, tuple(parts), closed))
+    def parts(lhs: str) -> tuple[MultiplicativeFunction, ...]:
+        names = [lhs[3:-1]] * 2 if lhs.startswith("sq(") else lhs.split("*")
+        return tuple(map(term, names))
 
-    # f*f vanishes at odd prime powers and squares f at even ones.
-    for name in _BUILTIN_ORDER:
-
-        def closed_square(prime: Poly, m: int, _f=BUILTINS[name]) -> Poly:
-            if m % 2:
-                return ZERO
-            v = _pp(_f, prime, m // 2)
-            return v * v
-
-        add(f"squareconv_{name}", f"sq({name})",
-            (table[name], table[name]), closed_square)
-
-    # Convolutions of plain builtins.
-    add("conv_z_mu", "z*mu", (f_z, f_mu),
-        lambda prime, m: ONE if m == 0 else ZERO)
-    add("conv_phi_z", "phi*z", (f_phi, f_z),
-        lambda prime, m: prime**m)
-    add("conv_id_z", "id*z", (f_id, f_z),
-        lambda prime, m: _pp(sigma, prime, m))
-    add("sigma_mu", "sigma*mu", (f_sigma, f_mu),
-        lambda prime, m: prime**m)
-
-    def cf_sigma_z(prime: Poly, m: int) -> Poly:
-        s = _pp(sigma, prime, m // 2)
-        sq = s * s
-        return sq if m % 2 == 0 else prime * sq
-
-    add("sigma_z", "sigma*z", (f_sigma, f_z), cf_sigma_z)
-
-    def cf_sigma_id(prime: Poly, m: int) -> Poly:
-        s = _pp(sigma, prime, m // 2)
-        return s * s
-
-    add("sigma_id", "sigma*id", (f_sigma, f_id), cf_sigma_id)
-    add("sigma_phi", "sigma*phi", (f_sigma, f_phi),
-        lambda prime, m: prime**m if m % 2 == 0 else ZERO)
-
-    def cf_sigmastar_mu(prime: Poly, m: int) -> Poly:
-        if m == 0:
-            return ONE
-        if m == 1:
-            return prime
-        return _pp(phi, prime, m)
-
-    add("sigmastar_mu", "sigma_star*mu", (f_sigmastar, f_mu), cf_sigmastar_mu)
-
-    def cf_sigmastar_z(prime: Poly, m: int) -> Poly:
-        s = _pp(sigma, prime, m - (m % 2))
-        return s if m % 2 == 0 else prime * s
-
-    add("sigmastar_z", "sigma_star*z", (f_sigmastar, f_z), cf_sigmastar_z)
-    add("sigmastar_id", "sigma_star*id", (f_sigmastar, f_id),
-        lambda prime, m: _pp(sigma, prime, m - (m % 2)))
-
-    def cf_sigmastar_phi(prime: Poly, m: int) -> Poly:
-        if m % 2:
-            return ZERO
-        return _pp(phi, prime, m) if m else ONE
-
-    add("sigmastar_phi", "sigma_star*phi", (f_sigmastar, f_phi), cf_sigmastar_phi)
-    add("sigmastar_sigma", "sigma_star*sigma", (f_sigmastar, f_sigma),
-        lambda prime, m: _pp(sigma, prime, m) if m % 2 == 0 else ZERO)
-
-    # Dirichlet inverses and their convolutions.
-    def cf_id_inv(prime: Poly, m: int) -> Poly:
-        if m == 0:
-            return ONE
-        return prime if m == 1 else ZERO
-
-    def cf_one_plus_prime(prime: Poly, m: int) -> Poly:
-        return ONE if m == 0 else ONE + prime
-
-    add("id_inv", "inv(id)", (inv_id,), cf_id_inv)
-    add("idinv_z", "inv(id)*z", (inv_id, f_z), cf_one_plus_prime)
-    add("sigma_idinv", "sigma*inv(id)", (f_sigma, inv_id),
-        lambda prime, m: ONE)
-    add("phi_inv", "inv(phi)", (inv_phi,), cf_one_plus_prime)
-    add("sigma_phiinv", "sigma*inv(phi)", (f_sigma, inv_phi),
-        lambda prime, m: ONE if m % 2 == 0 else ZERO)
-
-    def cf_sigma_inv(prime: Poly, m: int) -> Poly:
-        if m == 0:
-            return ONE
-        if m == 1:
-            return ONE + prime
-        return prime if m == 2 else ZERO
-
-    add("sigma_inv", "inv(sigma)", (inv_sigma,), cf_sigma_inv)
-
-    add("sigmainv_z", "inv(sigma)*z", (inv_sigma, f_z), cf_id_inv)
-    add("sigmainv_id", "inv(sigma)*id", (inv_sigma, f_id),
-        lambda prime, m: ONE if m <= 1 else ZERO)
-
-    def cf_sigmainv_mu(prime: Poly, m: int) -> Poly:
-        if m in (1, 3):
-            return prime
-        return ONE if m in (0, 2) else ZERO
-
-    add("sigmainv_mu", "inv(sigma)*mu", (inv_sigma, f_mu), cf_sigmainv_mu)
-    add("sigmastar_sigmainv", "sigma_star*inv(sigma)", (f_sigmastar, inv_sigma),
-        lambda prime, m: ONE if m == 0 else (prime if m == 2 else ZERO))
-
-    def cf_sigmastar_inv(prime: Poly, m: int) -> Poly:
-        if m == 0:
-            return ONE
-        if m % 2 == 0:
-            return ZERO
-        return prime ** (m // 2) * (ONE + prime)
-
-    add("sigmastar_inv", "inv(sigma_star)", (inv_sigmastar,), cf_sigmastar_inv)
-    add("sigmastarinv_z", "inv(sigma_star)*z", (inv_sigmastar, f_z),
-        lambda prime, m: prime ** (m // 2 + m % 2))
-    add("sigmastarinv_id", "inv(sigma_star)*id", (inv_sigmastar, f_id),
-        lambda prime, m: prime ** (m // 2))
-
-    def cf_sigmastarinv_mu(prime: Poly, m: int) -> Poly:
-        if m == 0:
-            return ONE
-        if m == 1:
-            return prime
-        half = prime ** ((m - 1) // 2) if m % 2 else prime ** (m // 2 - 1)
-        return half * (ONE + prime)
-
-    add("sigmastarinv_mu", "inv(sigma_star)*mu", (inv_sigmastar, f_mu),
-        cf_sigmastarinv_mu)
-    add("sigma_sigmastarinv", "sigma*inv(sigma_star)", (f_sigma, inv_sigmastar),
-        lambda prime, m: prime ** (m // 2) if m % 2 == 0 else ZERO)
-
-    # Convolutions against phi and id that collapse to near-trivial forms.
-    add("sigmainv_phi", "inv(sigma)*phi", (inv_sigma, f_phi),
-        lambda prime, m: ONE if m in (0, 2) else ZERO)
-
-    def cf_sigmastarinv_phi(prime: Poly, m: int) -> Poly:
-        if m % 2:
-            return ZERO
-        return _pp(phi, prime, m // 2) if m else ONE
-
-    add("sigmastarinv_phi", "inv(sigma_star)*phi", (inv_sigmastar, f_phi),
-        cf_sigmastarinv_phi)
-    add("phi_id", "phi*id", (f_phi, f_id),
-        lambda prime, m: prime ** (m - (m % 2)))
-
-    return specs
+    return [LemmaSpec(spec_id, lhs, parts(lhs), _BellSeries(num, den))
+            for spec_id, lhs, num, den in _LEMMAS]
 
 
 def check_lemma(spec: LemmaSpec, prime: Poly, m: int) -> IdentityReport:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,138 @@ class TestRegistry:
         for spec in registry():
             for prime in (X, P2):
                 assert spec.closed_form(prime, 0) == ONE, spec.id
+
+
+# The seven builtins' Bell series: the sum over r of f(P^r) T^r is
+# N(T) / D(T), as (N, D) coefficient tuples in T, lowest first, whose
+# entries are masks in P (bit j is P^j).  Written here from the rules'
+# definitions, independently of the lemma table.
+ONE_T = (1, 1)  # 1 + T
+ONE_PT = (1, 0b10)  # 1 + PT
+ONE_PT2 = (1, 0, 0b10)  # 1 + PT^2
+
+
+def tmul(u, v):
+    """The product of two polynomials in T over F2[P]."""
+    w = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            w[i + j] ^= (Poly(a) * Poly(b)).bits
+    return tuple(w)
+
+
+BELL = {
+    "delta": ((1,), (1,)),
+    "z": ((1,), ONE_T),
+    "id": ((1,), ONE_PT),
+    "mu": (ONE_T, (1,)),
+    "phi": (ONE_T, ONE_PT),
+    "sigma": ((1,), tmul(ONE_T, ONE_PT)),
+    "sigma_star": (ONE_PT2, tmul(ONE_T, ONE_PT)),
+}
+
+
+def bell_coefficients(num, den, count):
+    """The first count coefficients of N / D in F2[P][[T]], as masks."""
+    h = []
+    for k in range(count):
+        c = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            c ^= (Poly(den[j]) * Poly(h[k - j])).bits
+        h.append(c)
+    return h
+
+
+def at_prime(mask, prime):
+    """A mask in P, with P replaced by prime."""
+    acc = ZERO
+    for j in range(mask.bit_length()):
+        if mask >> j & 1:
+            acc += prime**j
+    return acc
+
+
+def lhs_series(lhs):
+    """(N, D) of a lemma's left side: inv swaps N and D, sq(f) squares
+    both, and * multiplies."""
+    if lhs.startswith("sq("):
+        num, den = BELL[lhs[3:-1]]
+        return tmul(num, num), tmul(den, den)
+    num, den = (1,), (1,)
+    for name in lhs.split("*"):
+        if name.startswith("inv("):
+            d, n = BELL[name[4:-1]]
+        else:
+            n, d = BELL[name]
+        num, den = tmul(num, n), tmul(den, d)
+    return num, den
+
+
+class TestBellSeries:
+    @pytest.mark.parametrize("name", sorted(BELL))
+    def test_builtin_series_match_rules(self, name):
+        f = BUILTINS[name]
+        for prime, count in ((X, 64), (P2, 16)):
+            h = bell_coefficients(*BELL[name], count)
+            for r in range(count):
+                assert at_prime(h[r], prime) == f.at_prime_power(prime, r), (
+                    prime, r)
+
+    @pytest.mark.parametrize("spec_id, lhs, num, den", identities._LEMMAS,
+                             ids=[row[0] for row in identities._LEMMAS])
+    def test_lemma_is_proved(self, spec_id, lhs, num, den):
+        # f*g = h as N_f N_g / (D_f D_g) = N_h / D_h: the cross products
+        # agree exactly in F2[P][T], so the lemma holds at every prime P
+        # and every exponent m.
+        assert den[0] == 1
+        lhs_num, lhs_den = lhs_series(lhs)
+        assert tmul(lhs_num, den) == tmul(num, lhs_den)
+
+    def test_table_is_the_registry(self):
+        specs = registry()
+        assert [(s.id, s.lhs) for s in specs] == [
+            row[:2] for row in identities._LEMMAS]
+        for spec, (_, _, num, den) in zip(specs, identities._LEMMAS):
+            h = bell_coefficients(num, den, 24)
+            for prime in (X, X1, P2):
+                for m in range(24):
+                    assert spec.closed_form(prime, m) == at_prime(h[m], prime)
+            # Asked again, or out of order, the evaluator starts over.
+            for m in (23, 5, 5):
+                assert spec.closed_form(P2, m) == at_prime(h[m], P2)
+
+    def test_parts_rebuild_lhs_and_share_inverses(self):
+        inverses = {}
+        for spec in registry():
+            names = [f.name for f in spec.parts]
+            rebuilt = "*".join(names)
+            if len(spec.parts) == 2 and spec.parts[0] is spec.parts[1]:
+                rebuilt = f"sq({names[0]})"
+            assert spec.lhs == rebuilt, spec.id
+            for f in spec.parts:
+                if f.name.startswith("inv("):
+                    assert inverses.setdefault(f.name, f) is f, spec.id
+        assert sorted(inverses) == [
+            "inv(id)", "inv(phi)", "inv(sigma)", "inv(sigma_star)"]
+
+    def test_high_exponent_in_bounded_memory(self):
+        # The closed form keeps len(D) coefficients, not all m of them: a
+        # list of every coefficient up to m = 20000 would peak near 25 MB.
+        # sigma*z at P^(2k) is sigma(P^k)^2, at x^20000 the even powers of
+        # x up to x^20000.  The oracle's side costs O(m^2) multiplies
+        # (over 100 s at m = 20000), so check_lemma runs at m = 1000.
+        spec = spec_by_id("sigma_z")
+        tracemalloc.start()
+        try:
+            value = spec.closed_form(X, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert value.bits == (4**10001 - 1) // 3
+        report = check_lemma(spec, X, 1000)
+        assert report.passed
+        assert report.expected.bits == (4**501 - 1) // 3
 
 
 class TestCheckLemma:
