@@ -15,9 +15,9 @@ import argparse
 import os
 import sys
 
-from .factorize import factor, is_irreducible
+from .factorize import MersenneForm, factor, is_irreducible
 from .divisors import ResourceLimitError
-from .gf2poly import ONE, Poly, PolyParseError, X, X1
+from .gf2poly import Poly, PolyParseError
 
 __all__ = ["main"]
 
@@ -90,7 +90,7 @@ def _cmd_mersenne(args: argparse.Namespace) -> int:
     found = []
     for a in range(1, n):
         for b in range(1, n - a + 1):
-            p = X**a * X1**b + ONE
+            p = MersenneForm(a, b).polynomial()
             if is_irreducible(p):
                 found.append((p.degree, p.bits, a, b))
     for _, bits, a, b in sorted(found):

@@ -1,12 +1,14 @@
 """Divisor-lattice queries on factored binary polynomials.
 
 Every divisor enumeration in the package (divisors, unitary_divisors,
-the convolution oracle, the identity lattice) goes through one walker,
+and the function tables of multfun._Lattice, which the convolution
+oracle and the corollary checks share) goes through one walker,
 _products, in mixed-radix counting order over the exponent vectors (the
 first listed factor is the fastest digit), so output order is
-reproducible.  Enumerations larger than DIVISOR_LIMIT entries are
-refused there, before any value is computed, rather than silently
-truncated.
+reproducible.  In that order the complement A/D of the n-th divisor D of
+A is the (size - 1 - n)-th, so a table of g(D) read backwards is a table
+of g(A/D).  Enumerations larger than DIVISOR_LIMIT entries are refused
+there, before any value is computed, rather than silently truncated.
 """
 
 from math import prod

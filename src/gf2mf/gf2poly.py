@@ -149,6 +149,14 @@ def _gcd_bits(a: int, b: int) -> int:
     return a
 
 
+def _compose_bits(c: int, p: int) -> int:
+    """The mask c with x replaced by the mask p, i.e. c(p) (Horner)."""
+    r = 0
+    for j in range(c.bit_length() - 1, -1, -1):
+        r = _mul_bits(r, p) ^ (c >> j & 1)
+    return r
+
+
 class Poly:
     """A binary polynomial as an immutable bitmask.
 
@@ -423,10 +431,4 @@ def sqrt_if_square(a: Poly) -> "Poly | None":
 
 def conjugate(a: Poly) -> Poly:
     """Substitute x -> x+1 (a ring automorphism and an involution)."""
-    bits = a.bits
-    if bits == 0:
-        return ZERO
-    r = 0
-    for i in range(bits.bit_length() - 1, -1, -1):
-        r = _mul_bits(r, 3) ^ ((bits >> i) & 1)
-    return Poly(r)
+    return Poly(_compose_bits(a.bits, 3))

@@ -23,13 +23,14 @@ its left side is the literal XOR of f(D) g(A/D) over the divisors D the
 filter picks (every D, the proper ones, or those other than 1 and A).
 Sums over the D with A/D squarefree are convolutions with mu, since in
 characteristic 2 mu(Q) is 1 exactly when Q is squarefree, and with
-inv(id), since inv(id)(Q) = mu(Q) Q.  The lattice of A factors A once
-and tabulates f(D) and g(A/D) once per function, each entry evaluated
-multiplicatively at its own divisor; every spec at A shares them, and
-its precondition (square, special, nontrivial) reads the lattice's
-exponent vector.  A right side of None means the left side must differ
-from A: a square convolution equals A exactly when f fixes the square
-root of A.  The catalogue is built once, at import.
+inv(id), since inv(id)(Q) = mu(Q) Q.  The lattice of A is the oracle's
+own, multfun._Lattice: it factors A once and walks each function once,
+each entry evaluated multiplicatively at its own divisor, and reads
+g(A/D) off g's table at the complement index.  Every spec at A shares
+the tables, and its precondition (square, special, nontrivial) reads
+the lattice's exponent vector.  A right side of None means the left
+side must differ from A: a square convolution equals A exactly when f
+fixes the square root of A.  The catalogue is built once, at import.
 
 registry(functions=...) accepts an alternative table of the seven named
 functions so tests can corrupt one rule and watch the right lemmas
@@ -38,15 +39,15 @@ fail; closed forms read no table.
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
-from .divisors import _power_bits, _products, radical
+from .divisors import radical
 from .factorize import factor, irreducibles_up_to, is_irreducible
-from .gf2poly import ONE, Poly, ZERO, _mul_bits, _sqrt_bits
+from .gf2poly import ONE, Poly, ZERO, _compose_bits, _mul_bits
 from .multfun import (
     BUILTINS,
     MultiplicativeFunction,
+    _Lattice,
     convolve_bruteforce,
     ident,
     inverse,
@@ -223,14 +224,6 @@ _LEMMAS: "tuple[tuple[str, str, tuple[int, ...], tuple[int, ...]], ...]" = (
 )
 
 
-def _at(c: int, p: int) -> int:
-    """The mask c in P, with P replaced by the mask p (Horner)."""
-    r = 0
-    for j in range(c.bit_length() - 1, -1, -1):
-        r = _mul_bits(r, p) ^ (c >> j & 1)
-    return r
-
-
 class _BellSeries:
     """closed_form(prime, m): coefficient m of N(T) / D(T) at P = prime.
 
@@ -249,8 +242,8 @@ class _BellSeries:
         p = prime.bits
         if p != self._prime or m + 1 < self._k:
             self._prime, self._k = p, 0
-            self._ns = [_at(c, p) for c in self.num]
-            self._ds = [(j, _at(c, p))
+            self._ns = [_compose_bits(c, p) for c in self.num]
+            self._ds = [(j, _compose_bits(c, p))
                         for j, c in enumerate(self.den) if j and c]
             self._window = [0] * len(self.den)
         ns, ds, window, k = self._ns, self._ds, self._window, self._k
@@ -351,76 +344,18 @@ def check_all(
 # --- corollaries over the divisor lattice -----------------------------------
 
 
-class _Lattice:
-    """Exponent-vector view of the divisor lattice of one polynomial.
-
-    Entry n of every list here belongs to the n-th exponent vector in
-    counting order: ds and qs hold the divisor D and the codivisor A/D,
-    table(f) and cotable(g) hold f(D) and g(A/D).  All come from the
-    walker of gf2mf.divisors, the codivisors over reversed exponent rows,
-    and each table is built once per function and kept with the lattice.
-    root is the square root of A when every exponent is even, else None.
-    """
-
-    def __init__(self, a: Poly):
-        self.fact = factor(a)
-        self.exps = [e for _, e in self.fact]
-        self.root = (Poly(_sqrt_bits(a.bits))
-                     if all(e % 2 == 0 for e in self.exps) else None)
-        self._rows = [(p, range(e + 1)) for p, e in self.fact]
-        self._corows = [(p, range(e, -1, -1)) for p, e in self.fact]
-        self.ds = _products(self._rows, _power_bits)
-        self.qs = _products(self._corows, _power_bits)
-        self._fs = {ident: self.ds}
-        self._gs = {ident: self.qs}
-        self._values: "dict[tuple[MultiplicativeFunction, int], Poly]" = {}
-
-    def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """Yield (exponents, divisor mask, codivisor mask) in counting order."""
-        # itertools.product counts with its last range fastest.
-        counts = product(*[range(e + 1) for e in reversed(self.exps)])
-        yield from zip((t[::-1] for t in counts), self.ds, self.qs)
-
-    def table(self, f: MultiplicativeFunction) -> list[int]:
-        """f(D) for every divisor D, as masks in counting order."""
-        if f not in self._fs:
-            self._fs[f] = _products(self._rows, _values(f))
-        return self._fs[f]
-
-    def cotable(self, g: MultiplicativeFunction) -> list[int]:
-        """g(A/D) for every divisor D, as masks in counting order."""
-        if g not in self._gs:
-            self._gs[g] = _products(self._corows, _values(g))
-        return self._gs[g]
-
-    def value(self, f: MultiplicativeFunction, b: Poly) -> Poly:
-        """f(b), evaluated by f itself once per (f, b) on this lattice.
-
-        Right sides read this, never table(f), so they stay independent
-        of the tables the left sides XOR.
-        """
-        key = (f, b.bits)
-        if key not in self._values:
-            self._values[key] = f(b)
-        return self._values[key]
-
-
-def _values(f: MultiplicativeFunction) -> Callable[[Poly, int], int]:
-    return lambda p, j: f.at_prime_power(p, j).bits
-
-
 # Divisor filters: each returns the lattice indices n that a sum runs over.
 # Index 0 is the divisor 1 and the last index is A itself.
 def _every(lat: _Lattice) -> "range":
-    return range(len(lat.ds))
+    return range(lat.size)
 
 
 def _mid(lat: _Lattice) -> "range":
-    return range(1, len(lat.ds) - 1)
+    return range(1, lat.size - 1)
 
 
 def _proper(lat: _Lattice) -> "range":
-    return range(len(lat.ds) - 1)
+    return range(lat.size - 1)
 
 
 # Preconditions, read off the exponent vector of A.  A = 1 has none.

@@ -8,25 +8,32 @@ product all yield new functions whose rules are derived symbolically
 from their operands' rules.
 
 convolve_bruteforce is the deliberately independent oracle: it computes
-(f*g)(a) as the literal sum over all divisors d of f(d) g(a/d), listing
-both factors with the divisor walker of gf2mf.divisors instead of
-composing per-prime convolutions.  The two routes must agree
-everywhere; the test suite holds them to that.  _divsum_affine is the
-one home of the sigma and sigma_star rules: it states each as an affine
-recurrence in P^step, which _divsum_bits runs at step 1 for the two
-builtins and for the exhaustive search's closure prune, and which
-gf2mf.perfect carries through its fixed-point searches.
+(f*g)(a) as the literal sum over all divisors d of f(d) g(a/d) instead
+of composing per-prime convolutions.  The two routes must agree
+everywhere; the test suite holds them to that.  _Lattice is the only
+code that tabulates a function over the divisors of a: one walk of the
+divisor walker of gf2mf.divisors per function, in counting order, where
+a/d sits at the complement index size - 1 - n of d (the involution
+d <-> a/d), so g(a/d) is the same table read from the other end.  The
+oracle and the corollary checks of gf2mf.identities both read it.
+
+_divsum_affine is the one home of the sigma and sigma_star rules: it
+states each as an affine recurrence in P^step, which _divsum_bits runs
+at step 1 for the two builtins and for the exhaustive search's closure
+prune, and which gf2mf.perfect carries through its fixed-point searches.
 
 Prime-power values are cached per function.  Caches are insert-once
 with deterministic values, so they are invisible to the function's
 behavior.
 """
 
-from typing import Callable
+from itertools import product
+from math import prod
+from typing import Callable, Iterator
 
 from .divisors import _products
 from .factorize import factor
-from .gf2poly import ONE, Poly, ZERO, _mul_bits
+from .gf2poly import ONE, Poly, ZERO, _mul_bits, _sqrt_bits
 
 __all__ = [
     "MultiplicativeFunction",
@@ -205,18 +212,69 @@ def square_conv(f: MultiplicativeFunction) -> MultiplicativeFunction:
     return MultiplicativeFunction(f"sq({f.name})", _conv_rule(f, f))
 
 
+class _Lattice:
+    """The divisor lattice of one polynomial A, factored once.
+
+    Entry n of every table belongs to the n-th exponent vector in
+    counting order, of size entries: table(f) holds f(D) and cotable(g)
+    holds g(A/D).  A/D has the complementary exponent vector, at index
+    size - 1 - n, so cotable(g) is g's table reversed.  Each function is
+    walked once and its table kept with the lattice.  root is the square
+    root of A when every exponent is even, else None.
+    """
+
+    def __init__(self, a: Poly):
+        self.fact = factor(a)
+        self.exps = [e for _, e in self.fact]
+        self.size = prod(e + 1 for e in self.exps)
+        self.root = (Poly(_sqrt_bits(a.bits))
+                     if all(e % 2 == 0 for e in self.exps) else None)
+        self._rows = [(p, range(e + 1)) for p, e in self.fact]
+        self._tables: "dict[MultiplicativeFunction, list[int]]" = {}
+        self._values: "dict[tuple[MultiplicativeFunction, int], Poly]" = {}
+
+    def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """Yield (exponents, divisor mask, codivisor mask) in counting order."""
+        ds = self._walk(ident)
+        # itertools.product counts with its last range fastest.
+        counts = product(*[range(e + 1) for e in reversed(self.exps)])
+        yield from zip((t[::-1] for t in counts), ds, reversed(ds))
+
+    def _walk(self, f: MultiplicativeFunction) -> list[int]:
+        if f not in self._tables:
+            self._tables[f] = _products(
+                self._rows, lambda p, j: f.at_prime_power(p, j).bits)
+        return self._tables[f]
+
+    def table(self, f: MultiplicativeFunction) -> list[int]:
+        """f(D) for every divisor D, as masks in counting order."""
+        return self._walk(f)
+
+    def cotable(self, g: MultiplicativeFunction) -> list[int]:
+        """g(A/D) for every divisor D, as masks in counting order."""
+        # Not self.table(g): each side can be replaced without the other.
+        return self._walk(g)[::-1]
+
+    def value(self, f: MultiplicativeFunction, b: Poly) -> Poly:
+        """f(b), evaluated by f itself once per (f, b) on this lattice.
+
+        Right sides read this, never table(f), so they stay independent
+        of the tables the left sides XOR.
+        """
+        key = (f, b.bits)
+        if key not in self._values:
+            self._values[key] = f(b)
+        return self._values[key]
+
+
 def convolve_bruteforce(f: MultiplicativeFunction, g: MultiplicativeFunction,
                         a: Poly) -> Poly:
     """(f*g)(a) as the literal sum over all divisors d of f(d) g(a/d)."""
     if a.bits == 0:
         raise ValueError("convolution is undefined at 0")
-    fact = factor(a)
-    fvals = _products([(p, range(e + 1)) for p, e in fact],
-                      lambda p, j: f.at_prime_power(p, j).bits)
-    gvals = _products([(p, range(e, -1, -1)) for p, e in fact],
-                      lambda p, j: g.at_prime_power(p, j).bits)
+    lat = _Lattice(a)
     acc = 0
-    for fd, gq in zip(fvals, gvals):
+    for fd, gq in zip(lat.table(f), lat.cotable(g)):
         acc ^= _mul_bits(fd, gq)
     return Poly(acc)
 

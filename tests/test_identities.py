@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from gf2mf import identities
+from gf2mf import identities, multfun
+from gf2mf.divisors import divisors
 from gf2mf.factorize import factor
 from gf2mf.gf2poly import ONE, Poly, ZERO, sqrt_if_square
 from gf2mf.identities import (
@@ -518,7 +519,8 @@ class TestLatticeTables:
         root = X * X1 * P2
         a = root**2  # special: every corollary applies
         assert all(r.passed for r in check_corollaries(a))
-        index = identities._Lattice(a).ds.index(root.bits)  # mid, A/D = root
+        # mid, A/D = root
+        index = identities._Lattice(a).table(ident).index(root.bits)
         original = getattr(identities._Lattice, method)
         target = FUNCTIONS[name]
 
@@ -565,6 +567,25 @@ class TestLatticeTables:
         monkeypatch.setattr(identities._Lattice, method, corrupted)
         assert {r.spec_id for r in check_corollaries(a)
                 if not r.passed} == failing
+
+    def test_each_function_read_is_walked_once(self, monkeypatch):
+        # One walk per function a left side reads, whichever side reads
+        # it (sigma reads on both); g(A/D) is g's table read backwards,
+        # and z(A/D) = 1 is not read at all.
+        walked = []
+
+        def counted(rows, value, walk=multfun._products):
+            walked.append(walk(rows, value))
+            return walked[-1]
+
+        monkeypatch.setattr(multfun, "_products", counted)
+        a = (X * X1 * P2) ** 2  # special: every corollary applies
+        assert all(r.passed for r in check_corollaries(a))
+        specs = corollary_registry()
+        read = {s.f for s in specs} | {s.g for s in specs if s.g is not z}
+        assert len(read) == 9
+        ds = divisors(factor(a))
+        assert sorted(walked) == sorted([f(d).bits for d in ds] for f in read)
 
     def test_right_sides_evaluate_each_value_once(self, monkeypatch):
         calls = []

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
+from gf2mf import multfun
+from gf2mf.divisors import (
+    ResourceLimitError,
+    _products,
+    divisors,
+    unitary_divisors,
+)
 from gf2mf.factorize import factor, irreducibles_up_to
 from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _mul_bits, conjugate
 from gf2mf.multfun import (
@@ -219,6 +225,20 @@ class TestConvolve:
         s = Poly("x^2+x")
         assert convolve_bruteforce(sigma, sigma, s) == ZERO
         assert convolve_bruteforce(sigma, ident, s) == ONE
+
+    @pytest.mark.parametrize("g, walks", [(sigma, 1), (phi, 2)])
+    def test_bruteforce_walks_each_function_once(self, monkeypatch, g, walks):
+        # g(a/d) is g's table read backwards: sq(sigma) walks sigma once.
+        calls = []
+
+        def counted(rows, value):
+            calls.append(rows)
+            return _products(rows, value)
+
+        monkeypatch.setattr(multfun, "_products", counted)
+        a = X**6
+        assert convolve_bruteforce(sigma, g, a) == convolve(sigma, g)(a)
+        assert len(calls) == walks
 
 
 class TestInverse:

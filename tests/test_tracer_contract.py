@@ -10,7 +10,7 @@ calls under it and checks that nothing they return changes.
 import importlib.util
 import os
 
-from gf2mf import factorize, identities, perfect
+from gf2mf import factorize, identities, multfun, perfect
 from gf2mf.gf2poly import Poly
 
 _TRACER = os.path.join(
@@ -71,3 +71,22 @@ def test_traced_calls_match_untraced_ones():
     assert perfect.odd_square_scan is scan
     assert (perfect._run_shards, perfect.ThreadPoolExecutor,
             identities.ThreadPoolExecutor) == placeholders
+
+
+def test_traced_grid_counts_the_oracle():
+    # The tracer wraps identities._Lattice, which is the oracle's class,
+    # and counts an oracle call's terms from the factor call the
+    # lattice makes inside it.
+    assert identities._Lattice is multfun._Lattice
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        identities.check_all(1, 2)
+        snapshot = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module.layer_metrics(snapshot, 1.0)
+    # 33 two-sided lemmas at x and x+1, m = 0, 1, 2: 1 + 2 + 3 divisors.
+    assert metrics["multfun.oracle_calls"] == 33 * 2 * 3 == 198
+    assert metrics["multfun.oracle_terms"] == 33 * 2 * 6 == 396
