@@ -51,7 +51,9 @@ def _products(rows: "list[tuple[Poly, Sequence[int]]]",
     out = [1]
     for p, exps in rows:
         vals = [value(p, j) for j in exps]
-        out = [_mul_bits(d, v) for v in vals for d in out]
+        # The products by the unit, the first row's, are the row itself.
+        out = vals if out == [1] else [_mul_bits(d, v)
+                                       for v in vals for d in out]
     return out
 
 

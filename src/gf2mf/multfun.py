@@ -27,6 +27,7 @@ with deterministic values, so they are invisible to the function's
 behavior.
 """
 
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Callable, Iterator
@@ -219,19 +220,29 @@ class _Lattice:
     counting order, of size entries: table(f) holds f(D) and cotable(g)
     holds g(A/D).  A/D has the complementary exponent vector, at index
     size - 1 - n, so cotable(g) is g's table reversed.  Each function is
-    walked once and its table kept with the lattice.  root is the square
-    root of A when every exponent is even, else None.
+    walked once and its table kept with the lattice.  root and the
+    values of value() are made on first read, since the oracle reads
+    neither.
     """
 
     def __init__(self, a: Poly):
+        self._a = a
         self.fact = factor(a)
         self.exps = [e for _, e in self.fact]
         self.size = prod(e + 1 for e in self.exps)
-        self.root = (Poly(_sqrt_bits(a.bits))
-                     if all(e % 2 == 0 for e in self.exps) else None)
         self._rows = [(p, range(e + 1)) for p, e in self.fact]
         self._tables: "dict[MultiplicativeFunction, list[int]]" = {}
-        self._values: "dict[tuple[MultiplicativeFunction, int], Poly]" = {}
+
+    @cached_property
+    def root(self) -> "Poly | None":
+        """The square root of A when every exponent is even, else None."""
+        if any(e % 2 for e in self.exps):
+            return None
+        return Poly(_sqrt_bits(self._a.bits))
+
+    @cached_property
+    def _values(self) -> "dict[tuple[MultiplicativeFunction, int], Poly]":
+        return {}
 
     def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Yield (exponents, divisor mask, codivisor mask) in counting order."""

@@ -33,7 +33,11 @@ constant term 1 and S(1) = 1, the products of odd irreducibles, taking
 even exponents only.  It keeps an unpruned walk of its own, _walk,
 because its report counts every candidate.  That walk compares and
 tallies each candidate where it is made, so no candidate is handed up
-through the recursion.
+through the recursion.  At a node, a prime whose square has more than
+half the degree left admits P^2 alone and nothing after it; those are
+the node's last primes, and the walk checks them in one flat loop, one
+candidate per prime, apart from the loop that raises exponents and
+recurses.  They make most candidates: 129071 of the 131071 at degree 36.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -45,6 +49,7 @@ them, and passing the filter never claims a candidate is perfect.
 """
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, count
 from types import MappingProxyType
@@ -190,6 +195,15 @@ def _walk(primes, max_deg, unitary, sample_rejected):
     are compared whole.  sample holds the sample_rejected smallest
     rejected masks, in no order.
 
+    A node with room R left splits its primes, whose weights 2 deg P
+    ascend, by bisection.  The head, of weight <= R // 2, runs each
+    exponent k <= R // w and recurses.  Each prime of the tail, of weight
+    above R // 2, admits P^2 only and nothing after it, so the tail is
+    one flat loop with one candidate per prime; it masks the divisor sum
+    only for the full comparison.  Both parts admit a rejected mask to
+    the sample only below cut: above every mask until the sample is full,
+    then its largest mask.
+
     The walk runs on lane values (gf2poly._spread), so each product is
     one integer multiply masked by keep; each visited prime's lane is
     squared once for P^2.  _divsum_affine only XORs, so it gives c in
@@ -204,14 +218,24 @@ def _walk(primes, max_deg, unitary, sample_rejected):
     hits: "list[int]" = []
     heap: "list[int]" = []  # negated: a max-heap of the smallest
     full = 0
+    cut = keep + 1 if sample_rejected else 0
+
+    def sample(a2: int) -> None:  # called for a2 < cut only
+        nonlocal cut
+        if len(heap) < sample_rejected:
+            heapq.heappush(heap, -a2)
+        else:
+            heapq.heapreplace(heap, -a2)
+        if len(heap) == sample_rejected:
+            cut = -heap[0]
 
     def walk(first: int, room: int, a: int, acc: int) -> int:
         nonlocal full
         rej = 0
-        for i in range(first, n):
+        mid = bisect_right(weights, room >> 1, first)
+        end = bisect_right(weights, room, mid)
+        for i in range(first, mid):
             w = weights[i]
-            if w > room:
-                break
             lp = lanes[i]
             base = lp * lp & keep
             s0, c = _divsum_affine(lp, base, 2, unitary)
@@ -224,10 +248,8 @@ def _walk(primes, max_deg, unitary, sample_rejected):
                 acc2 = acc * sig & keep
                 if (acc2 ^ a2) & low:
                     rej += 1
-                    if len(heap) < sample_rejected:
-                        heapq.heappush(heap, -a2)
-                    elif heap and a2 < -heap[0]:
-                        heapq.heapreplace(heap, -a2)
+                    if a2 < cut:
+                        sample(a2)
                 else:
                     full += 1
                     if acc2 == a2:
@@ -239,7 +261,23 @@ def _walk(primes, max_deg, unitary, sample_rejected):
                     pw = pw * base & keep
                     sig = sig * base & keep ^ c
                 k += 1
-        return rej
+        passed = 0
+        for lp in lanes[mid:end]:
+            base = lp * lp & keep
+            s0, c = _divsum_affine(lp, base, 2, unitary)
+            a2 = a * base & keep
+            # Unmasked: of degree deg A + 2 deg P <= max_deg, its lanes
+            # hold whole coefficient counts, whose low bits are the mask's.
+            acc2 = acc * (base ^ c if s0 else c)
+            if (acc2 ^ a2) & low:
+                if a2 < cut:
+                    sample(a2)
+            else:
+                passed += 1
+                if acc2 & keep == a2:
+                    hits.append(a2)
+        full += passed
+        return rej + end - mid - passed
 
     rej = walk(0, max_deg, 1, 1)
     return (rej, full, [_unspread(x) for x in hits],
@@ -377,8 +415,9 @@ def odd_square_scan(
     ascending order with their exponents, and extends A and its divisor
     sum by one prime power per step, so no candidate is ever factored.
     The low coefficients of the divisor sum are compared first; survivors
-    get the full comparison.  Counters and the smallest filter-rejected
-    candidates are recorded for conservativeness checks.
+    get the full comparison.  Counters and the sample_rejected smallest
+    filter-rejected candidates are recorded for conservativeness checks;
+    sample_rejected must be an int >= 0.
 
     With unitary=True the hits are always empty: no odd A != 1 is
     unitary-perfect.  Each P^e exactly dividing A has P(1) = 1, so x+1
@@ -389,6 +428,8 @@ def odd_square_scan(
         raise ResourceLimitError(
             f"odd-square scan degree must be 2..{ODD_SCAN_MAX_DEG}"
         )
+    if type(sample_rejected) is not int or sample_rejected < 0:
+        raise ValueError("sample_rejected must be an int >= 0")
     # A sieve of the scan's own, freed once read: nothing of degree
     # max_deg // 2 stays cached after the scan.  Masks 2 and 3 are the
     # linear primes.

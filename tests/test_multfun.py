@@ -1,5 +1,7 @@
 """Tests for the multiplicative-function algebra."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,8 @@ from gf2mf.divisors import (
     unitary_divisors,
 )
 from gf2mf.factorize import factor, irreducibles_up_to
-from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _mul_bits, conjugate
+from gf2mf.gf2poly import (ONE, Poly, X, X1, ZERO, _mul_bits, _sqrt_bits,
+                           conjugate)
 from gf2mf.multfun import (
     BUILTINS,
     MAX_EXPRESSION_TERMS,
@@ -35,6 +38,9 @@ from gf2mf.multfun import (
 )
 
 ALL_BUILTINS = [delta, z, ident, mu, phi, sigma, sigma_star]
+
+# The module, which the package's function of the same name shadows.
+divisors_module = importlib.import_module("gf2mf.divisors")
 
 nonzero_masks = st.integers(min_value=1, max_value=(1 << 13) - 1)
 
@@ -239,6 +245,46 @@ class TestConvolve:
         a = X**6
         assert convolve_bruteforce(sigma, g, a) == convolve(sigma, g)(a)
         assert len(calls) == walks
+
+    @pytest.mark.parametrize("a, products", [
+        (Poly("x^2+x+1") ** 6, 0),
+        (X**2 * Poly("x^2+x+1") ** 3, 12),
+    ])
+    def test_lattice_multiplies_no_value_by_the_unit(self, monkeypatch, a,
+                                                     products):
+        # The first row's values are the first row's products: a one-prime
+        # lattice multiplies nothing, and each later row pays one product
+        # per entry of the tables it extends.
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return _mul_bits(x, y)
+
+        expected = [sigma(d).bits for d in divisors(factor(a))]
+        monkeypatch.setattr(divisors_module, "_mul_bits", counted)
+        lat = multfun._Lattice(a)
+        assert lat.table(sigma) == expected
+        lat.cotable(phi)
+        assert len(calls) == 2 * products
+
+    def test_oracle_never_takes_a_square_root(self, monkeypatch):
+        # Only the corollary filters read the lattice's root, once each
+        # lattice however often they read it.
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return _sqrt_bits(n)
+
+        monkeypatch.setattr(multfun, "_sqrt_bits", counted)
+        a = (X * X1 * Poly("x^2+x+1")) ** 2
+        assert convolve_bruteforce(sigma, phi, a) == convolve(sigma, phi)(a)
+        assert calls == []
+        lat = multfun._Lattice(a)
+        assert lat.root == lat.root == X * X1 * Poly("x^2+x+1")
+        assert multfun._Lattice(X**3).root is None
+        assert calls == [a.bits]
 
 
 class TestInverse:

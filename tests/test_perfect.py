@@ -371,7 +371,9 @@ class TestOddScan:
         return [Poly(s) ** 2 for s in range(2, 1 << (max_deg // 2 + 1))
                 if not any(p in (X, X1) for p, _ in factor(Poly(s)))]
 
-    @pytest.mark.parametrize("max_deg", [20, 24])
+    # At degrees 12 and 16 most nodes have tail primes only: primes that
+    # admit P^2 and no child.
+    @pytest.mark.parametrize("max_deg", [12, 16, 20, 24])
     @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
                              ids=["sigma", "sigma_star"])
     def test_walk_matches_a_plain_loop_over_every_s(self, max_deg, unitary, f):
@@ -390,8 +392,9 @@ class TestOddScan:
         everything = expected.filter_rejected
         assert odd_square_scan(max_deg, unitary,
                                sample_rejected=everything) == expected
-        few = odd_square_scan(max_deg, unitary, sample_rejected=7)
-        assert few.rejected_sample == expected.rejected_sample[:7]
+        for size in (0, 1, 7):
+            few = odd_square_scan(max_deg, unitary, sample_rejected=size)
+            assert few.rejected_sample == expected.rejected_sample[:size]
 
     def test_walked_divisor_sum_multiplies_the_whole_factorization(
             self, monkeypatch):
@@ -464,6 +467,11 @@ class TestOddScan:
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
             odd_square_scan(41)
+
+    @pytest.mark.parametrize("size", [-1, 2.5, True])
+    def test_sample_size_must_be_a_non_negative_int(self, size):
+        with pytest.raises(ValueError, match="sample_rejected"):
+            odd_square_scan(20, sample_rejected=size)
 
 
 class TestWalkCost:
