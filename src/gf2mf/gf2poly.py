@@ -185,9 +185,6 @@ class Poly:
             return None
         return self.bits.bit_length() - 1
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def __bool__(self) -> bool:
         return self.bits != 0
 

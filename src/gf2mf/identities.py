@@ -17,20 +17,22 @@ Each CorollarySpec states a divisor-lattice identity at a whole
 polynomial A.  The registered forms do not assume any fixed-point
 property of A: sides that classical statements shorten using sigma(A)=A
 are kept as computed values, so the identities are checkable on
-arbitrary squares and special polynomials today.  Every corollary is
-declared as the convolution f*g its id names, over a range of divisors:
-its left side is the literal XOR of f(D) g(A/D) over the divisors D the
-filter picks (every D, the proper ones, or those other than 1 and A).
-Sums over the D with A/D squarefree are convolutions with mu, since in
-characteristic 2 mu(Q) is 1 exactly when Q is squarefree, and with
-inv(id), since inv(id)(Q) = mu(Q) Q.  The lattice of A is the oracle's
-own, multfun._Lattice: it factors A once and walks each function once,
-each entry evaluated multiplicatively at its own divisor, and reads
-g(A/D) off g's table at the complement index.  Every spec at A shares
-the tables, and its precondition (square, special, nontrivial) reads
-the lattice's exponent vector.  A right side of None means the left
-side must differ from A: a square convolution equals A exactly when f
-fixes the square root of A.  The catalogue is built once, at import.
+arbitrary squares and special polynomials today.  Each corollary is a
+row (id, shape, nontrivial, f, g, span, rhs) of _COROLLARIES, read by
+one checker.  Its left side is the literal XOR of f(D) g(A/D) over the
+divisors D its span picks (every D, the proper ones, or those other
+than 1 and A).  Its right side is the XOR of its terms, each a function
+(or none) at A, its square root, its radical or 1.  Sums over the D
+with A/D squarefree are convolutions with mu, since in characteristic 2
+mu(Q) is 1 exactly when Q is squarefree, and with inv(id), since
+inv(id)(Q) = mu(Q) Q.  The lattice of A is the oracle's own,
+multfun._Lattice: it factors A once and walks each function once, each
+entry evaluated multiplicatively at its own divisor, and reads g(A/D)
+off g's table at the complement index.  Every spec at A shares the
+tables, and its precondition (shape and nontrivial) reads the lattice's
+exponent vector.  A right side of None means the left side must differ
+from A: a square convolution equals A exactly when f fixes the square
+root of A.  The catalogue is built once, at import.
 
 registry(functions=...) accepts an alternative table of the seven named
 functions so tests can corrupt one rule and watch the right lemmas
@@ -94,20 +96,26 @@ class LemmaSpec:
 
 @dataclass(frozen=True)
 class CorollarySpec:
-    """The XOR of f(D) g(A/D) over the divisors D that where(lattice)
-    picks, when applies(lattice), against rhs(a, lattice).
+    """The XOR of f(D) g(A/D) over the divisors D in span, at an A whose
+    exponents have the given shape, against the XOR of the rhs terms.
 
-    It passes when the left side equals the right side, or, where that
-    is None, when the left side differs from A.  Every callable gets the
-    divisor lattice of A, shared by every spec.
+    shape is "any", "square" (every exponent even) or "special" (every
+    exponent 2); nontrivial also skips A = 1.  span is "every", "mid"
+    (not 1 or A) or "proper" (not A).  A term is (h, arg) or (h, arg, 2):
+    arg is "A", "root", "rad" or "1", the term's value is the argument
+    itself when h is None and h of it otherwise, and a trailing 2 squares
+    it.  The spec passes when the two sides are equal; where rhs is None
+    (a square convolution) the right side is A when f fixes the root of
+    A, and otherwise the left side must differ from A.
     """
 
     id: str
-    applies: Callable[["_Lattice"], bool]
+    shape: str
+    nontrivial: bool
     f: MultiplicativeFunction
     g: MultiplicativeFunction
-    where: Callable[["_Lattice"], range]
-    rhs: Callable[[Poly, "_Lattice"], "Poly | None"]
+    span: str
+    rhs: "tuple[tuple, ...] | None"
 
 
 @dataclass(slots=True)
@@ -344,119 +352,80 @@ def check_all(
 # --- corollaries over the divisor lattice -----------------------------------
 
 
-# Divisor filters: each returns the lattice indices n that a sum runs over.
-# Index 0 is the divisor 1 and the last index is A itself.
-def _every(lat: _Lattice) -> "range":
-    return range(lat.size)
+# A span's divisor indices are range(first, lat.size - last): index 0 is
+# the divisor 1 and the last index is A itself.
+_SPANS = {"every": (0, 0), "mid": (1, 1), "proper": (0, 1)}
+
+_COROLLARIES: "tuple[CorollarySpec, ...]" = tuple(CorollarySpec(*r) for r in (
+    ("corol_sigma_mu", "square", False, sigma, mu, "mid",
+     ((None, "A"), (sigma, "A"))),
+    ("corol_sigma_z", "special", True, sigma, z, "mid",
+     ((sigma, "A"), (None, "1"), (sigma_star, "A"))),
+    ("corol_sigma_id", "square", True, sigma, ident, "mid",
+     ((sigma, "root", 2), (sigma, "A"), (None, "A"))),
+    ("corol_sigma_phi", "square", True, sigma, phi, "mid",
+     ((None, "A"), (sigma, "A"), (phi, "A"))),
+    ("corol_sigmastar_mu", "square", False, sigma_star, mu, "every",
+     ((phi, "A"),)),
+    ("corol_sigmastar_z", "special", False, sigma_star, z, "every",
+     ((sigma, "A"),)),
+    ("corol_sigmastar_id", "square", True, sigma_star, ident, "mid",
+     ((sigma, "A"), (sigma_star, "A"), (None, "A"))),
+    ("corol_sigmastar_phi", "square", True, sigma_star, phi, "mid",
+     ((sigma_star, "A"),)),
+    ("corol_sigmastar_sigma", "square", True, sigma_star, sigma, "mid",
+     ((sigma_star, "A"),)),
+    ("corol_squareconv_sigma", "any", False, sigma, sigma, "every", None),
+    ("corol_squareconv_sigma_star", "any", False, sigma_star, sigma_star,
+     "every", None),
+    ("corol_squareconv_id", "any", False, ident, ident, "every", None),
+    ("corol_sigma_idinv", "square", False, sigma, _ID_INV, "proper",
+     ((None, "1"), (sigma, "A"))),
+    ("corol_sigma_phiinv", "square", True, sigma, _PHI_INV, "mid",
+     ((None, "1"), (sigma, "A"), (sigma, "rad"))),
+    ("corol_sigmainv_sigma", "any", True, _SIGMA_INV, sigma, "mid",
+     ((sigma, "A"), (_SIGMA_INV, "A"))),
+    ("corol_sigmainv_id", "special", True, _SIGMA_INV, ident, "mid",
+     ((None, "A"), (None, "rad"))),
+    ("corol_sigmainv_mu", "special", True, _SIGMA_INV, mu, "mid",
+     ((None, "1"), (None, "rad"))),
+    ("corol_sigmastarinv_id", "square", True, _SIGMASTAR_INV, ident, "mid",
+     ((None, "root"), (None, "A"))),
+    ("corol_sigmastarinv_mu", "special", True, _SIGMASTAR_INV, mu, "mid",
+     ((sigma, "rad"),)),
+    ("corol_sigmastarinv_sigma", "square", True, _SIGMASTAR_INV, sigma,
+     "mid", ((sigma, "A"), (None, "root"))),
+))
 
 
-def _mid(lat: _Lattice) -> "range":
-    return range(1, lat.size - 1)
+def _applies(spec: CorollarySpec, lat: _Lattice) -> bool:
+    """Whether the exponent vector of A meets the spec's precondition."""
+    if spec.nontrivial and not lat.exps:
+        return False
+    if spec.shape == "square":
+        return lat.root is not None
+    return spec.shape == "any" or all(e == 2 for e in lat.exps)
 
 
-def _proper(lat: _Lattice) -> "range":
-    return range(lat.size - 1)
-
-
-# Preconditions, read off the exponent vector of A.  A = 1 has none.
-def _always(lat: _Lattice) -> bool:
-    return True
-
-
-def _nontrivial(lat: _Lattice) -> bool:
-    return bool(lat.exps)
-
-
-def _square(lat: _Lattice) -> bool:
-    return lat.root is not None
-
-
-def _square_nontrivial(lat: _Lattice) -> bool:
-    return bool(lat.exps) and _square(lat)
-
-
-def _special(lat: _Lattice) -> bool:
-    return all(e == 2 for e in lat.exps)
-
-
-def _special_nontrivial(lat: _Lattice) -> bool:
-    return bool(lat.exps) and _special(lat)
-
-
-def _squareconv_spec(name: str) -> CorollarySpec:
-    """f*f at A: A itself when f fixes the root of A, otherwise not A."""
-    f = BUILTINS[name]
-
-    def fixed(a: Poly, lat: _Lattice) -> "Poly | None":
+def _right_side(spec: CorollarySpec, a: Poly, lat: _Lattice) -> "Poly | None":
+    """The XOR of the spec's terms at A.  A square convolution (rhs None)
+    expects A when f fixes the root of A, and otherwise None."""
+    if spec.rhs is None:
         root = lat.root
-        return a if root is not None and lat.value(f, root) == root else None
-
-    return CorollarySpec(f"corol_squareconv_{name}", _always, f, f, _every,
-                         fixed)
-
-
-def _sq(p: Poly) -> Poly:
-    return p * p
-
-
-_COROLLARIES: "tuple[CorollarySpec, ...]" = (
-    CorollarySpec("corol_sigma_mu", _square,
-                  sigma, mu, _mid,
-                  lambda a, lat: a + lat.value(sigma, a)),
-    CorollarySpec("corol_sigma_z", _special_nontrivial,
-                  sigma, z, _mid,
-                  lambda a, lat: (lat.value(sigma, a) + ONE
-                                  + lat.value(sigma_star, a))),
-    CorollarySpec("corol_sigma_id", _square_nontrivial,
-                  sigma, ident, _mid,
-                  lambda a, lat: (_sq(lat.value(sigma, lat.root))
-                                  + lat.value(sigma, a) + a)),
-    CorollarySpec("corol_sigma_phi", _square_nontrivial,
-                  sigma, phi, _mid,
-                  lambda a, lat: a + lat.value(sigma, a) + lat.value(phi, a)),
-    CorollarySpec("corol_sigmastar_mu", _square,
-                  sigma_star, mu, _every,
-                  lambda a, lat: lat.value(phi, a)),
-    CorollarySpec("corol_sigmastar_z", _special,
-                  sigma_star, z, _every,
-                  lambda a, lat: lat.value(sigma, a)),
-    CorollarySpec("corol_sigmastar_id", _square_nontrivial,
-                  sigma_star, ident, _mid,
-                  lambda a, lat: (lat.value(sigma, a) + lat.value(sigma_star, a)
-                                  + a)),
-    CorollarySpec("corol_sigmastar_phi", _square_nontrivial,
-                  sigma_star, phi, _mid,
-                  lambda a, lat: lat.value(sigma_star, a)),
-    CorollarySpec("corol_sigmastar_sigma", _square_nontrivial,
-                  sigma_star, sigma, _mid,
-                  lambda a, lat: lat.value(sigma_star, a)),
-    *(_squareconv_spec(name) for name in ("sigma", "sigma_star", "id")),
-    CorollarySpec("corol_sigma_idinv", _square,
-                  sigma, _ID_INV, _proper,
-                  lambda a, lat: ONE + lat.value(sigma, a)),
-    CorollarySpec("corol_sigma_phiinv", _square_nontrivial,
-                  sigma, _PHI_INV, _mid,
-                  lambda a, lat: (ONE + lat.value(sigma, a)
-                                  + lat.value(sigma, radical(lat.fact)))),
-    CorollarySpec("corol_sigmainv_sigma", _nontrivial,
-                  _SIGMA_INV, sigma, _mid,
-                  lambda a, lat: lat.value(sigma, a) + lat.value(_SIGMA_INV, a)),
-    CorollarySpec("corol_sigmainv_id", _special_nontrivial,
-                  _SIGMA_INV, ident, _mid,
-                  lambda a, lat: a + radical(lat.fact)),
-    CorollarySpec("corol_sigmainv_mu", _special_nontrivial,
-                  _SIGMA_INV, mu, _mid,
-                  lambda a, lat: ONE + radical(lat.fact)),
-    CorollarySpec("corol_sigmastarinv_id", _square_nontrivial,
-                  _SIGMASTAR_INV, ident, _mid,
-                  lambda a, lat: lat.root + a),
-    CorollarySpec("corol_sigmastarinv_mu", _special_nontrivial,
-                  _SIGMASTAR_INV, mu, _mid,
-                  lambda a, lat: lat.value(sigma, radical(lat.fact))),
-    CorollarySpec("corol_sigmastarinv_sigma", _square_nontrivial,
-                  _SIGMASTAR_INV, sigma, _mid,
-                  lambda a, lat: lat.value(sigma, a) + lat.root),
-)
+        if root is not None and lat.value(spec.f, root) == root:
+            return a
+        return None
+    total = 0
+    for term in spec.rhs:
+        h, arg = term[0], term[1]
+        value = (a if arg == "A" else lat.root if arg == "root"
+                 else radical(lat.fact) if arg == "rad" else ONE)
+        if h is not None:
+            value = lat.value(h, value)
+        if len(term) > 2:
+            value = value * value
+        total ^= value.bits
+    return Poly(total)
 
 
 def corollary_registry() -> list[CorollarySpec]:
@@ -471,22 +440,24 @@ def check_corollaries(a: Poly) -> list[IdentityReport]:
     reports = []
     lat = _Lattice(a)  # every input has some lattice corollary that applies
     for spec in _COROLLARIES:
-        if not spec.applies(lat):
+        if not _applies(spec, lat):
             reports.append(IdentityReport(
                 kind="corollary", spec_id=spec.id, point=a, skipped=True,
             ))
             continue
+        first, last = _SPANS[spec.span]
+        span = range(first, lat.size - last)
         fs = lat.table(spec.f)
         acc = 0
         if spec.g is z:  # z(A/D) = 1
-            for n in spec.where(lat):
+            for n in span:
                 acc ^= fs[n]
         else:
             gs = lat.cotable(spec.g)
-            for n in spec.where(lat):
+            for n in span:
                 acc ^= _mul_bits(fs[n], gs[n])
         got = Poly(acc)
-        expected = spec.rhs(a, lat)
+        expected = _right_side(spec, a, lat)
         passed = got != a if expected is None else got == expected
         reports.append(IdentityReport(
             kind="corollary", spec_id=spec.id, point=a,

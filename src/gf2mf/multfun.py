@@ -68,13 +68,11 @@ class MultiplicativeFunction:
     no equality operation is defined on instances.
     """
 
-    __slots__ = ("name", "_rule", "totally_multiplicative", "_cache")
+    __slots__ = ("name", "_rule", "_cache")
 
-    def __init__(self, name: str, rule: "Rule | None",
-                 totally_multiplicative: bool = False):
+    def __init__(self, name: str, rule: "Rule | None"):
         self.name = name
         self._rule = rule
-        self.totally_multiplicative = totally_multiplicative
         self._cache: dict[tuple[int, int], Poly] = {}
 
     def at_prime_power(self, prime: Poly, r: int) -> Poly:
@@ -157,9 +155,9 @@ def _sigma_star_rule(prime: Poly, r: int) -> Poly:
     return Poly(_divsum_bits(prime.bits, r, True))
 
 
-delta = MultiplicativeFunction("delta", _delta_rule, totally_multiplicative=True)
-z = MultiplicativeFunction("z", _z_rule, totally_multiplicative=True)
-ident = MultiplicativeFunction("id", _id_rule, totally_multiplicative=True)
+delta = MultiplicativeFunction("delta", _delta_rule)
+z = MultiplicativeFunction("z", _z_rule)
+ident = MultiplicativeFunction("id", _id_rule)
 mu = MultiplicativeFunction("mu", _mu_rule)
 phi = MultiplicativeFunction("phi", _phi_rule)
 sigma = MultiplicativeFunction("sigma", _sigma_rule)
@@ -318,11 +316,7 @@ def pointwise_mul(f: MultiplicativeFunction,
     def rule(prime: Poly, r: int) -> Poly:
         return f.at_prime_power(prime, r) * g.at_prime_power(prime, r)
 
-    return MultiplicativeFunction(
-        f"ptmul({f.name},{g.name})",
-        rule,
-        totally_multiplicative=f.totally_multiplicative and g.totally_multiplicative,
-    )
+    return MultiplicativeFunction(f"ptmul({f.name},{g.name})", rule)
 
 
 def pointwise_add(f: MultiplicativeFunction,

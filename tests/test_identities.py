@@ -477,6 +477,31 @@ READS = {
     "corol_sigmastarinv_sigma": ("sigmastar_inv", "sigma"),
 }
 
+# The precondition of each corollary, (shape, nontrivial), written out
+# here independently of the registry.
+PRECONDITIONS = {
+    "corol_sigma_mu": ("square", False),
+    "corol_sigma_z": ("special", True),
+    "corol_sigma_id": ("square", True),
+    "corol_sigma_phi": ("square", True),
+    "corol_sigmastar_mu": ("square", False),
+    "corol_sigmastar_z": ("special", False),
+    "corol_sigmastar_id": ("square", True),
+    "corol_sigmastar_phi": ("square", True),
+    "corol_sigmastar_sigma": ("square", True),
+    "corol_squareconv_sigma": ("any", False),
+    "corol_squareconv_sigma_star": ("any", False),
+    "corol_squareconv_id": ("any", False),
+    "corol_sigma_idinv": ("square", False),
+    "corol_sigma_phiinv": ("square", True),
+    "corol_sigmainv_sigma": ("any", True),
+    "corol_sigmainv_id": ("special", True),
+    "corol_sigmainv_mu": ("special", True),
+    "corol_sigmastarinv_id": ("square", True),
+    "corol_sigmastarinv_mu": ("special", True),
+    "corol_sigmastarinv_sigma": ("square", True),
+}
+
 
 class TestLatticeTables:
     @staticmethod
@@ -588,23 +613,55 @@ class TestLatticeTables:
         assert sorted(walked) == sorted([f(d).bits for d in ds] for f in read)
 
     def test_right_sides_evaluate_each_value_once(self, monkeypatch):
+        # Counted at class level, so every function object a right side
+        # holds is seen, whichever module global it came from.
         calls = []
+        call = MultiplicativeFunction.__call__
 
-        class Counted(MultiplicativeFunction):
-            __slots__ = ()
+        def counted(f, b):
+            calls.append((f.name, b.bits))
+            return call(f, b)
 
-            def __call__(self, b):
-                calls.append((self.name, b.bits))
-                return super().__call__(b)
-
-        for name in ("sigma", "sigma_star", "phi", "_SIGMA_INV"):
-            f = getattr(identities, name)
-            monkeypatch.setattr(identities, name, Counted(f.name, f._rule))
-        a = (X * X1 * P2) ** 2  # special: every corollary applies
+        monkeypatch.setattr(MultiplicativeFunction, "__call__", counted)
+        root = X * X1 * P2
+        a = root**2  # special: every corollary applies
         assert all(r.passed for r in check_corollaries(a))
-        # sigma, sigma_star, phi and inv(sigma) at A, and sigma at its
-        # root, which is also its radical.
-        assert len(calls) == len(set(calls)) == 5
+        # sigma, sigma_star, phi and inv(sigma) at A, and sigma,
+        # sigma_star and id at its root, which is also its radical.
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {
+            ("sigma", a.bits), ("sigma_star", a.bits), ("phi", a.bits),
+            ("inv(sigma)", a.bits), ("sigma", root.bits),
+            ("sigma_star", root.bits), ("id", root.bits)}
+
+    def test_preconditions_read_the_exponents(self):
+        # Written from factor(a) here, independently of the registry:
+        # "square" is every exponent even, "special" every exponent 2,
+        # and a nontrivial spec also skips A = 1.
+        shapes = {
+            "square": lambda es: all(e % 2 == 0 for e in es),
+            "special": lambda es: all(e == 2 for e in es),
+            "any": lambda es: True,
+        }
+        for a in self.inputs():
+            es = [e for _, e in factor(a)]
+            for r in check_corollaries(a):
+                shape, nontrivial = PRECONDITIONS[r.spec_id]
+                applies = shapes[shape](es) and (bool(es) or not nontrivial)
+                assert r.skipped == (not applies), (a, r.spec_id)
+
+    def test_a_widened_span_fails_exactly_its_spec(self, monkeypatch):
+        # The sum over every D adds sigma(1) mu(A) + sigma(A) mu(1), which
+        # is sigma(A) at a square A.
+        widened = tuple(
+            dataclasses.replace(s, span="every")
+            if s.id == "corol_sigma_mu" else s
+            for s in identities._COROLLARIES)
+        monkeypatch.setattr(identities, "_COROLLARIES", widened)
+        a = (X * X1 * P2) ** 2
+        failing = [r for r in check_corollaries(a) if not r.passed]
+        assert [r.spec_id for r in failing] == ["corol_sigma_mu"]
+        assert failing[0].got == failing[0].expected + sigma(a)
 
 
 class TestSuite:
@@ -662,6 +719,18 @@ class TestSuite:
         # by the per-vector evaluation the lattice tables replaced.
         text = corollary_suite(**kwargs).render(include_passes=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_every_report_is_pinned(self):
+        # sha256 over every field of every report, expected values
+        # included, which the render of a passing spec leaves out.
+        summary = corollary_suite(square_count=60, square_max_deg=16,
+                                  special_max_deg=10)
+        text = "".join(
+            f"{r.spec_id} {r.point} {r.expected} {r.got} {r.passed} "
+            f"{r.skipped}\n" for r in summary.reports)
+        assert len(summary.reports) == 1660
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f3547aa840df0daa8b21c3f84706d4026c0756f7c13e667347a77c56157b9e89")
 
     def test_suite_jobs_do_not_change_output(self):
         # jobs is accepted and ignored: the inputs are checked serially.

@@ -88,13 +88,6 @@ class TestBuiltins:
         for m in range(2, 1 << 7):
             assert delta(Poly(m)) == ZERO
 
-    def test_flags(self):
-        assert delta.totally_multiplicative
-        assert z.totally_multiplicative
-        assert ident.totally_multiplicative
-        for f in (mu, phi, sigma, sigma_star):
-            assert not f.totally_multiplicative
-
     def test_builtin_lookup(self):
         assert builtin("sigma_star") is sigma_star
         assert sorted(BUILTINS) == [
@@ -357,10 +350,6 @@ class TestPointwise:
         for m in range(1, 1 << 7):
             a = Poly(m)
             assert pm(a) == sigma(a) * mu(a)
-
-    def test_mul_flag(self):
-        assert pointwise_mul(z, ident).totally_multiplicative
-        assert not pointwise_mul(z, sigma).totally_multiplicative
 
     def test_add_values(self):
         pa = pointwise_add(sigma, sigma_star)
