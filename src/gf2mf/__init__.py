@@ -66,9 +66,9 @@ _LAZY = {
         "LemmaSpec", "check_all", "check_corollaries", "check_lemma",
         "corollary_registry", "corollary_suite", "registry"), "identities"),
     **dict.fromkeys((
-        "perfect", "OddFilterReport", "ScanReport", "SearchResult",
-        "classify", "odd_perfect_filter", "odd_square_scan",
-        "search_fixed_points", "trivial_form", "verify_perfect"), "perfect"),
+        "perfect", "ScanReport", "SearchResult", "classify",
+        "odd_square_scan", "search_fixed_points", "trivial_form",
+        "verify_perfect"), "perfect"),
 }
 
 __all__ = [name for name in globals() if not name.startswith("_")] + [*_LAZY]

@@ -15,7 +15,7 @@ from math import prod
 from typing import Callable, Sequence
 
 from .factorize import Factorization, factor
-from .gf2poly import ONE, Poly, _mul_bits
+from .gf2poly import Poly, _mul_bits
 
 __all__ = [
     "DIVISOR_LIMIT",
@@ -95,6 +95,4 @@ def is_special(a: Poly) -> bool:
     """True iff a = S**2 with S squarefree (every multiplicity equals 2)."""
     if a.bits == 0:
         raise ValueError("is_special is undefined for the zero polynomial")
-    if a == ONE:
-        return True
     return all(e == 2 for _, e in factor(a))

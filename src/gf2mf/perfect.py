@@ -27,25 +27,25 @@ required; and A is compared with its divisor sum only once no prime is
 still required.  Nor is a product extended once its largest required
 prime no longer fits in the degree.
 
-Odd mode exploits the fact that a fixed point with no linear factor
-must be a square, so it walks A = S*S over the S with
-constant term 1 and S(1) = 1, the products of odd irreducibles, taking
-even exponents only.  It keeps an unpruned walk of its own, _walk,
-because its report counts every candidate.  That walk compares and
-tallies each candidate where it is made, so no candidate is handed up
-through the recursion.  At a node, a prime whose square has more than
-half the degree left admits P^2 alone and nothing after it; those are
-the node's last primes, and the walk checks them in one flat loop, one
-candidate per prime, apart from the loop that raises exponents and
-recurses.  They make most candidates: 129071 of the 131071 at degree 36.
+Odd mode rests on one fact: a fixed point of sigma with no linear
+factor is a square (E. F. Canaday, "The sum of the divisors of a
+polynomial", Duke Math. J. 8 (1941)).  Each prime P of such an A has
+P(0) = 1, so sigma(P^e) = 1 + P + ... + P^e is e + 1 mod 2 at x = 0,
+and x divides sigma(A) but not A when an exponent e is odd.  So the
+scan walks A = S*S over the S with constant term 1 and S(1) = 1, the
+products of odd irreducibles, taking even exponents only.  It keeps
+an unpruned walk of its own, _walk, because its report counts every
+candidate.  That walk compares and tallies each candidate where it is
+made, so no candidate is handed up through the recursion.  At a node,
+a prime whose square has more than half the degree left admits P^2
+alone and nothing after it; those are the node's last primes, and the
+walk checks them in one flat loop, one candidate per prime, apart from
+the loop that raises exponents and recurses.  They make most
+candidates: 129071 of the 131071 at degree 36.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
 point depends on the multiplicative evaluation path that found it.
-
-The odd filter encodes known published lower bounds for odd perfect
-polynomials as plain configuration constants; nothing here re-derives
-them, and passing the filter never claims a candidate is perfect.
 """
 
 import heapq
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from types import MappingProxyType
 
-from .divisors import big_omega, divisors, omega, unitary_divisors
+from .divisors import divisors, unitary_divisors
 from .divisors import ResourceLimitError
 from .factorize import _factor_sieve, _irreducible_masks, factor, parity
 from .gf2poly import Poly, X, X1, _spread, _unspread
@@ -64,7 +64,6 @@ from .multfun import (_divsum_affine, _divsum_bits, convolve_bruteforce,
 __all__ = [
     "SearchResult",
     "ScanReport",
-    "OddFilterReport",
     "EXHAUSTIVE_MAX_DEG",
     "ODD_SCAN_MAX_DEG",
     "verify_perfect",
@@ -72,7 +71,6 @@ __all__ = [
     "classify",
     "search_fixed_points",
     "odd_square_scan",
-    "odd_perfect_filter",
 ]
 
 EXHAUSTIVE_MAX_DEG = 24
@@ -83,19 +81,6 @@ ODD_SCAN_MAX_DEG = 40
 # tests confirm by fully re-checking a sample of filtered candidates.
 _FILTER_BITS = 32
 _LOW_MASK = (1 << _FILTER_BITS) - 1
-
-# Known published lower bounds for odd perfect polynomials.  These are
-# configuration data for the filter, not facts derived by this package.
-# Sources: E. F. Canaday, "The sum of the divisors of a polynomial", Duke
-# Math. J. 8 (1941), for the square condition; L. H. Gallardo and
-# O. Rahavandrainy, "Odd perfect polynomials over F2", J. Théor. Nombres
-# Bordeaux 19 (2007), for the bounds on omega, big omega, the degree and
-# the special (all exponents 2) case.  The values below are those first
-# configured; none has been re-read against the papers' statements.
-ODD_MIN_OMEGA = 5
-ODD_MIN_BIG_OMEGA = 12
-ODD_MIN_DEGREE = 200  # viable candidates need degree strictly above this
-ODD_SPECIAL_MIN_OMEGA = 10
 
 _TRIVIAL_BASE = X * X1  # x^2+x
 
@@ -125,20 +110,6 @@ class ScanReport:
     full_checked: int = 0
     hits: "list[SearchResult]" = field(default_factory=list)
     rejected_sample: "list[Poly]" = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class OddFilterReport:
-    """Necessary-condition verdicts for one odd candidate."""
-
-    candidate: Poly
-    is_square: bool
-    omega: int
-    big_omega: int
-    degree: int
-    special: bool
-    conditions: "dict[str, bool]"
-    viable: bool
 
 
 def verify_perfect(a: Poly, unitary: bool = False) -> bool:
@@ -443,37 +414,4 @@ def odd_square_scan(
         full_checked=full,
         hits=[_result(m, unitary) for m in sorted(hits)],
         rejected_sample=[Poly(m) for m in sorted(sample)],
-    )
-
-
-def odd_perfect_filter(a: Poly) -> OddFilterReport:
-    """Evaluate the documented necessary conditions on an odd candidate.
-
-    A viable verdict only means no condition rules the candidate out.
-    """
-    if parity(a) != "odd":
-        raise ValueError("the odd-candidate filter requires an odd polynomial")
-    fact = factor(a)
-    w = omega(fact)
-    big_w = big_omega(fact)
-    deg = a.degree
-    special = all(e == 2 for _, e in fact)
-    square = all(e % 2 == 0 for _, e in fact)
-    conditions = {
-        "is_square": square,
-        f"omega_ge_{ODD_MIN_OMEGA}": w >= ODD_MIN_OMEGA,
-        f"big_omega_ge_{ODD_MIN_BIG_OMEGA}": big_w >= ODD_MIN_BIG_OMEGA,
-        f"degree_gt_{ODD_MIN_DEGREE}": deg > ODD_MIN_DEGREE,
-        f"special_omega_ge_{ODD_SPECIAL_MIN_OMEGA}": (not special)
-        or w >= ODD_SPECIAL_MIN_OMEGA,
-    }
-    return OddFilterReport(
-        candidate=a,
-        is_square=square,
-        omega=w,
-        big_omega=big_w,
-        degree=deg,
-        special=special,
-        conditions=conditions,
-        viable=all(conditions.values()),
     )

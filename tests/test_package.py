@@ -39,9 +39,8 @@ EXPORTS = {
         "corollary_suite", "registry",
     ],
     "perfect": [
-        "OddFilterReport", "ScanReport", "SearchResult", "classify",
-        "odd_perfect_filter", "odd_square_scan", "search_fixed_points",
-        "trivial_form", "verify_perfect",
+        "ScanReport", "SearchResult", "classify", "odd_square_scan",
+        "search_fixed_points", "trivial_form", "verify_perfect",
     ],
 }
 NAMES = sorted(SUBMODULES + [name for names in EXPORTS.values()

@@ -25,7 +25,6 @@ from gf2mf.perfect import (
     _LOW_MASK,
     ScanReport,
     classify,
-    odd_perfect_filter,
     odd_square_scan,
     search_fixed_points,
     trivial_form,
@@ -63,10 +62,6 @@ def smooth_masks(max_deg, f):
 def closed_masks(max_deg, f):
     """The masks a fixed point of f of degree <= max_deg can be."""
     return [m for m, _, missing in smooth_masks(max_deg, f) if not missing]
-
-
-ODD_PRIMES = [Poly("x^2+x+1"), Poly("x^3+x+1"), Poly("x^3+x^2+1"),
-              Poly("x^4+x+1"), Poly("x^4+x^3+1")]
 
 
 class TestVerifyPerfect:
@@ -454,12 +449,18 @@ class TestOddScan:
     def test_unitary_scan_is_empty_too(self):
         assert odd_square_scan(20, unitary=True).hits == []
 
-    def test_no_odd_polynomial_is_unitary_perfect(self):
-        # x+1 divides sigma_star(A) but not A, for every A != 1 with
-        # A(0) = A(1) = 1 (the odd_square_scan docstring).  By brute force
-        # to degree 12, and through the scan to degree 28.
+    def test_odd_fixed_points_are_squares_and_never_unitary(self):
+        # For every A != 1 with A(0) = A(1) = 1, by brute force to degree
+        # 12.  x divides sigma(A) but not A when an exponent is odd, so
+        # only squares are walked (the perfect module docstring).  x+1
+        # divides sigma_star(A) but not A (the odd_square_scan
+        # docstring); through the scan to degree 28.
         odd = [m for m in range(3, 1 << 13) if m & 1 and m.bit_count() & 1]
         assert len(odd) == 2047
+        odd_exponent = [a for a in map(Poly, odd)
+                        if any(e & 1 for _, e in factor(a))]
+        assert len(odd_exponent) == 2016  # all but the 31 squares S*S
+        assert not any(sigma(a).bits & 1 for a in odd_exponent)
         assert not any(verify_perfect(Poly(m), unitary=True) for m in odd)
         for max_deg in range(2, 29):
             assert odd_square_scan(max_deg, unitary=True).hits == []
@@ -563,49 +564,3 @@ class TestWalkCost:
         # The unpruned walk over every smooth mask paid more than twice
         # as much.
         assert spent < self.budget([m for m, _, _ in masks]) / 2
-
-
-class TestOddFilter:
-    def test_small_special_square_fails_omega(self):
-        report = odd_perfect_filter(Poly("x^2+x+1") ** 2)
-        assert report.conditions == {
-            "is_square": True,
-            "omega_ge_5": False,
-            "big_omega_ge_12": False,
-            "degree_gt_200": False,
-            "special_omega_ge_10": False,
-        }
-        assert not report.viable
-
-    def test_odd_cube_fails_square(self):
-        report = odd_perfect_filter(Poly("x^2+x+1") ** 3)
-        assert report.conditions["is_square"] is False
-        assert not report.viable
-
-    def test_five_prime_special_fails_depth_conditions(self):
-        a = ONE
-        for p in ODD_PRIMES:
-            a = a * p**2
-        report = odd_perfect_filter(a)
-        assert report.conditions["is_square"] is True
-        assert report.conditions["omega_ge_5"] is True
-        assert report.conditions["big_omega_ge_12"] is False  # Omega = 10
-        assert report.conditions["degree_gt_200"] is False
-        assert report.special and not report.conditions["special_omega_ge_10"]
-        assert not report.viable
-
-    def test_deep_non_special_square_passes_every_condition(self):
-        a = ODD_PRIMES[0] ** 102
-        for p in ODD_PRIMES[1:]:
-            a = a * p**2
-        report = odd_perfect_filter(a)
-        assert report.degree == 232
-        assert not report.special
-        assert all(report.conditions.values())
-        assert report.viable
-
-    def test_even_input_rejected(self):
-        with pytest.raises(ValueError):
-            odd_perfect_filter(B)
-        with pytest.raises(ValueError):
-            odd_perfect_filter(X)
