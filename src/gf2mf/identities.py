@@ -35,7 +35,7 @@ from A: a square convolution equals A exactly when f fixes the square
 root of A.  The catalogue is built once, at import.
 
 registry(functions=...) accepts an alternative table of the seven named
-functions so tests can corrupt one rule and watch the right lemmas
+functions so tests can corrupt one step and watch the right lemmas
 fail; closed forms read no table.
 """
 
@@ -275,7 +275,7 @@ def registry(
     Each spec's parts are read off its lhs, from the table (so a
     corrupted table makes the right lemmas fail): sq(f) gives (f, f),
     a*b gives (a, b), and inv(f) is one inverse per call, shared by
-    every spec that names it, so they share its prime-power cache.
+    every spec that names it, so they share its prime-power rows.
     Closed forms are the declared series and read no table.
     """
     table = BUILTINS if functions is None else functions

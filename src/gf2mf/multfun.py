@@ -1,11 +1,13 @@
 """Multiplicative functions on binary polynomials.
 
-A multiplicative function here is pinned down by a named prime-power
-rule (P, r) -> value, with value 1 at the unit; evaluation factors the
-argument and multiplies the rule values of its prime powers.  Dirichlet
+A multiplicative function here is a named step: given an irreducible P
+and the row f(P^0) = 1, ..., f(P^(r-1)) it returns f(P^r), as the Bell
+series at P recurs in the exponent.  Each function keeps one row per
+prime and grows it a step at a time; rows only grow and their values are
+deterministic, so they are invisible to the function's behavior.
+Evaluation factors the argument and multiplies row entries.  Dirichlet
 convolution, Dirichlet inverse, square convolution and the pointwise
-product all yield new functions whose rules are derived symbolically
-from their operands' rules.
+product yield functions whose steps read their operands' rows.
 
 convolve_bruteforce is the deliberately independent oracle: it computes
 (f*g)(a) as the literal sum over all divisors d of f(d) g(a/d) instead
@@ -18,13 +20,9 @@ d <-> a/d), so g(a/d) is the same table read from the other end.  The
 oracle and the corollary checks of gf2mf.identities both read it.
 
 _divsum_affine is the one home of the sigma and sigma_star rules: it
-states each as an affine recurrence in P^step, which _divsum_bits runs
-at step 1 for the two builtins and for the exhaustive search's closure
-prune, and which gf2mf.perfect carries through its fixed-point searches.
-
-Prime-power values are cached per function.  Caches are insert-once
-with deterministic values, so they are invisible to the function's
-behavior.
+states each as an affine recurrence in P^step, which their steps and
+_divsum_bits (for the exhaustive search's closure prune) run at step 1,
+and which gf2mf.perfect carries through its fixed-point searches.
 """
 
 from functools import cached_property
@@ -34,7 +32,7 @@ from typing import Callable, Iterator
 
 from .divisors import _products
 from .factorize import factor
-from .gf2poly import ONE, Poly, ZERO, _mul_bits, _sqrt_bits
+from .gf2poly import Poly, _mul_bits, _sqrt_bits
 
 __all__ = [
     "MultiplicativeFunction",
@@ -57,34 +55,38 @@ __all__ = [
     "parse_expression",
 ]
 
-Rule = Callable[[Poly, int], Poly]
+Step = Callable[[int, "list[int]"], int]
 
 
 class MultiplicativeFunction:
-    """A named prime-power rule; f(1) = 1 is implicit.
+    """A named prime-power step; f(1) = 1 is implicit.
 
-    Rules receive an irreducible P and an exponent r >= 1 and must be
-    pure.  Function equality is extensional only at tested points, so
-    no equality operation is defined on instances.
+    step(p, row) receives an irreducible's mask p and the masks
+    f(P^0), ..., f(P^(r-1)), r >= 1, and returns f(P^r); it must be pure
+    and leave row unchanged.  Function equality is extensional only at
+    tested points, so no equality operation is defined on instances.
     """
 
-    __slots__ = ("name", "_rule", "_cache")
+    __slots__ = ("name", "_step", "_cache")
 
-    def __init__(self, name: str, rule: "Rule | None"):
+    def __init__(self, name: str, step: Step):
         self.name = name
-        self._rule = rule
-        self._cache: dict[tuple[int, int], Poly] = {}
+        self._step = step
+        self._cache: dict[int, list[int]] = {}
+
+    def row(self, p: int, e: int) -> list[int]:
+        """The stored row at the prime mask p, grown to hold f(P^0..P^e);
+        it may hold more, and callers must not change it."""
+        row = self._cache.get(p)
+        if row is None:
+            row = self._cache[p] = [1]
+        while len(row) <= e:
+            row.append(self._step(p, row))
+        return row
 
     def at_prime_power(self, prime: Poly, r: int) -> Poly:
         """Value at prime**r; r = 0 yields the unit value 1."""
-        if r == 0:
-            return ONE
-        key = (prime.bits, r)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._rule(prime, r)
-            self._cache[key] = value
-        return value
+        return Poly(self.row(prime.bits, r)[r])
 
     def __call__(self, a: Poly) -> Poly:
         """Evaluate at a nonzero polynomial via its factorization."""
@@ -92,33 +94,11 @@ class MultiplicativeFunction:
             raise ValueError("multiplicative functions are undefined at 0")
         acc = 1
         for prime, e in factor(a):
-            acc = _mul_bits(acc, self.at_prime_power(prime, e).bits)
+            acc = _mul_bits(acc, self.row(prime.bits, e)[e])
         return Poly(acc)
 
     def __repr__(self) -> str:
         return f"MultiplicativeFunction({self.name!r})"
-
-
-def _delta_rule(prime: Poly, r: int) -> Poly:
-    return ZERO
-
-
-def _z_rule(prime: Poly, r: int) -> Poly:
-    return ONE
-
-
-def _id_rule(prime: Poly, r: int) -> Poly:
-    return prime**r
-
-
-def _mu_rule(prime: Poly, r: int) -> Poly:
-    return ONE if r == 1 else ZERO
-
-
-def _phi_rule(prime: Poly, r: int) -> Poly:
-    # P^r + P^(r-1): the count (as a polynomial sum) of units mod P^r.
-    lower = (prime ** (r - 1)).bits
-    return Poly(_mul_bits(lower, prime.bits) ^ lower)
 
 
 def _divsum_affine(p: int, p_step: int, step: int,
@@ -147,21 +127,28 @@ def _divsum_bits(p: int, r: int, unitary: bool) -> int:
     return s
 
 
-def _sigma_rule(prime: Poly, r: int) -> Poly:
-    return Poly(_divsum_bits(prime.bits, r, False))
+def _divsum_step(unitary: bool) -> Step:
+    """sigma's step, or sigma_star's if unitary: the affine recurrence at
+    step 1, started from its own s_0 rather than the row's f(P^0) = 1."""
+
+    def step(p: int, row: list[int]) -> int:
+        s0, c = _divsum_affine(p, p, 1, unitary)
+        if len(row) == 1:
+            return s0 * p ^ c  # s_0 is 0 or 1, so * is carryless here
+        return _mul_bits(row[-1], p) ^ c
+
+    return step
 
 
-def _sigma_star_rule(prime: Poly, r: int) -> Poly:
-    return Poly(_divsum_bits(prime.bits, r, True))
-
-
-delta = MultiplicativeFunction("delta", _delta_rule)
-z = MultiplicativeFunction("z", _z_rule)
-ident = MultiplicativeFunction("id", _id_rule)
-mu = MultiplicativeFunction("mu", _mu_rule)
-phi = MultiplicativeFunction("phi", _phi_rule)
-sigma = MultiplicativeFunction("sigma", _sigma_rule)
-sigma_star = MultiplicativeFunction("sigma_star", _sigma_star_rule)
+delta = MultiplicativeFunction("delta", lambda p, row: 0)
+z = MultiplicativeFunction("z", lambda p, row: 1)
+ident = MultiplicativeFunction("id", lambda p, row: _mul_bits(row[-1], p))
+mu = MultiplicativeFunction("mu", lambda p, row: 1 if len(row) == 1 else 0)
+# phi(P^r) = P^r + P^(r-1), the units mod P^r counted as a polynomial sum.
+phi = MultiplicativeFunction(
+    "phi", lambda p, row: p ^ 1 if len(row) == 1 else _mul_bits(row[-1], p))
+sigma = MultiplicativeFunction("sigma", _divsum_step(False))
+sigma_star = MultiplicativeFunction("sigma_star", _divsum_step(True))
 
 BUILTINS: dict[str, MultiplicativeFunction] = {
     "delta": delta,
@@ -187,28 +174,27 @@ def evaluate(f: MultiplicativeFunction, a: Poly) -> Poly:
     return f(a)
 
 
-def _conv_rule(f: MultiplicativeFunction, g: MultiplicativeFunction) -> Rule:
-    def rule(prime: Poly, m: int) -> Poly:
+def _conv_step(f: MultiplicativeFunction, g: MultiplicativeFunction) -> Step:
+    def step(p: int, row: list[int]) -> int:
+        m = len(row)
+        fr, gr = f.row(p, m), g.row(p, m)
         acc = 0
         for l in range(m + 1):
-            acc ^= _mul_bits(
-                f.at_prime_power(prime, l).bits,
-                g.at_prime_power(prime, m - l).bits,
-            )
-        return Poly(acc)
+            acc ^= _mul_bits(fr[l], gr[m - l])
+        return acc
 
-    return rule
+    return step
 
 
 def convolve(f: MultiplicativeFunction,
              g: MultiplicativeFunction) -> MultiplicativeFunction:
     """Dirichlet convolution f*g, computed symbolically at prime powers."""
-    return MultiplicativeFunction(f"{f.name}*{g.name}", _conv_rule(f, g))
+    return MultiplicativeFunction(f"{f.name}*{g.name}", _conv_step(f, g))
 
 
 def square_conv(f: MultiplicativeFunction) -> MultiplicativeFunction:
     """The square convolution f*f under its canonical name sq(f)."""
-    return MultiplicativeFunction(f"sq({f.name})", _conv_rule(f, f))
+    return MultiplicativeFunction(f"sq({f.name})", _conv_step(f, f))
 
 
 class _Lattice:
@@ -218,9 +204,9 @@ class _Lattice:
     counting order, of size entries: table(f) holds f(D) and cotable(g)
     holds g(A/D).  A/D has the complementary exponent vector, at index
     size - 1 - n, so cotable(g) is g's table reversed.  Each function is
-    walked once and its table kept with the lattice.  root and the
-    values of value() are made on first read, since the oracle reads
-    neither.
+    walked once, over its own prime rows, and its table kept with the
+    lattice.  root and the values of value() are made on first read,
+    since the oracle reads neither.
     """
 
     def __init__(self, a: Poly):
@@ -251,8 +237,9 @@ class _Lattice:
 
     def _walk(self, f: MultiplicativeFunction) -> list[int]:
         if f not in self._tables:
+            # _products refuses an oversized lattice before any row grows.
             self._tables[f] = _products(
-                self._rows, lambda p, j: f.at_prime_power(p, j).bits)
+                self._rows, lambda p, j: f.row(p.bits, j)[j])
         return self._tables[f]
 
     def table(self, f: MultiplicativeFunction) -> list[int]:
@@ -292,31 +279,30 @@ def inverse(f: MultiplicativeFunction) -> MultiplicativeFunction:
     """Dirichlet inverse: the unique multiplicative g with f*g = delta.
 
     At prime powers the inverse satisfies the characteristic-2 recursion
-    g(P^r) = sum over l < r of g(P^l) f(P^(r-l)), with g(P) = f(P).
+    g(P^r) = sum over l < r of g(P^l) f(P^(r-l)), with g(P) = f(P); its
+    step reads g(P^l) off the row it extends.
     """
-    inv = MultiplicativeFunction(f"inv({f.name})", None)
 
-    def rule(prime: Poly, r: int) -> Poly:
+    def step(p: int, row: list[int]) -> int:
+        r = len(row)
+        fr = f.row(p, r)
         acc = 0
         for l in range(r):
-            acc ^= _mul_bits(
-                inv.at_prime_power(prime, l).bits,
-                f.at_prime_power(prime, r - l).bits,
-            )
-        return Poly(acc)
+            acc ^= _mul_bits(row[l], fr[r - l])
+        return acc
 
-    inv._rule = rule
-    return inv
+    return MultiplicativeFunction(f"inv({f.name})", step)
 
 
 def pointwise_mul(f: MultiplicativeFunction,
                   g: MultiplicativeFunction) -> MultiplicativeFunction:
     """The pointwise product, which is again multiplicative."""
 
-    def rule(prime: Poly, r: int) -> Poly:
-        return f.at_prime_power(prime, r) * g.at_prime_power(prime, r)
+    def step(p: int, row: list[int]) -> int:
+        r = len(row)
+        return _mul_bits(f.row(p, r)[r], g.row(p, r)[r])
 
-    return MultiplicativeFunction(f"ptmul({f.name},{g.name})", rule)
+    return MultiplicativeFunction(f"ptmul({f.name},{g.name})", step)
 
 
 def pointwise_add(f: MultiplicativeFunction,

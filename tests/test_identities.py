@@ -10,7 +10,7 @@ import pytest
 from gf2mf import identities, multfun
 from gf2mf.divisors import divisors
 from gf2mf.factorize import factor
-from gf2mf.gf2poly import ONE, Poly, ZERO, sqrt_if_square
+from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, sqrt_if_square
 from gf2mf.identities import (
     IdentityReport,
     check_all,
@@ -215,8 +215,8 @@ class TestBellSeries:
         # The closed form keeps len(D) coefficients, not all m of them: a
         # list of every coefficient up to m = 20000 would peak near 25 MB.
         # sigma*z at P^(2k) is sigma(P^k)^2, at x^20000 the even powers of
-        # x up to x^20000.  The oracle's side costs O(m^2) multiplies
-        # (over 100 s at m = 20000), so check_lemma runs at m = 1000.
+        # x up to x^20000.  The oracle's side grows sigma's row by one
+        # product per exponent, so check_lemma runs at m = 20000 too.
         spec = spec_by_id("sigma_z")
         tracemalloc.start()
         try:
@@ -226,9 +226,9 @@ class TestBellSeries:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert value.bits == (4**10001 - 1) // 3
-        report = check_lemma(spec, X, 1000)
+        report = check_lemma(spec, X, 20000)
         assert report.passed
-        assert report.expected.bits == (4**501 - 1) // 3
+        assert report.expected == value
 
 
 class TestCheckLemma:
@@ -258,6 +258,26 @@ class TestCheckLemma:
         report = check_lemma(spec_by_id("id_inv"), X1, 5)
         assert report.expected == ZERO
         assert report.passed
+
+    def test_sigma_lemma_makes_linear_products(self, monkeypatch):
+        # Each sigma(P^r) is one step from sigma(P^(r-1)): the oracle's
+        # side of sigma*z at P^m makes at most m products for sigma's row
+        # and m + 1 for the divisor sum.  Recomputing every sigma(P^r)
+        # from scratch makes about m^2/2.  Empty rows make the count the
+        # same whatever earlier tests asked for.
+        m = 500
+        calls = [0]
+
+        def counted(a, b):
+            calls[0] += 1
+            return _mul_bits(a, b)
+
+        spec = spec_by_id("sigma_z")
+        for f in spec.parts:
+            monkeypatch.setattr(f, "_cache", {})
+        monkeypatch.setattr(multfun, "_mul_bits", counted)
+        assert check_lemma(spec, X, m).passed
+        assert calls[0] <= 2 * m + 1
 
     def test_ok_line_format(self):
         report = check_lemma(spec_by_id("sigma_z"), X, 2)
@@ -339,12 +359,13 @@ class TestCheckAll:
             check_all(2, 3, spec_ids=["nosuch"])
 
     def test_mutation_is_detected(self):
-        def corrupt_rule(prime, m):
-            return ONE + prime ** (m + 1)
+        def corrupt_step(p, row):
+            # 1 + P^(r+1) at P^r, in place of sigma_star's 1 + P^r.
+            return (ONE + Poly(p) ** (len(row) + 1)).bits
 
         table = dict(BUILTINS)
         table["sigma_star"] = MultiplicativeFunction("sigma_star",
-                                                     corrupt_rule)
+                                                     corrupt_step)
         summary = check_all(2, 4, functions=table)
         failing = {r.spec_id for r in summary.failures()}
         assert not summary.all_passed()

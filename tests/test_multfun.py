@@ -343,6 +343,46 @@ class TestInverse:
         assert value == ZERO
 
 
+class TestRows:
+    """Each function grows one append-only row per prime; derived
+    functions grow their operands' rows, which the builtins share."""
+
+    @staticmethod
+    def fresh(monkeypatch):
+        for f in (ident, phi, sigma):
+            monkeypatch.setattr(f, "_cache", {})
+        return [inverse(sigma), square_conv(phi), pointwise_mul(ident, sigma)]
+
+    def test_values_do_not_depend_on_the_order_asked(self, monkeypatch):
+        p = Poly("x^2+x+1")
+        expected = [[f.at_prime_power(p, r) for r in range(13)]
+                    for f in self.fresh(monkeypatch)]
+        fs = self.fresh(monkeypatch)
+        first = [[f.at_prime_power(p, r) for f in fs] for r in (12, 3)]
+        assert first == [[row[r] for row in expected] for r in (12, 3)]
+        assert [[f.at_prime_power(p, r) for r in range(13)]
+                for f in fs] == expected
+        for f in (ident, phi, sigma, *fs):
+            assert [len(row) for row in f._cache.values()] == [13]
+
+    def test_state_after_verify_is_bounded(self, fresh_python):
+        # The grid and the suite leave 3276 prime-power values in the
+        # live functions, the count of distinct (P, r) values they asked
+        # for; a row holds only the values below the largest it serves.
+        out = fresh_python(
+            "import gc\n"
+            "from gf2mf.identities import check_all, corollary_suite\n"
+            "from gf2mf.multfun import MultiplicativeFunction\n"
+            "check_all(5, 10)\n"
+            "corollary_suite(seed=1001)\n"
+            "gc.collect()\n"
+            "fs = [o for o in gc.get_objects()\n"
+            "      if isinstance(o, MultiplicativeFunction)]\n"
+            "print(sum(len(r) - 1 for f in fs for r in f._cache.values()))\n"
+        )
+        assert int(out) <= 3276
+
+
 class TestPointwise:
     def test_mul_values_and_name(self):
         pm = pointwise_mul(sigma, mu)

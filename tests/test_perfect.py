@@ -486,8 +486,8 @@ class TestWalkCost:
         # perfect._spread: each product has a Lane operand, and Lane
         # results of *, & and ^ keep the count going down the walk.  A
         # lane straight from _spread times itself squares a prime.
-        # multfun._mul_bits is counted too, for the products its rules
-        # make.
+        # multfun._mul_bits is counted too, for the products
+        # multfun._divsum_bits makes.
         calls = {"walk": 0, "square": 0}
 
         class Lane(int):
