@@ -30,7 +30,7 @@ from itertools import product
 from math import prod
 from typing import Callable, Iterator
 
-from .divisors import _products
+from .divisors import ResourceLimitError, _products
 from .factorize import factor
 from .gf2poly import Poly, _mul_bits, _sqrt_bits
 
@@ -55,6 +55,12 @@ __all__ = [
     "parse_expression",
 ]
 
+# A row grown to P^e, P of degree d, holds f(P^r) for r <= e; for id,
+# phi and sigma f(P^r) has degree r d, so the row keeps d e (e + 1) / 2
+# bits.  Rows that size would exceed this bound are refused before they
+# grow, as oversized divisor lattices are.
+ROW_BIT_LIMIT = 1 << 28
+
 Step = Callable[[int, "list[int]"], int]
 
 
@@ -76,16 +82,25 @@ class MultiplicativeFunction:
 
     def row(self, p: int, e: int) -> list[int]:
         """The stored row at the prime mask p, grown to hold f(P^0..P^e);
-        it may hold more, and callers must not change it."""
+        it may hold more, and callers must not change it.  A row past
+        ROW_BIT_LIMIT raises ResourceLimitError before it grows."""
         row = self._cache.get(p)
         if row is None:
             row = self._cache[p] = [1]
-        while len(row) <= e:
-            row.append(self._step(p, row))
+        if len(row) <= e:
+            bits = (p.bit_length() - 1) * e * (e + 1) // 2
+            if bits > ROW_BIT_LIMIT:
+                raise ResourceLimitError(
+                    f"a row of {bits} bits exceeds the row bound of "
+                    f"{ROW_BIT_LIMIT}")
+            while len(row) <= e:
+                row.append(self._step(p, row))
         return row
 
     def at_prime_power(self, prime: Poly, r: int) -> Poly:
         """Value at prime**r; r = 0 yields the unit value 1."""
+        if r < 0:
+            raise ValueError("negative prime-power exponent")
         return Poly(self.row(prime.bits, r)[r])
 
     def __call__(self, a: Poly) -> Poly:
@@ -132,10 +147,9 @@ def _divsum_step(unitary: bool) -> Step:
     step 1, started from its own s_0 rather than the row's f(P^0) = 1."""
 
     def step(p: int, row: list[int]) -> int:
-        s0, c = _divsum_affine(p, p, 1, unitary)
         if len(row) == 1:
-            return s0 * p ^ c  # s_0 is 0 or 1, so * is carryless here
-        return _mul_bits(row[-1], p) ^ c
+            return _divsum_bits(p, 1, unitary)
+        return _mul_bits(row[-1], p) ^ _divsum_affine(p, p, 1, unitary)[1]
 
     return step
 

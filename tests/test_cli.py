@@ -59,6 +59,16 @@ class TestEval:
         assert code == 2
         assert "nosuch" in err
 
+    @pytest.mark.parametrize("name", ["id", "phi", "sigma"])
+    def test_oversized_row_is_a_usage_error(self, capsys, monkeypatch, name):
+        # Rows at x^100000 would hold about 5e9 bits (0.6 GB).
+        fn = gf2mf.multfun.builtin(name)
+        monkeypatch.setattr(fn, "_cache", {})
+        code, out, err = run(capsys, "eval", name, "x^100000")
+        assert (code, out) == (2, "")
+        assert "row bound" in err
+        assert fn._cache == {2: [1]}
+
     def test_malformed_expression_names_the_offset(self, capsys):
         assert run(capsys, "eval", "sigma*(mu", "x") == (
             2, "", "error: unexpected '(' in function expression "

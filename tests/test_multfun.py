@@ -68,6 +68,11 @@ class TestBuiltins:
         for f in ALL_BUILTINS:
             assert f.at_prime_power(X, 0) == ONE
 
+    def test_negative_exponent_rejected(self):
+        for f in ALL_BUILTINS:
+            with pytest.raises(ValueError, match="negative"):
+                f.at_prime_power(X, -1)
+
     def test_examples(self):
         assert phi(Poly("x^2")) == Poly("x^2+x")
         assert sigma(Poly("x^2+x")) == Poly("x^2+x")
@@ -364,6 +369,16 @@ class TestRows:
                 for f in fs] == expected
         for f in (ident, phi, sigma, *fs):
             assert [len(row) for row in f._cache.values()] == [13]
+
+    def test_oversized_row_refused_before_it_grows(self, monkeypatch):
+        # x^23169 is the largest power of x whose row fits the bound.
+        monkeypatch.setattr(ident, "_cache", {})
+        assert ident.at_prime_power(X, 3) == X**3
+        with pytest.raises(ResourceLimitError, match="row bound"):
+            ident(X**23170)
+        with pytest.raises(ResourceLimitError, match="row bound"):
+            ident.at_prime_power(Poly("x^2+x+1"), 16384)
+        assert ident._cache == {X.bits: [1, 2, 4, 8], 0b111: [1]}
 
     def test_state_after_verify_is_bounded(self, fresh_python):
         # The grid and the suite leave 3276 prime-power values in the
