@@ -6,6 +6,9 @@ are accepted in term form ("x^3+x+1") or hex form ("0xb").  Exit codes:
 2 usage or resource error, 141 (128 + SIGPIPE) stdout closed by its
 reader, as in `gf2mf verify ... | head -1`.
 
+`search --stats` prints the run's counts as one JSON object on stderr;
+stdout stays the same with and without it.
+
 Each subcommand imports only the modules it runs: factor and mersenne
 need the ring, factorization and divisor modules that every call loads;
 eval and conv add multfun, search adds perfect and verify identities.
@@ -74,12 +77,22 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .perfect import odd_square_scan, search_fixed_points
 
     if args.kind == "odd":
-        results = odd_square_scan(args.max_deg).hits
+        report = odd_square_scan(args.max_deg)
+        results = report.hits
+        stats = {"candidates": report.candidates,
+                 "filter_rejected": report.filter_rejected,
+                 "full_checked": report.full_checked}
     else:
         results = search_fixed_points(args.max_deg,
                                       unitary=args.kind == "unitary")
+        stats = {}
     for result in results:
         print(result.line())
+    if args.stats:
+        import json
+
+        stats["hits"] = len(results)
+        print(json.dumps(stats), file=sys.stderr)
     return 0
 
 
@@ -136,6 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for divisor-sum fixed points")
     p.add_argument("kind", choices=("perfect", "unitary", "odd"))
     p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="print the run's counts as one JSON object on stderr")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("mersenne",

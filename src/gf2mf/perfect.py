@@ -10,9 +10,11 @@ gf2mf.multfun._divsum_affine gives.
 
 Both walks hold A, its divisor sum and the prime powers as lane values
 (gf2poly._spread), so each carryless product is one integer multiply
-masked to the lanes' low bits.  Each prime is converted once, and only
-the hits and the rejected sample are converted back.  Both caps lie far
-inside the lane bound of degree 254.
+masked to the lanes' low bits.  The exhaustive search converts each
+prime once; the odd scan converts its head primes once and a last prime
+only where it is compared or sampled.  Only the hits and the rejected
+sample are converted back.  Both caps lie far inside the lane bound of
+degree 254.
 
 Exhaustive mode walks prime powers of degree <= max_deg // 2: if P^e
 exactly divides a fixed point A, then P^e divides the divisor sum of
@@ -35,13 +37,15 @@ and x divides sigma(A) but not A when an exponent e is odd.  So the
 scan walks A = S*S over the S with constant term 1 and S(1) = 1, the
 products of odd irreducibles, taking even exponents only.  It keeps
 an unpruned walk of its own, _walk, because its report counts every
-candidate.  That walk compares and tallies each candidate where it is
-made, so no candidate is handed up through the recursion.  At a node,
+candidate.  That walk compares and tallies each candidate at its own
+node, so no candidate is handed up through the recursion.  At a node,
 a prime whose square has more than half the degree left admits P^2
-alone and nothing after it; those are the node's last primes, and the
-walk checks them in one flat loop, one candidate per prime, apart from
-the loop that raises exponents and recurses.  They make most
-candidates: 129071 of the 131071 at degree 36.
+alone and nothing after it; those are the node's last primes.  They
+make most candidates, 129071 of the 131071 at degree 36, and the walk
+settles them together: the prefilter on A * P^2 is affine in the
+coefficients of P, since squaring is additive in characteristic 2, so
+one solve over GF(2) per node names the few last primes that pass it,
+and the rest are rejected without being made.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -49,7 +53,7 @@ point depends on the multiplicative evaluation path that found it.
 """
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress, count
 from types import MappingProxyType
@@ -151,6 +155,73 @@ _SIGMA_PP = _SIGMASTAR_PP = MappingProxyType({})
 _run_shards = ThreadPoolExecutor = None
 
 
+def _divsum_form(h, unitary):
+    """The divisor sum s(P) of P^2, sigma or sigma_star if unitary, for
+    deg P <= h, in affine form on masks: (s(0), diffs) with diffs[i] =
+    s(x^i) + s(0).
+
+    Read off multfun._divsum_affine, which only XORs, so s(P) is s(0)
+    plus the diffs[i] of the terms x^i of P: squaring is additive in
+    characteristic 2.
+    """
+    def s(p, p_sq):
+        s0, c = _divsum_affine(p, p_sq, 2, unitary)
+        return (p_sq if s0 else 0) ^ c  # s_1 = s_0 * P^2 + c
+
+    origin = s(0, 0)
+    return origin, [s(1 << i, 1 << 2 * i) ^ origin for i in range(h + 1)]
+
+
+def _filter_solutions(a, acc, h, form, mask):
+    """Every P of degree <= h, as masks, for which A * P^2 and acc * s(P)
+    agree on the coefficients in mask, where a and acc are masks and
+    form is the affine form (s(0), diffs) of s from _divsum_form.
+
+    F(P) = acc * s(P) + A * P^2 is affine in the coefficients of P, so
+    F(P) = F(0) + the sum of the columns F(x^i) + F(0) over the terms
+    x^i of P.  The columns are eliminated over GF(2) with each pivot at
+    its vector's lowest bit.  Those that vanish give the kernel, and if
+    F(0) is in the pivots' span it gives one solution; the others are
+    that one plus sums of kernel vectors.
+    """
+    def times_acc(d: int) -> int:  # carryless, one shift per term of d
+        v = 0
+        while d:
+            bit = d & -d
+            v ^= acc * bit
+            d ^= bit
+        return v
+
+    origin, diffs = form
+    pivots = {}  # lowest bit -> (vector, the P whose column it is)
+    kernel = []
+    for i in range(h + 1):
+        v = (a << 2 * i ^ times_acc(diffs[i])) & mask
+        p = 1 << i
+        while v:
+            bit = v & -v
+            pivot = pivots.get(bit)
+            if pivot is None:
+                pivots[bit] = v, p
+                break
+            v ^= pivot[0]
+            p ^= pivot[1]
+        else:
+            kernel.append(p)
+    v = times_acc(origin) & mask  # F(0)
+    p = 0
+    while v:
+        pivot = pivots.get(v & -v)
+        if pivot is None:
+            return []
+        v ^= pivot[0]
+        p ^= pivot[1]
+    solutions = [p]
+    for k in kernel:
+        solutions += [q ^ k for q in solutions]
+    return solutions
+
+
 def _walk(primes, max_deg, unitary, sample_rejected):
     """Check every square A = S*S of degree <= max_deg against its
     divisor sum, as (rejected, full_checked, hit masks, sample).
@@ -160,32 +231,53 @@ def _walk(primes, max_deg, unitary, sample_rejected):
     multiplies A and its divisor sum by one prime power P^(2k), so no A
     is ever factored.  The divisor sum of P^(2k) is carried across k by the
     affine rule s_k = s_(k-1) * P^2 + c that multfun._divsum_affine
-    gives, so each candidate costs the two products a * P^(2k) and
-    acc * s_k, and each further exponent two more.  A candidate whose low
-    coefficients differ from its divisor sum's is rejected; the others
-    are compared whole.  sample holds the sample_rejected smallest
-    rejected masks, in no order.
+    gives.  A candidate whose low coefficients differ from its divisor
+    sum's is rejected; the others are compared whole.  sample holds the
+    sample_rejected smallest rejected masks, in no order.
 
     A node with room R left splits its primes, whose weights 2 deg P
     ascend, by bisection.  The head, of weight <= R // 2, runs each
-    exponent k <= R // w and recurses.  Each prime of the tail, of weight
-    above R // 2, admits P^2 only and nothing after it, so the tail is
-    one flat loop with one candidate per prime; it masks the divisor sum
-    only for the full comparison.  Both parts admit a rejected mask to
-    the sample only below cut: above every mask until the sample is full,
-    then its largest mask.
+    exponent k <= R // w and recurses; each candidate costs the two
+    products a * P^(2k) and acc * s_k, and each further exponent two
+    more.  Each prime of the tail, of weight above R // 2, admits P^2
+    only and nothing after it, so the tail is settled at once.  Its
+    candidate A * P^2 has divisor sum acc * s(P), and F(P) = acc * s(P)
+    + A * P^2 is affine in the coefficients of P, since squaring is
+    additive in characteristic 2; the filter passes exactly when the
+    low coefficients of F(P) vanish.  _filter_solutions solves that
+    over GF(2), and each solution is looked up among the tail's primes
+    by bisection; a prime found gets the full comparison, and every
+    other tail prime is rejected.  For sigma at most one P solves:
+    acc(0) = 1 and (A + acc)(0) = 0, so F(P) + F(0) = (A + acc) P^2 +
+    acc P has the lowest term of P.  For sigma_star, A = S^2 and acc =
+    T^2 with T(0) = 0, so F(P) + F(0) = ((S + T) P)^2 fixes P modulo
+    x^16 when A != 1, leaving at most 2^(R//2 - 15) solutions, each
+    with P(0) = T(0) = 0, so no odd prime passes.  At the root A = acc =
+    1, and F(P) = P^2 + P + 1 or 1 has no prime solution.
+
+    Both parts admit a rejected mask to the sample only below cut:
+    above every mask until the sample is full, then its largest mask.
+    Tail weights ascend and cut only falls, so the tail's rejected
+    masks are formed from the start of the tail up to the first prime
+    whose candidate has a larger degree than cut.
 
     The walk runs on lane values (gf2poly._spread), so each product is
-    one integer multiply masked by keep; each visited prime's lane is
-    squared once for P^2.  _divsum_affine only XORs, so it gives c in
-    lane form from lane inputs.  Only the hits and the sample are read
-    back into masks.
+    one integer multiply masked by keep.  The head primes, of weight
+    <= max_deg // 2, are converted once and squared once per visit;
+    a tail prime is converted only if it passes the filter or its
+    candidate is formed for the sample.  _divsum_affine only XORs, so it
+    gives c in lane form from lane inputs.  Only the hits and the sample
+    are read back into masks.
     """
-    lanes = list(map(_spread, primes))
-    weights = [(lp.bit_length() - 1) >> 2 for lp in lanes]  # 2 deg P
+    primes = list(primes)
+    n = len(primes)
+    # The head primes of every node: weight 2 deg P <= max_deg // 2.
+    nhead = bisect_left(primes, 1 << (max_deg // 4 + 1))
+    lanes = [_spread(p) for p in primes[:nhead]]
+    weights = [2 * p.bit_length() - 2 for p in primes[:nhead]]
     keep = _spread((1 << (max_deg + 1)) - 1)
     low = _spread(_LOW_MASK)
-    n = len(lanes)
+    form = _divsum_form(max_deg // 2, unitary)
     hits: "list[int]" = []
     heap: "list[int]" = []  # negated: a max-heap of the smallest
     full = 0
@@ -203,8 +295,8 @@ def _walk(primes, max_deg, unitary, sample_rejected):
     def walk(first: int, room: int, a: int, acc: int) -> int:
         nonlocal full
         rej = 0
-        mid = bisect_right(weights, room >> 1, first)
-        end = bisect_right(weights, room, mid)
+        mid = bisect_left(primes, 1 << (room // 4 + 1), first)
+        end = bisect_left(primes, 1 << (room // 2 + 1), mid)
         for i in range(first, mid):
             w = weights[i]
             lp = lanes[i]
@@ -226,29 +318,40 @@ def _walk(primes, max_deg, unitary, sample_rejected):
                     if acc2 == a2:
                         hits.append(a2)
                 rest = room - k * w
-                if i + 1 < n and weights[i + 1] <= rest:
+                if i + 1 < n and 2 * primes[i + 1].bit_length() - 2 <= rest:
                     rej += walk(i + 1, rest, a2, acc2)
                 if k < top:
                     pw = pw * base & keep
                     sig = sig * base & keep ^ c
                 k += 1
-        passed = 0
-        for lp in lanes[mid:end]:
+        if mid == end:
+            return rej
+        passed = []
+        for p in _filter_solutions(_unspread(a & low), _unspread(acc & low),
+                                   room // 2, form, _LOW_MASK):
+            j = bisect_left(primes, p, mid, end)
+            if j < end and primes[j] == p:
+                passed.append(p)
+        for p in passed:
+            lp = _spread(p)
             base = lp * lp & keep
             s0, c = _divsum_affine(lp, base, 2, unitary)
             a2 = a * base & keep
-            # Unmasked: of degree deg A + 2 deg P <= max_deg, its lanes
-            # hold whole coefficient counts, whose low bits are the mask's.
-            acc2 = acc * (base ^ c if s0 else c)
-            if (acc2 ^ a2) & low:
-                if a2 < cut:
-                    sample(a2)
-            else:
-                passed += 1
-                if acc2 & keep == a2:
-                    hits.append(a2)
-        full += passed
-        return rej + end - mid - passed
+            if acc * (base ^ c if s0 else c) & keep == a2:
+                hits.append(a2)
+        full += len(passed)
+        if cut:
+            deg_a = max_deg - room
+            for j in range(mid, end):
+                p = primes[j]
+                if deg_a + 2 * p.bit_length() - 2 > (cut.bit_length() - 1) >> 3:
+                    break
+                if p not in passed:
+                    lp = _spread(p)
+                    a2 = a * (lp * lp & keep) & keep
+                    if a2 < cut:
+                        sample(a2)
+        return rej + end - mid - len(passed)
 
     rej = walk(0, max_deg, 1, 1)
     return (rej, full, [_unspread(x) for x in hits],

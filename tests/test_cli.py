@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -180,6 +181,20 @@ class TestSearch:
     def test_odd_scan_is_silent(self, capsys):
         assert run(capsys, "search", "odd", "--max-deg", "20") == (0, "", "")
 
+    @pytest.mark.parametrize("kind, max_deg, stats", [
+        ("odd", "24", {"candidates": 2047, "filter_rejected": 2047,
+                       "full_checked": 0, "hits": 0}),
+        ("perfect", "6", {"hits": 4}),
+        ("unitary", "8", {"hits": 5}),
+    ])
+    def test_stats_go_to_stderr_only(self, capsys, kind, max_deg, stats):
+        plain = run(capsys, "search", kind, "--max-deg", max_deg)
+        code, out, err = run(capsys, "search", kind, "--max-deg", max_deg,
+                             "--stats")
+        assert (code, out) == plain[:2]
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err) == stats
+
     def test_degree_bound(self, capsys):
         code, _, err = run(capsys, "search", "perfect", "--max-deg", "999")
         assert code == 2
@@ -254,6 +269,15 @@ class TestTopLevel:
             "'multfun', 'identities', 'perfect') "
             "if 'gf2mf.' + m in sys.modules))")
         assert out.splitlines()[-1] == f"0 {loaded}"
+
+    def test_json_is_loaded_only_for_stats(self, fresh_python):
+        out = fresh_python(
+            "import sys; from gf2mf.cli import main; "
+            "main(['search', 'odd', '--max-deg', '8']); "
+            "plain = 'json' in sys.modules; "
+            "main(['search', 'odd', '--max-deg', '8', '--stats']); "
+            "print(plain, 'json' in sys.modules)")
+        assert out == "False True\n"
 
     def test_closed_stdout_ends_without_traceback(self):
         # The reader closes the pipe before the child writes its first

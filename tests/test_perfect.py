@@ -2,10 +2,13 @@
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import os
 import random
+from bisect import bisect_right
 from collections.abc import Mapping
+from itertools import compress, count
 
 import pytest
 
@@ -128,6 +131,84 @@ def gray_code_sieve(max_deg):
             prod ^= p * (i & -i)  # q = i ^ (i >> 1) flips bit i & -i
             flags[prod] = 0
     return flags
+
+
+def scan_primes(max_deg):
+    """The odd irreducibles of degree <= max_deg // 2, as odd_square_scan
+    reads them off the sieve."""
+    return list(compress(count(4), _factor_sieve(max_deg // 2)[4:]))
+
+
+def flat_tail_walk(primes, max_deg, unitary, sample_rejected):
+    """perfect._walk as it was before the tail solve: the same head loop,
+    and a tail checked one candidate per prime in a flat loop.  Reads
+    perfect._LOW_MASK, _divsum_affine and the lane helpers at call time."""
+    spread, unspread = perfect._spread, perfect._unspread
+    lanes = list(map(spread, primes))
+    weights = [(lp.bit_length() - 1) >> 2 for lp in lanes]  # 2 deg P
+    keep = spread((1 << (max_deg + 1)) - 1)
+    low = spread(perfect._LOW_MASK)
+    n = len(lanes)
+    hits = []
+    heap = []  # negated: a max-heap of the smallest
+    full = 0
+    cut = keep + 1 if sample_rejected else 0
+
+    def sample(a2):
+        nonlocal cut
+        if len(heap) < sample_rejected:
+            heapq.heappush(heap, -a2)
+        else:
+            heapq.heapreplace(heap, -a2)
+        if len(heap) == sample_rejected:
+            cut = -heap[0]
+
+    def walk(first, room, a, acc):
+        nonlocal full
+        rej = 0
+        mid = bisect_right(weights, room >> 1, first)
+        end = bisect_right(weights, room, mid)
+        for i in range(first, mid):
+            w = weights[i]
+            lp = lanes[i]
+            base = lp * lp & keep
+            s0, c = perfect._divsum_affine(lp, base, 2, unitary)
+            top = room // w
+            pw = base
+            sig = base ^ c if s0 else c
+            for k in range(1, top + 1):
+                a2 = a * pw & keep
+                acc2 = acc * sig & keep
+                if (acc2 ^ a2) & low:
+                    rej += 1
+                    if a2 < cut:
+                        sample(a2)
+                else:
+                    full += 1
+                    if acc2 == a2:
+                        hits.append(a2)
+                rest = room - k * w
+                if i + 1 < n and weights[i + 1] <= rest:
+                    rej += walk(i + 1, rest, a2, acc2)
+                pw = pw * base & keep
+                sig = sig * base & keep ^ c
+        for lp in lanes[mid:end]:
+            base = lp * lp & keep
+            s0, c = perfect._divsum_affine(lp, base, 2, unitary)
+            a2 = a * base & keep
+            acc2 = acc * (base ^ c if s0 else c) & keep
+            if (acc2 ^ a2) & low:
+                rej += 1
+                if a2 < cut:
+                    sample(a2)
+            else:
+                full += 1
+                if acc2 == a2:
+                    hits.append(a2)
+        return rej
+
+    rej = walk(0, max_deg, 1, 1)
+    return rej, full, [unspread(x) for x in hits], [unspread(-x) for x in heap]
 
 
 def mobius(n):
@@ -435,6 +516,23 @@ class TestOddScan:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.REPORTS[unitary]
 
+    # sha256 of repr(odd_square_scan(40, unitary, sample_rejected=1000)),
+    # from the walk that checked each tail prime in a flat loop.  Degree
+    # 40 has the widest tails, and there sigma_star's filter passes up to
+    # 2^5 coefficient vectors per node.
+    REPORTS_40 = {
+        False: ("8885efe00d387caafa9c69dda04b49d7"
+                "5bab799dc99ecf6fd55d59e43d24f4fb"),
+        True: ("d8467e36bec640518e55f67b68826639"
+               "a9188665457ea03223f4bd3bae37a1fb"),
+    }
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_report_at_degree_40_is_pinned(self, unitary):
+        text = repr(odd_square_scan(40, unitary, sample_rejected=1000))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.REPORTS_40[unitary]
+
     def test_scan_leaves_no_irreducible_table_cached(self):
         # The scan reads its degree-18 primes off a sieve of its own; the
         # shared cache is untouched and refuses bounds above 16.
@@ -475,10 +573,109 @@ class TestOddScan:
             odd_square_scan(20, sample_rejected=size)
 
 
+def walk_result(primes, max_deg, unitary, size, walk):
+    rej, full, hits, sample = walk(primes, max_deg, unitary, size)
+    return rej, full, sorted(hits), sorted(sample)
+
+
+class TestTailSolve:
+    """The odd walk's tail, settled by one affine solve per node, against
+    the flat loop over every tail prime and against brute force."""
+
+    @pytest.mark.parametrize("size", [0, 7, 1000])
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_walk_equals_the_flat_tail_loop(self, unitary, size):
+        for max_deg in range(2, 31):
+            primes = scan_primes(max_deg)
+            got = walk_result(primes, max_deg, unitary, size, perfect._walk)
+            assert got == walk_result(primes, max_deg, unitary, size,
+                                      flat_tail_walk), max_deg
+
+    @pytest.mark.parametrize("bits", [8, 12])
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_walk_equals_the_flat_tail_loop_on_a_narrow_filter(
+            self, monkeypatch, unitary, bits):
+        # At 32 bits no candidate passes the filter to degree 40; at 8 and
+        # 12 bits some of sigma's do, and reach the full comparison.
+        # sigma_star's never do: for A != 1 its divisor sum vanishes at 0,
+        # so F(P) has constant term P(0) = 1.
+        monkeypatch.setattr(perfect, "_LOW_MASK", (1 << bits) - 1)
+        full = 0
+        for max_deg in range(2, 25):
+            primes = scan_primes(max_deg)
+            for size in (0, 7, 1000):
+                got = walk_result(primes, max_deg, unitary, size,
+                                  perfect._walk)
+                assert got == walk_result(primes, max_deg, unitary, size,
+                                          flat_tail_walk), (max_deg, size)
+                full += got[1]
+        assert (full > 0) is not unitary
+
+    @staticmethod
+    def brute_force(a, total, h, unitary, mask):
+        """Every P of degree <= h for which A * P^2 and total * s(P) agree
+        under mask, s(P) the divisor sum of P^2 for a prime P."""
+        found = []
+        for m in range(1 << (h + 1)):
+            p = Poly(m)
+            s = p * p + ONE if unitary else p * p + p + ONE
+            if ((a * p * p).bits ^ (total * s).bits) & mask == 0:
+                found.append(m)
+        return found
+
+    @pytest.mark.parametrize("bits", [8, 12, 32])
+    @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
+                             ids=["sigma", "sigma_star"])
+    def test_solutions_equal_brute_force(self, unitary, f, bits):
+        h = 8
+        mask = (1 << bits) - 1
+        form = perfect._divsum_form(h, unitary)
+        # The divisor sum of P^2 that brute_force takes is multfun's at
+        # every prime P of degree <= h.
+        for p in _irreducible_masks(h):
+            p = Poly(p)
+            s = p * p + ONE if unitary else p * p + p + ONE
+            assert f.at_prime_power(p, 2) == s
+        for a in [ONE] + TestOddScan.squares(16):
+            total = f(a)
+            got = perfect._filter_solutions(a.bits & mask, total.bits & mask,
+                                            h, form, mask)
+            assert sorted(got) == self.brute_force(a, total, h, unitary,
+                                                   mask), a
+
+    def test_solution_set_sizes(self):
+        # sigma's map is injective: one solution at most.  sigma_star's
+        # fixes P modulo x^16: 2^(h - 15) solutions when A != 1.
+        h = 20
+        for unitary, f in ((False, sigma), (True, sigma_star)):
+            form = perfect._divsum_form(h, unitary)
+            for a in TestOddScan.squares(8):
+                total = f(a)
+                got = perfect._filter_solutions(
+                    a.bits & _LOW_MASK, total.bits & _LOW_MASK, h, form,
+                    _LOW_MASK)
+                assert len(set(got)) == len(got)
+                if unitary:
+                    assert len(got) == 1 << (h - 15)
+                else:
+                    assert len(got) <= 1
+                for m in got:
+                    p = Poly(m)
+                    s = p * p + ONE if unitary else p * p + p + ONE
+                    assert ((a * p * p).bits ^ (total * s).bits) & _LOW_MASK == 0
+        # At the root A = acc = 1 nothing passes but P = 1 for sigma,
+        # which is not a prime.
+        assert perfect._filter_solutions(1, 1, h, perfect._divsum_form(
+            h, True), _LOW_MASK) == []
+        assert perfect._filter_solutions(1, 1, h, perfect._divsum_form(
+            h, False), _LOW_MASK) == [1]
+
+
 class TestWalkCost:
     """Two carryless products per walked product; the odd scan pays two
-    more per further exponent and one square per visited prime, the
-    exhaustive search a table of them."""
+    more per further exponent and one square per visited prime, and
+    settles its tail primes without one, the exhaustive search a table
+    of them."""
 
     @staticmethod
     def count_products(monkeypatch):
@@ -536,6 +733,10 @@ class TestWalkCost:
                  if not any(p in (X, X1) for p, _ in factor(Poly(s)))]
         assert report.candidates == len(roots) == 2047
         assert 0 < calls["walk"] <= self.budget(roots)
+        # The tail candidates, 1931 of the 2047, are settled per node
+        # without a lane product; a walk that makes each of them pays at
+        # least two products per candidate.
+        assert calls["walk"] < report.candidates / 2
         # Each visit of a prime P squares it once for P^2, and first
         # makes the candidate with P^2: one whose largest prime has
         # exponent 1 in S.
