@@ -12,8 +12,9 @@ no step is random and factoring reads no table.
 The factor sieve, the package's one bulk table, is one byte per mask up
 to a degree that flags the irreducibles.  Enumeration and exhaustive
 fixed-point search read their primes off the cached irreducible list
-built from it; the odd-square scan reads its odd irreducibles off a
-sieve of its own.
+built from it.  The odd-square scan lists only its low odd irreducibles
+off small sieves of its own and places the others by their count per
+degree, which Gauss's identity gives without a sieve.
 """
 
 import functools
@@ -148,6 +149,20 @@ def _factor_sieve(max_deg: int) -> bytearray:
             prod ^= p2 ^ p2 * (i & -i)
             flags[prod] = 0
     return flags
+
+
+def _irreducible_counts(max_deg: int) -> list[int]:
+    """counts[d], the number of irreducibles of degree d, for d <= max_deg.
+
+    Each element of GF(2^d) is a root of one irreducible whose degree e
+    divides d, which has e roots, so the e * counts[e] over the divisors
+    e of d sum to 2^d.
+    """
+    counts = [0] * (max_deg + 1)
+    for d in range(1, max_deg + 1):
+        below = sum(e * counts[e] for e in range(1, d) if d % e == 0)
+        counts[d] = ((1 << d) - below) // d
+    return counts
 
 
 # One entry per degree bound, so the cache holds at most the tables up to

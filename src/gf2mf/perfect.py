@@ -53,14 +53,14 @@ point depends on the multiplicative evaluation path that found it.
 """
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from types import MappingProxyType
 
 from .divisors import divisors, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import _factor_sieve, _irreducible_masks, factor, parity
+from .factorize import (_factor_sieve, _irreducible_counts, _irreducible_masks,
+                        _is_irreducible_bits, factor, parity)
 from .gf2poly import Poly, X, X1, _spread, _unspread
 from .multfun import (_divsum_affine, _divsum_bits, convolve_bruteforce,
                       ident, z)
@@ -222,44 +222,56 @@ def _filter_solutions(a, acc, h, form, mask):
     return solutions
 
 
-def _walk(primes, max_deg, unitary, sample_rejected):
+def _walk(max_deg, unitary, sample_rejected):
     """Check every square A = S*S of degree <= max_deg against its
     divisor sum, as (rejected, full_checked, hit masks, sample).
 
-    S is a product of P^k over ascending primes from the iterable; the
-    divisor sum is sigma(A), or sigma_star(A) if unitary.  Each step
-    multiplies A and its divisor sum by one prime power P^(2k), so no A
-    is ever factored.  The divisor sum of P^(2k) is carried across k by the
-    affine rule s_k = s_(k-1) * P^2 + c that multfun._divsum_affine
-    gives.  A candidate whose low coefficients differ from its divisor
-    sum's is rejected; the others are compared whole.  sample holds the
-    sample_rejected smallest rejected masks, in no order.
+    S is a product of P^k over ascending odd primes; the divisor sum is
+    sigma(A), or sigma_star(A) if unitary.  Each step multiplies A and
+    its divisor sum by one prime power P^(2k), so no A is ever factored.
+    The divisor sum of P^(2k) is carried across k by the affine rule s_k
+    = s_(k-1) * P^2 + c that multfun._divsum_affine gives.  A candidate
+    whose low coefficients differ from its divisor sum's is rejected;
+    the others are compared whole.  sample holds the sample_rejected
+    smallest rejected masks, in no order.
 
-    A node with room R left splits its primes, whose weights 2 deg P
-    ascend, by bisection.  The head, of weight <= R // 2, runs each
-    exponent k <= R // w and recurses; each candidate costs the two
-    products a * P^(2k) and acc * s_k, and each further exponent two
-    more.  Each prime of the tail, of weight above R // 2, admits P^2
-    only and nothing after it, so the tail is settled at once.  Its
-    candidate A * P^2 has divisor sum acc * s(P), and F(P) = acc * s(P)
-    + A * P^2 is affine in the coefficients of P, since squaring is
-    additive in characteristic 2; the filter passes exactly when the
-    low coefficients of F(P) vanish.  _filter_solutions solves that
-    over GF(2), and each solution is looked up among the tail's primes
-    by bisection; a prime found gets the full comparison, and every
-    other tail prime is rejected.  For sigma at most one P solves:
-    acc(0) = 1 and (A + acc)(0) = 0, so F(P) + F(0) = (A + acc) P^2 +
-    acc P has the lowest term of P.  For sigma_star, A = S^2 and acc =
-    T^2 with T(0) = 0, so F(P) + F(0) = ((S + T) P)^2 fixes P modulo
-    x^16 when A != 1, leaving at most 2^(R//2 - 15) solutions, each
-    with P(0) = T(0) = 0, so no odd prime passes.  At the root A = acc =
-    1, and F(P) = P^2 + P + 1 or 1 has no prime solution.
+    The primes are indexed in ascending order, so the first index above
+    degree d is the count of odd primes of degree <= d, which
+    factorize._irreducible_counts gives without a sieve.  A node with
+    room R left splits its primes, whose weights 2 deg P ascend, at
+    those indexes.  The head, of weight <= R // 2, runs each exponent
+    k <= R // w and recurses; each candidate costs the two products
+    a * P^(2k) and acc * s_k, and each further exponent two more.  Each
+    prime of the tail, of weight above R // 2, admits P^2 only and
+    nothing after it, so the tail is settled at once.  Its candidate
+    A * P^2 has divisor sum acc * s(P), and F(P) = acc * s(P) + A * P^2
+    is affine in the coefficients of P, since squaring is additive in
+    characteristic 2; the filter passes exactly when the low
+    coefficients of F(P) vanish.  _filter_solutions solves that over
+    GF(2), for P of degree <= R // 2; a solution at or above the tail's
+    first prime is a tail prime when it is irreducible.  A prime found
+    gets the full comparison, and every other tail prime is rejected.
+    For sigma at most one P solves: acc(0) = 1 and (A + acc)(0) = 0, so
+    F(P) + F(0) = (A + acc) P^2 + acc P has the lowest term of P.  For
+    sigma_star, A = S^2 and acc = T^2 with T(0) = 0, so F(P) + F(0) =
+    ((S + T) P)^2 fixes P modulo x^16 when A != 1, leaving at most
+    2^(R//2 - 15) solutions, each with P(0) = T(0) = 0, so no odd prime
+    passes.  At the root A = acc = 1, and F(P) = P^2 + P + 1 or 1 has no
+    prime solution.
 
     Both parts admit a rejected mask to the sample only below cut:
     above every mask until the sample is full, then its largest mask.
     Tail weights ascend and cut only falls, so the tail's rejected
     masks are formed from the start of the tail up to the first prime
     whose candidate has a larger degree than cut.
+
+    Only the primes of degree <= max_deg // 4 + 1 are listed up front,
+    off a transient sieve: every head prime and the prime after it.  An
+    odd solution at or above the tail's first prime is tested by
+    factorize's irreducibility test, uncached, so no tail prime need be
+    listed.  The sample loop lists one degree more only when its next
+    prime has a degree not listed yet and its candidate still fits
+    under cut, and appends it, so the indexes stay put.
 
     The walk runs on lane values (gf2poly._spread), so each product is
     one integer multiply masked by keep.  The head primes, of weight
@@ -269,12 +281,17 @@ def _walk(primes, max_deg, unitary, sample_rejected):
     gives c in lane form from lane inputs.  Only the hits and the sample
     are read back into masks.
     """
-    primes = list(primes)
-    n = len(primes)
-    # The head primes of every node: weight 2 deg P <= max_deg // 2.
-    nhead = bisect_left(primes, 1 << (max_deg // 4 + 1))
+    def listed(lo, hi):  # the primes of degree lo..hi, lo >= 2, ascending
+        return compress(count(1 << lo), _factor_sieve(hi)[1 << lo:])
+
+    counts = _irreducible_counts(max_deg // 2)
+    counts[1] = 0  # x and x+1 are not odd
+    start = list(accumulate(counts))  # start[d]: odd primes of degree <= d
+    primes = list(listed(2, max_deg // 4 + 1))
+    nhead = start[max_deg // 4]
     lanes = [_spread(p) for p in primes[:nhead]]
-    weights = [2 * p.bit_length() - 2 for p in primes[:nhead]]
+    weights = [2 * p.bit_length() - 2 for p in primes]
+    is_prime = _is_irreducible_bits.__wrapped__  # leaves its cache as it is
     keep = _spread((1 << (max_deg + 1)) - 1)
     low = _spread(_LOW_MASK)
     form = _divsum_form(max_deg // 2, unitary)
@@ -295,8 +312,8 @@ def _walk(primes, max_deg, unitary, sample_rejected):
     def walk(first: int, room: int, a: int, acc: int) -> int:
         nonlocal full
         rej = 0
-        mid = bisect_left(primes, 1 << (room // 4 + 1), first)
-        end = bisect_left(primes, 1 << (room // 2 + 1), mid)
+        mid = max(first, start[room // 4])
+        end = start[room // 2]
         for i in range(first, mid):
             w = weights[i]
             lp = lanes[i]
@@ -318,7 +335,7 @@ def _walk(primes, max_deg, unitary, sample_rejected):
                     if acc2 == a2:
                         hits.append(a2)
                 rest = room - k * w
-                if i + 1 < n and 2 * primes[i + 1].bit_length() - 2 <= rest:
+                if weights[i + 1] <= rest:
                     rej += walk(i + 1, rest, a2, acc2)
                 if k < top:
                     pw = pw * base & keep
@@ -326,12 +343,10 @@ def _walk(primes, max_deg, unitary, sample_rejected):
                 k += 1
         if mid == end:
             return rej
-        passed = []
-        for p in _filter_solutions(_unspread(a & low), _unspread(acc & low),
-                                   room // 2, form, _LOW_MASK):
-            j = bisect_left(primes, p, mid, end)
-            if j < end and primes[j] == p:
-                passed.append(p)
+        passed = [p for p in _filter_solutions(_unspread(a & low),
+                                               _unspread(acc & low),
+                                               room // 2, form, _LOW_MASK)
+                  if p & 1 and p >= primes[mid] and is_prime(p)]
         for p in passed:
             lp = _spread(p)
             base = lp * lp & keep
@@ -343,9 +358,15 @@ def _walk(primes, max_deg, unitary, sample_rejected):
         if cut:
             deg_a = max_deg - room
             for j in range(mid, end):
-                p = primes[j]
-                if deg_a + 2 * p.bit_length() - 2 > (cut.bit_length() - 1) >> 3:
+                if j < len(primes):
+                    d = primes[j].bit_length() - 1
+                else:  # the first prime of the next degree, not listed yet
+                    d = primes[-1].bit_length()
+                if deg_a + 2 * d > (cut.bit_length() - 1) >> 3:
                     break
+                if j == len(primes):
+                    primes.extend(listed(d, d))
+                p = primes[j]
                 if p not in passed:
                     lp = _spread(p)
                     a2 = a * (lp * lp & keep) & keep
@@ -465,8 +486,11 @@ def search_fixed_points(
     whose divisor sum needs a skipped prime is dropped with its subtree,
     a sibling loop stops at the lowest prime still needed, a product is
     not extended once its largest needed prime no longer fits, and
-    A = sigma(A) is tested only when no prime is needed.
+    A = sigma(A) is tested only when no prime is needed.  max_deg must
+    be an int.
     """
+    if type(max_deg) is not int:
+        raise ValueError("max_deg must be an int")
     if not 1 <= max_deg <= EXHAUSTIVE_MAX_DEG:
         raise ResourceLimitError(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
@@ -491,24 +515,22 @@ def odd_square_scan(
     The low coefficients of the divisor sum are compared first; survivors
     get the full comparison.  Counters and the sample_rejected smallest
     filter-rejected candidates are recorded for conservativeness checks;
-    sample_rejected must be an int >= 0.
+    max_deg must be an int and sample_rejected an int >= 0.
 
     With unitary=True the hits are always empty: no odd A != 1 is
     unitary-perfect.  Each P^e exactly dividing A has P(1) = 1, so x+1
     divides 1 + P^e = sigma_star(P^e) and hence sigma_star(A), while x+1
     does not divide A.
     """
+    if type(max_deg) is not int:
+        raise ValueError("max_deg must be an int")
     if not 2 <= max_deg <= ODD_SCAN_MAX_DEG:
         raise ResourceLimitError(
             f"odd-square scan degree must be 2..{ODD_SCAN_MAX_DEG}"
         )
     if type(sample_rejected) is not int or sample_rejected < 0:
         raise ValueError("sample_rejected must be an int >= 0")
-    # A sieve of the scan's own, freed once read: nothing of degree
-    # max_deg // 2 stays cached after the scan.  Masks 2 and 3 are the
-    # linear primes.
-    primes = compress(count(4), _factor_sieve(max_deg // 2)[4:])
-    rej, full, hits, sample = _walk(primes, max_deg, unitary, sample_rejected)
+    rej, full, hits, sample = _walk(max_deg, unitary, sample_rejected)
     return ScanReport(
         max_deg=max_deg,
         unitary=unitary,

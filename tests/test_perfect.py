@@ -18,6 +18,7 @@ from gf2mf.divisors import ResourceLimitError
 from gf2mf.factorize import (
     _TABLE_MAX_DEG,
     _factor_sieve,
+    _irreducible_counts,
     _irreducible_masks,
     _is_irreducible_bits,
     factor,
@@ -134,8 +135,9 @@ def gray_code_sieve(max_deg):
 
 
 def scan_primes(max_deg):
-    """The odd irreducibles of degree <= max_deg // 2, as odd_square_scan
-    reads them off the sieve."""
+    """Every odd irreducible of degree <= max_deg // 2, off one sieve: the
+    primes the scan walks, which it lists only to degree max_deg // 4 + 1
+    or as far as its sample reads."""
     return list(compress(count(4), _factor_sieve(max_deg // 2)[4:]))
 
 
@@ -245,11 +247,14 @@ class TestFactorSieve:
 
     @pytest.mark.parametrize("max_deg", [18, 20])
     def test_counts_per_degree_are_gauss_counts(self, max_deg):
+        # By Mobius inversion, and by the recurrence the odd scan reads.
         flags = _factor_sieve(max_deg)
+        counts = _irreducible_counts(max_deg)
+        assert len(counts) == max_deg + 1 and counts[0] == 0
         for d in range(1, max_deg + 1):
             gauss = sum(mobius(e) * 2 ** (d // e)
                         for e in range(1, d + 1) if d % e == 0) // d
-            assert sum(flags[1 << d:2 << d]) == gauss, d
+            assert sum(flags[1 << d:2 << d]) == gauss == counts[d], d
 
     def test_flags_match_factor(self):
         deg = 18
@@ -390,6 +395,11 @@ class TestSearch:
         with pytest.raises(ResourceLimitError):
             search_fixed_points(25)
 
+    @pytest.mark.parametrize("max_deg", [True, 12.0, "12", None])
+    def test_degree_must_be_an_int(self, max_deg):
+        with pytest.raises(ValueError, match="max_deg"):
+            search_fixed_points(max_deg)
+
     def test_result_guard_rejects_non_perfect(self):
         with pytest.raises(RuntimeError):
             _result(Poly("x^2").bits, False)
@@ -488,14 +498,20 @@ class TestOddScan:
         assert odd_square_scan(24).hits != report.hits
 
     def test_walk_reaches_the_top_power_exactly(self, monkeypatch):
-        # With id's rule every candidate is a hit.  Over x^2+x+1 alone the
-        # candidates are its even powers up to P^20, the trinomial
+        # With id's rule every head candidate is a hit; with no filter
+        # solution every tail candidate is rejected.  The candidates over
+        # x^2+x+1 alone are its even powers up to P^20, the trinomial
         # coefficients of whose carried powers pass 255 (8953 in P^20).
+        candidates = odd_square_scan(40).candidates
         monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
+        monkeypatch.setattr(perfect, "_filter_solutions", lambda *args: [])
         p = Poly("x^2+x+1")
-        _, full, hits, _ = perfect._walk(iter([p.bits]), 40, False, 0)
-        assert full == 10
-        assert hits == [(p ** (2 * k)).bits for k in range(1, 11)]
+        rej, full, hits, _ = perfect._walk(40, False, 0)
+        assert rej + full == candidates
+        assert len(hits) == full
+        powers = {(p ** k).bits for k in range(1, 23)}
+        assert [m for m in hits if m in powers] == [
+            (p ** (2 * k)).bits for k in range(1, 11)]
 
     # sha256 of the reprs of odd_square_scan(D, unitary, sample_rejected=
     # 1000) for D = 2..28, one per line: the counts, the hits and the
@@ -533,16 +549,67 @@ class TestOddScan:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.REPORTS_40[unitary]
 
+    # sha256 of repr(odd_square_scan(36, unitary, sample_rejected=1000)),
+    # the perfbench odd_scan workload, from the walk that listed every
+    # prime of degree <= 18 off one sieve.
+    REPORTS_36 = {
+        False: ("8870261167b7ce22dc0e0b999e237357"
+                "25edc7f7f6a636922c0bfe451bdecc80"),
+        True: ("c0eb935a8b00072ac1a8d8cd0f716373"
+               "bdd8158d18fc32069e02dbe5f398c1b2"),
+    }
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_report_at_degree_36_is_pinned(self, unitary):
+        text = repr(odd_square_scan(36, unitary, sample_rejected=1000))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.REPORTS_36[unitary]
+
+    def test_reports_at_every_degree_and_sample_size_are_pinned(self):
+        # sha256 of the reprs, joined with no separator, for D = 2..30, 36
+        # and 40, each kind, sample sizes 0, 5 and 1000, in that order,
+        # from the walk that listed every prime of degree <= D // 2.
+        text = "".join(
+            repr(odd_square_scan(d, unitary, sample_rejected=size))
+            for d in [*range(2, 31), 36, 40]
+            for unitary in (False, True) for size in (0, 5, 1000))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c58794628a03a8ba818754991078d002"
+            "8c8172451b0b7fd63e9f4a41ec7cc06b")
+
     def test_scan_leaves_no_irreducible_table_cached(self):
-        # The scan reads its degree-18 primes off a sieve of its own; the
-        # shared cache is untouched and refuses bounds above 16.
-        before = _irreducible_masks.cache_info()
+        # The scan lists its low primes off small sieves of its own and
+        # tests a filter solution above them without the test's cache; the
+        # shared caches are untouched, and the table's refuses bounds
+        # above 16.  sigma_star's filter has solutions above the listing
+        # at degree 40.
+        before = (_irreducible_masks.cache_info(),
+                  _is_irreducible_bits.cache_info())
         odd_square_scan(36)
-        after = _irreducible_masks.cache_info()
-        assert after.hits + after.misses == before.hits + before.misses
-        assert after.maxsize == _TABLE_MAX_DEG == 16
+        odd_square_scan(40, unitary=True)
+        after = (_irreducible_masks.cache_info(),
+                 _is_irreducible_bits.cache_info())
+        assert after == before
+        assert after[0].maxsize == _TABLE_MAX_DEG == 16
         with pytest.raises(ValueError, match="bounded at degree 16"):
             _irreducible_masks(_TABLE_MAX_DEG + 1)
+
+    @pytest.mark.parametrize("size, top", [(0, 10), (1000, 12)])
+    def test_scan_sieves_only_its_low_primes(self, monkeypatch, size, top):
+        # The walk lists the primes of degree <= 36 // 4 + 1 and places
+        # the others by their count per degree; the rejected sample lists
+        # one degree more only when it reads a prime of that degree, and
+        # reads none above 12 at this size.
+        asked = []
+
+        def sieve(max_deg, sieve=perfect._factor_sieve):
+            asked.append(max_deg)
+            return sieve(max_deg)
+
+        monkeypatch.setattr(perfect, "_factor_sieve", sieve)
+        odd_square_scan(36, sample_rejected=size)
+        assert asked[0] == 10
+        assert max(asked) <= top
 
     def test_unitary_scan_is_empty_too(self):
         assert odd_square_scan(20, unitary=True).hits == []
@@ -567,29 +634,34 @@ class TestOddScan:
         with pytest.raises(ResourceLimitError):
             odd_square_scan(41)
 
+    @pytest.mark.parametrize("max_deg", [True, 36.0, "36", None])
+    def test_degree_must_be_an_int(self, max_deg):
+        with pytest.raises(ValueError, match="max_deg"):
+            odd_square_scan(max_deg)
+
     @pytest.mark.parametrize("size", [-1, 2.5, True])
     def test_sample_size_must_be_a_non_negative_int(self, size):
         with pytest.raises(ValueError, match="sample_rejected"):
             odd_square_scan(20, sample_rejected=size)
 
 
-def walk_result(primes, max_deg, unitary, size, walk):
-    rej, full, hits, sample = walk(primes, max_deg, unitary, size)
+def walk_result(walked):
+    rej, full, hits, sample = walked
     return rej, full, sorted(hits), sorted(sample)
 
 
 class TestTailSolve:
-    """The odd walk's tail, settled by one affine solve per node, against
-    the flat loop over every tail prime and against brute force."""
+    """The odd walk's tail, settled by one affine solve per node and
+    placed by the count of primes per degree, against the flat loop over
+    every listed tail prime and against brute force."""
 
     @pytest.mark.parametrize("size", [0, 7, 1000])
     @pytest.mark.parametrize("unitary", [False, True])
     def test_walk_equals_the_flat_tail_loop(self, unitary, size):
         for max_deg in range(2, 31):
-            primes = scan_primes(max_deg)
-            got = walk_result(primes, max_deg, unitary, size, perfect._walk)
-            assert got == walk_result(primes, max_deg, unitary, size,
-                                      flat_tail_walk), max_deg
+            got = walk_result(perfect._walk(max_deg, unitary, size))
+            assert got == walk_result(flat_tail_walk(
+                scan_primes(max_deg), max_deg, unitary, size)), max_deg
 
     @pytest.mark.parametrize("bits", [8, 12])
     @pytest.mark.parametrize("unitary", [False, True])
@@ -598,18 +670,35 @@ class TestTailSolve:
         # At 32 bits no candidate passes the filter to degree 40; at 8 and
         # 12 bits some of sigma's do, and reach the full comparison.
         # sigma_star's never do: for A != 1 its divisor sum vanishes at 0,
-        # so F(P) has constant term P(0) = 1.
+        # so F(P) has constant term P(0) = 1, and its solutions, all with
+        # P(0) = 0, are dropped before the irreducibility test, which
+        # settles every odd solution in a node's range, listed or not.
         monkeypatch.setattr(perfect, "_LOW_MASK", (1 << bits) - 1)
+        tested = []
+
+        def is_prime(p, test=_is_irreducible_bits.__wrapped__):
+            tested.append(test(p))
+            return tested[-1]
+
+        monkeypatch.setattr(_is_irreducible_bits, "__wrapped__", is_prime)
         full = 0
         for max_deg in range(2, 25):
-            primes = scan_primes(max_deg)
             for size in (0, 7, 1000):
-                got = walk_result(primes, max_deg, unitary, size,
-                                  perfect._walk)
-                assert got == walk_result(primes, max_deg, unitary, size,
-                                          flat_tail_walk), (max_deg, size)
+                n = len(tested)
+                got = walk_result(perfect._walk(max_deg, unitary, size))
+                assert got == walk_result(flat_tail_walk(
+                    scan_primes(max_deg), max_deg, unitary, size)), (
+                        max_deg, size)
                 full += got[1]
+                if size:
+                    del tested[n:]  # keep the tests made at size 0
         assert (full > 0) is not unitary
+        if unitary:
+            assert tested == []
+        else:
+            assert False in tested
+        if bits == 8 and not unitary:
+            assert True in tested  # at 8 bits some are sigma's tail primes
 
     @staticmethod
     def brute_force(a, total, h, unitary, mask):
