@@ -27,7 +27,12 @@ rules follow: a P^e whose divisor sum has a skipped prime is dropped
 with its subtree; a sibling loop stops at the lowest prime still
 required; and A is compared with its divisor sum only once no prime is
 still required.  Nor is a product extended once its largest required
-prime no longer fits in the degree.
+prime no longer fits in the degree.  A node finds its prime powers in
+buckets keyed by the highest lower prime they require, so it visits
+only those that require none or whose key it has taken.  And x -> x+1
+is a ring automorphism that keeps degrees, so sigma(A(x+1)) =
+sigma(A)(x+1) and likewise for sigma_star: the walk takes no more x+1
+than x in A and adds the conjugate of each hit with less.
 
 Odd mode rests on one fact: a fixed point of sigma with no linear
 factor is a square (E. F. Canaday, "The sum of the divisors of a
@@ -53,15 +58,16 @@ point depends on the multiplicative evaluation path that found it.
 """
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, islice
 from types import MappingProxyType
 
 from .divisors import divisors, unitary_divisors
 from .divisors import ResourceLimitError
 from .factorize import (_factor_sieve, _irreducible_counts, _irreducible_masks,
                         _is_irreducible_bits, factor, parity)
-from .gf2poly import Poly, X, X1, _spread, _unspread
+from .gf2poly import Poly, X, X1, _compose_bits, _spread, _unspread
 from .multfun import (_divsum_affine, _divsum_bits, convolve_bruteforce,
                       ident, z)
 
@@ -77,7 +83,7 @@ __all__ = [
     "odd_square_scan",
 ]
 
-EXHAUSTIVE_MAX_DEG = 24
+EXHAUSTIVE_MAX_DEG = 28
 ODD_SCAN_MAX_DEG = 40
 
 # The odd-mode pre-filter compares this many low coefficients before
@@ -415,49 +421,93 @@ def _prime_power_rows(primes, cap, unitary):
 
 def _closed_hits(rows, max_deg) -> "list[int]":
     """The fixed points among the products search_fixed_points walks,
-    as masks in walk order, by the rules its docstring states.
+    and their conjugates, as masks, by the rules its docstring states.
 
     A node carries A and its divisor sum acc as lane values, the index
     mask have of the primes taken and the mask need of the primes that a
     taken P^k's divisor sum requires and A lacks.  Each product is one
     integer multiply masked by keep; only the hits are read back.
+
+    Each row of P_i goes in the bucket of the highest prime P_j, j < i,
+    that its divisor sum requires, or in bucket -1 if it requires none
+    below P_i: a node that skipped P_j can take no row of bucket j.  So
+    a node scans bucket -1 and the buckets its taken primes opened, each
+    from index first on, and still drops a row that requires a skipped
+    prime below P_j.  The buckets are built once per call from the
+    rows, ordered by prime index and then exponent, so a scan stops at
+    the first prime that is out of weight or past the lowest one needed.
+
+    x and x+1 are P_0 and P_1.  The rows of (x+1)^b sit in a bucket of
+    their own for each a >= b, which only x^a opens, so the walk takes
+    the products with no more x+1 than x in them.  A hit with less x+1
+    than x adds its conjugate A(x+1), which the walk does not take.
     """
+    n = len(rows)
     weights = [row[0][0] for row in rows]
     keep = _spread((1 << (max_deg + 1)) - 1)
-    n = len(rows)
+    # upto[r]: the count of primes of weight <= r, which fit in room r.
+    upto = [bisect_right(weights, r) for r in range(max_deg + 1)]
+    opens = [[] for _ in rows]  # the buckets a row of P_i opens, set below
+
+    def entry(i, row, opened):
+        # The child's first, e, P^k, s_k, req below and above P_i, the
+        # mask that clears P_i, e plus the weight of P_(i+1), opened.
+        e, pw, sig, req = row
+        bit = 1 << i
+        after = weights[i + 1] if i + 1 < n else max_deg + 1
+        return (i + 1, e, pw, sig, req & bit - 1, req >> i << i, ~bit,
+                e + after, opened)
+
+    def indexed(bucket):  # a bucket with its prime indexes, for bisect
+        return [nxt - 1 for nxt, *_ in bucket], bucket
+
+    buckets = [[] for _ in range(n + 1)]  # bucket j at j, bucket -1 last
+    for i in range(2, n):
+        for row in rows[i]:
+            low = row[3] & (1 << i) - 1
+            buckets[low.bit_length() - 1].append(entry(i, row, opens[i]))
+    for j in range(n):
+        if buckets[j]:
+            opens[j].append(indexed(buckets[j]))
+    if rows:  # x^a opens the bucket of the (x+1)^b with b <= a
+        x1 = [entry(1, row, opens[1]) for row in rows[1]]
+        buckets[-1][:0] = [
+            entry(0, row, [indexed([t for t in x1 if t[1] <= row[0]])]
+                  + opens[0]) for row in rows[0]]
     hits: "list[int]" = []
 
-    def walk(first, room, a, acc, have, need):
-        # Skipping the lowest needed prime leaves A unclosable.
-        stop = (need & -need).bit_length() if need else n
-        for i in range(first, stop):
-            if weights[i] > room:
-                break
-            bit = 1 << i
-            below = bit - 1
-            have2 = have | bit
-            after = weights[i + 1] if i + 1 < n else room + 1
-            for e, pw, sig, req in rows[i]:
-                if e > room:
+    def walk(first, room, a, acc, have, need, scan):
+        top = upto[room]
+        if need:  # skipping the lowest needed prime leaves A unclosable
+            top = min(top, (need & -need).bit_length())
+        skipped = ~have
+        for index, bucket in scan:
+            for nxt, e, pw, sig, low, high, clear, reach, opened in islice(
+                    bucket, bisect_left(index, first), None):
+                if nxt > top:
                     break
-                if req & below & ~have:
-                    continue  # requires a prime the walk skipped
-                need2 = (need | req) & ~have2
-                rest = room - e
+                if e > room or low & skipped:
+                    continue  # too heavy, or requires a prime the walk skipped
+                need2 = (need | high) & clear
                 if need2:
+                    rest = room - e
                     if weights[need2.bit_length() - 1] <= rest:
-                        walk(i + 1, rest, a * pw & keep, acc * sig & keep,
-                             have2, need2)
+                        walk(nxt, rest, a * pw & keep, acc * sig & keep,
+                             have | ~clear, need2, scan + opened)
                     continue
                 a2 = a * pw & keep
                 acc2 = acc * sig & keep
                 if acc2 == a2:
                     hits.append(a2)
-                if after <= rest:
-                    walk(i + 1, rest, a2, acc2, have2, 0)
+                if reach <= room:
+                    walk(nxt, room - e, a2, acc2, have | ~clear, 0,
+                         scan + opened)
 
-    walk(0, max_deg, 1, 1, 0, 0)
-    return [_unspread(x) for x in hits]
+    walk(0, max_deg, 1, 1, 0, 0, [indexed(buckets[-1])])
+    masks = [_unspread(x) for x in hits]
+    # The lowest bit of A(x+1) is the power of x+1 in A.
+    pairs = [(m, _compose_bits(m, 3)) for m in masks]
+    return masks + [c for m, c in pairs if c & -c != m & -m]
 
 
 def _result(mask: int, unitary: bool) -> SearchResult:
@@ -486,8 +536,21 @@ def search_fixed_points(
     whose divisor sum needs a skipped prime is dropped with its subtree,
     a sibling loop stops at the lowest prime still needed, a product is
     not extended once its largest needed prime no longer fits, and
-    A = sigma(A) is tested only when no prime is needed.  max_deg must
-    be an int.
+    A = sigma(A) is tested only when no prime is needed.
+
+    Bucket rule: each P^e goes in the bucket of the highest prime below
+    P that its divisor sum needs, or in bucket -1 if it needs none below
+    P.  A node scans bucket -1 and the buckets of the primes it has
+    taken, and there still drops a P^e that needs a lower skipped prime,
+    so a P^e whose highest lower need was skipped is never visited.
+    Conjugate rule: x -> x+1 is a ring automorphism of F2[x] that keeps
+    degrees and irreducibility, so sigma(A(x+1)) = sigma(A)(x+1),
+    likewise for sigma_star, and it maps fixed points to fixed points.
+    It swaps the exponents a of x and b of x+1 in A, so the walk takes
+    only b <= a (with x skipped, x+1 is skipped too) and adds the
+    conjugate of each hit with b < a.  A hit with b = a has a conjugate
+    with b = a, which the walk takes itself.  Every hit and each added
+    conjugate is re-verified.  max_deg must be an int.
     """
     if type(max_deg) is not int:
         raise ValueError("max_deg must be an int")

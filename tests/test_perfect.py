@@ -68,6 +68,48 @@ def closed_masks(max_deg, f):
     return [m for m, _, missing in smooth_masks(max_deg, f) if not missing]
 
 
+def closed_walk(rows, max_deg):
+    """perfect._closed_hits as it was before the buckets and the conjugate
+    rule: each node scans every row of every prime from first on, drops
+    the rows that require a skipped prime, and walks x+1 above x and
+    without it too.  Reads perfect._spread and _unspread at call time."""
+    weights = [row[0][0] for row in rows]
+    keep = perfect._spread((1 << (max_deg + 1)) - 1)
+    n = len(rows)
+    hits = []
+
+    def walk(first, room, a, acc, have, need):
+        stop = (need & -need).bit_length() if need else n
+        for i in range(first, stop):
+            if weights[i] > room:
+                break
+            bit = 1 << i
+            below = bit - 1
+            have2 = have | bit
+            after = weights[i + 1] if i + 1 < n else room + 1
+            for e, pw, sig, req in rows[i]:
+                if e > room:
+                    break
+                if req & below & ~have:
+                    continue
+                need2 = (need | req) & ~have2
+                rest = room - e
+                if need2:
+                    if weights[need2.bit_length() - 1] <= rest:
+                        walk(i + 1, rest, a * pw & keep, acc * sig & keep,
+                             have2, need2)
+                    continue
+                a2 = a * pw & keep
+                acc2 = acc * sig & keep
+                if acc2 == a2:
+                    hits.append(a2)
+                if after <= rest:
+                    walk(i + 1, rest, a2, acc2, have2, 0)
+
+    walk(0, max_deg, 1, 1, 0, 0)
+    return [perfect._unspread(x) for x in hits]
+
+
 class TestVerifyPerfect:
     def test_known_perfect(self):
         assert verify_perfect(B)
@@ -338,6 +380,16 @@ class TestSearch:
         monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
         assert search_fixed_points(12) != expected
 
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_walk_equals_the_unbucketed_walk(self, unitary):
+        # The same fixed points, each once: the walked ones and their
+        # conjugates against every closable product in index order.
+        for max_deg in range(1, 25):
+            rows = perfect._prime_power_rows(
+                _irreducible_masks(max_deg // 2), max_deg // 2, unitary)
+            got = sorted(perfect._closed_hits(rows, max_deg))
+            assert got == sorted(closed_walk(rows, max_deg)), max_deg
+
     @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
                              ids=["sigma", "sigma_star"])
     def test_rows_hold_reduced_lane_values(self, unitary, f):
@@ -368,6 +420,25 @@ class TestSearch:
                           "fffaa47badd4b5b628a3cf0b6299be5c"),
         (22, True): (22, "ed75a0c78e9a26296fa0d72219aa2e9f"
                          "a5938f19d0dc81c237cc89b351b2b40c"),
+        # D = 25..28, from the walk that took every closable product,
+        # before the conjugate rule and the buckets.  Sigma stays the
+        # trivial family plus Canaday's 11 even nontrivial ones.
+        (25, False): (14, "e5d6a6aed8b6e3ea8babf844ffb68a5c"
+                          "fffaa47badd4b5b628a3cf0b6299be5c"),
+        (25, True): (28, "8aa8698c5bcda141edf4326f085b81ab"
+                         "2a4bd8cac272090c526609b3db45a1fd"),
+        (26, False): (14, "e5d6a6aed8b6e3ea8babf844ffb68a5c"
+                          "fffaa47badd4b5b628a3cf0b6299be5c"),
+        (26, True): (31, "2e24f2b952232c4cab80af65d4582357"
+                         "efe6fe30ecfb5f3993369e9e796401ad"),
+        (27, False): (14, "e5d6a6aed8b6e3ea8babf844ffb68a5c"
+                          "fffaa47badd4b5b628a3cf0b6299be5c"),
+        (27, True): (31, "2e24f2b952232c4cab80af65d4582357"
+                         "efe6fe30ecfb5f3993369e9e796401ad"),
+        (28, False): (14, "e5d6a6aed8b6e3ea8babf844ffb68a5c"
+                          "fffaa47badd4b5b628a3cf0b6299be5c"),
+        (28, True): (35, "335e9b6b73d0f9601c8b47ba8a9a62a9"
+                         "9f54b9b79cb845adf765889cccc35172"),
     }
 
     @pytest.mark.parametrize("max_deg, unitary", sorted(LISTINGS))
@@ -393,7 +464,7 @@ class TestSearch:
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            search_fixed_points(25)
+            search_fixed_points(29)
 
     @pytest.mark.parametrize("max_deg", [True, 12.0, "12", None])
     def test_degree_must_be_an_int(self, max_deg):
@@ -839,12 +910,14 @@ class TestWalkCost:
         spent = calls["walk"] + calls["square"]  # multfun's below are ours
         # The search pays two products per mask it enters: the closed
         # ones, and the open ones whose missing primes all lie above
-        # their largest prime and still fit in the degree.
+        # their largest prime and still fit in the degree, each with no
+        # more x+1 than x in it.
         masks = list(smooth_masks(12, sigma_star if unitary else sigma))
         entered = [m for m, pairs, missing in masks
-                   if all(q.bits > pairs[-1][0].bits
-                          and q.degree <= 12 - Poly(m).degree
-                          for q in missing)]
+                   if dict(pairs).get(X1, 0) <= dict(pairs).get(X, 0)
+                   and all(q.bits > pairs[-1][0].bits
+                           and q.degree <= 12 - Poly(m).degree
+                           for q in missing)]
         # Its table of P^k, their divisor sums and the sums' primes costs
         # 2 products per k >= 2 and k - 1 more in multfun._divsum_bits.
         table = sum(2 * (top - 1) + top * (top - 1) // 2
@@ -854,3 +927,8 @@ class TestWalkCost:
         # The unpruned walk over every smooth mask paid more than twice
         # as much.
         assert spent < self.budget([m for m, _, _ in masks]) / 2
+        # The walk that also took x^a (x+1)^b with b > a paid 781 (sigma)
+        # and 1129 (sigma_star), the bound above without that rule; this
+        # one pays 549 and 769.  The hits' conjugates are made off the
+        # lanes, by gf2poly's own products.
+        assert spent < (1129 if unitary else 781)
