@@ -1,0 +1,148 @@
+"""The mutant catalogue: one-line faults that named tests must catch.
+
+Each Mutant names a file under src/, an exact old text that occurs once
+in it, the new text that replaces it, and the test ids that must fail
+with it.  mutants/run.py applies each one in a temporary copy of the
+repository and runs only its tests.  survives holds the reason when a
+mutant is expected to live: it changes cost, not output.  A new
+survivor is a finding; add a test that kills it rather than dropping
+the mutant.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: "tuple[str, ...]"
+    survives: str = ""
+
+
+PERFECT = "src/gf2mf/perfect.py"
+MULTFUN = "src/gf2mf/multfun.py"
+FACTORIZE = "src/gf2mf/factorize.py"
+
+SEARCH = "tests/test_perfect.py::TestSearch::"
+ODD = "tests/test_perfect.py::TestOddScan::"
+TAIL = "tests/test_perfect.py::TestTailSolve::"
+COST = "tests/test_perfect.py::TestWalkCost::"
+SIEVE = "tests/test_perfect.py::TestFactorSieve::"
+BUILTINS = "tests/test_multfun.py::TestBuiltins::"
+
+MUTANTS = (
+    # The one prime-power row table and the affine rule's (s_1, c) pair.
+    Mutant("rows-carry-without-c", PERFECT,
+           "sig = sig * base & keep ^ c",
+           "sig = sig * base & keep",
+           (SEARCH + "test_rows_hold_reduced_lane_values",
+            ODD + "test_walk_matches_a_plain_loop_over_every_s")),
+    Mutant("rows-power-unreduced", PERFECT,
+           "pw = pw * base & keep",
+           "pw = pw * base",
+           (SEARCH + "test_rows_hold_reduced_lane_values",)),
+    Mutant("rows-square-unreduced", PERFECT,
+           "base = lp * lp & keep if step == 2 else lp",
+           "base = lp * lp if step == 2 else lp",
+           (SEARCH + "test_rows_hold_reduced_lane_values[sigma-step-2]",)),
+    Mutant("rows-carry-past-the-top", PERFECT,
+           "if k < top:",
+           "if k <= top:",
+           (COST + "test_odd_scan",)),
+    Mutant("odd-head-room-at-ge", PERFECT,
+           "for e, pw, sig in rows[i]:\n                if e > room:",
+           "for e, pw, sig in rows[i]:\n                if e >= room:",
+           (ODD + "test_walk_matches_a_plain_loop_over_every_s",
+            TAIL + "test_walk_equals_the_flat_tail_loop")),
+    Mutant("odd-head-rows-at-step-1", PERFECT,
+           "_prime_power_rows(primes[:start[max_deg // 4]], max_deg, 2,",
+           "_prime_power_rows(primes[:start[max_deg // 4]], max_deg, 1,",
+           (ODD + "test_walk_matches_a_plain_loop_over_every_s",)),
+    Mutant("odd-passed-row-at-step-1", PERFECT,
+           "_prime_power_rows(passed, room, 2, unitary)",
+           "_prime_power_rows(passed, room, 1, unitary)",
+           (ODD + "test_walked_divisor_sum_multiplies_the_whole_factorization",)),
+    Mutant("sigma-step-2-c-is-p", MULTFUN,
+           "c = p ^ 1 if step == 2 else 1",
+           "c = p if step == 2 else 1",
+           (BUILTINS + "test_affine_pair_reproduces_the_rule",
+            ODD + "test_walk_matches_a_plain_loop_over_every_s")),
+    Mutant("sigma-star-s1-without-1", MULTFUN,
+           "return p_step ^ 1, p_step ^ 1",
+           "return p_step, p_step ^ 1",
+           (BUILTINS + "test_sigma_star_is_unitary_divisor_xor",
+            BUILTINS + "test_affine_pair_reproduces_the_rule")),
+    Mutant("sigma-step-starts-at-c", MULTFUN,
+           "return s1 if len(row) == 1 else",
+           "return c if len(row) == 1 else",
+           (BUILTINS + "test_sigma_is_divisor_xor",)),
+    Mutant("divsum-bits-one-step-more", MULTFUN,
+           "for _ in range(r - 1):",
+           "for _ in range(r):",
+           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",)),
+    Mutant("req-index-one-high", PERFECT,
+           "req |= 1 << index[q.bits]",
+           "req |= 2 << index[q.bits]",
+           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",)),
+    # The exhaustive walk: buckets, rule 1 and the x <-> x+1 conjugates.
+    Mutant("bucket-key-one-high", PERFECT,
+           "buckets[low.bit_length() - 1].append(",
+           "buckets[low.bit_length()].append(",
+           (SEARCH + "test_walk_equals_the_unbucketed_walk",)),
+    Mutant("rule-1-recheck-dropped", PERFECT,
+           "if e > room or low & skipped:",
+           "if e > room:",
+           (SEARCH + "test_walk_visits_each_half_degree_smooth_mask_once",)),
+    Mutant("conjugates-forgotten", PERFECT,
+           "return masks + [c for m, c in pairs if c & -c != m & -m]",
+           "return masks",
+           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",)),
+    Mutant("conjugate-whenever-different", PERFECT,
+           "if c & -c != m & -m]",
+           "if c != m]",
+           (SEARCH + "test_walk_visits_each_half_degree_smooth_mask_once",)),
+    # The odd scan's prefilter, tail solve and listing.
+    Mutant("prefilter-mask-not-in-lanes", PERFECT,
+           "low = _spread(_LOW_MASK)",
+           "low = _LOW_MASK",
+           (ODD + "test_walk_matches_a_plain_loop_over_every_s",)),
+    Mutant("kernel-vector-dropped", PERFECT,
+           "kernel.append(p)",
+           "pass",
+           (TAIL + "test_solutions_equal_brute_force",)),
+    Mutant("pivot-at-the-highest-bit", PERFECT,
+           "bit = v & -v\n            pivot = pivots.get(bit)",
+           "bit = 1 << v.bit_length() - 1\n            pivot = pivots.get(bit)",
+           (TAIL + "test_solutions_equal_brute_force",)),
+    Mutant("irreducibility-test-skipped", PERFECT,
+           "if p & 1 and p >= primes[mid] and is_prime(p)]",
+           "if p & 1 and p >= primes[mid]]",
+           (TAIL + "test_walk_equals_the_flat_tail_loop_on_a_narrow_filter",)),
+    Mutant("listing-a-degree-short", PERFECT,
+           "primes = list(listed(2, max_deg // 4 + 1))",
+           "primes = list(listed(2, max_deg // 4))",
+           (ODD + "test_degree_24_counts",)),
+    Mutant("sample-extension-a-degree-short", PERFECT,
+           "primes.extend(listed(d, d))",
+           "primes.extend(listed(d - 1, d - 1))",
+           (ODD + "test_walk_matches_a_plain_loop_over_every_s",)),
+    Mutant("sample-stops-a-degree-late", PERFECT,
+           "if deg_a + 2 * d > (cut.bit_length() - 1) >> 3:",
+           "if deg_a + 2 * d - 2 > (cut.bit_length() - 1) >> 3:",
+           (ODD + "test_walk_matches_a_plain_loop_over_every_s",
+            TAIL + "test_walk_equals_the_flat_tail_loop"),
+           survives="it forms the candidates of one more degree, which lie "
+                    "above cut and are never sampled: a cost, not an "
+                    "output"),
+    # The factor sieve.
+    Mutant("sieve-gray-step-one-shift", FACTORIZE,
+           "prod ^= p2 ^ p2 * (i & -i)",
+           "prod ^= p2 * (i & -i)",
+           (SIEVE + "test_flags_equal_the_plain_sieve",)),
+    Mutant("sieve-parity-seed-flipped", FACTORIZE,
+           "flags = bytearray(1)\n",
+           "flags = bytearray(b\"\\1\")\n",
+           (SIEVE + "test_flags_equal_the_plain_sieve",)),
+)

@@ -19,10 +19,10 @@ a/d sits at the complement index size - 1 - n of d (the involution
 d <-> a/d), so g(a/d) is the same table read from the other end.  The
 oracle and the corollary checks of gf2mf.identities both read it.
 
-_divsum_affine is the one home of the sigma and sigma_star rules: it
-states each as an affine recurrence in P^step, which their steps and
-_divsum_bits (for the exhaustive search's closure prune) run at step 1,
-and which gf2mf.perfect carries through its fixed-point searches.
+_divsum_affine is the one home of the sigma and sigma_star rules: a
+start s_1 and an affine recurrence in P^step with constant c.  Their
+steps and _divsum_bits (the search's closure prune) run it at step 1,
+and gf2mf.perfect's walks read it through their one prime-power table.
 """
 
 from functools import cached_property
@@ -118,25 +118,26 @@ class MultiplicativeFunction:
 
 def _divsum_affine(p: int, p_step: int, step: int,
                    unitary: bool) -> "tuple[int, int]":
-    """(s_0, c) such that s_k = s_(k-1) * P^step + c is the (unitary)
-    divisor sum of P^(k * step), on masks; p_step is P^step, step 1 or 2.
+    """(s_1, c) such that s_1 and s_k = s_(k-1) * P^step + c are the
+    (unitary) divisor sums of P^(k * step), on masks; p_step is P^step,
+    step 1 or 2.
 
-    For sigma, s_0 = 1 and c = sigma(P^(step - 1)), which is 1 or P + 1;
-    for sigma_star, s_0 = 0 and c = P^step + 1.  Nothing is multiplied,
-    only XORed with 1, so given P and P^step as lane values
-    (gf2poly._spread) it returns c as a lane value; gf2mf.perfect's walks
-    call it so.
+    For sigma, c = sigma(P^(step - 1)), which is 1 or P + 1, and s_1 =
+    P^step + c; for sigma_star, s_1 = c = P^step + 1.  Nothing is
+    multiplied, only XORed, so given P and P^step as lane values
+    (gf2poly._spread) it returns the pair as lane values; gf2mf.perfect's
+    row table calls it so.
     """
     if unitary:
-        return 0, p_step ^ 1
-    return 1, (p ^ 1 if step == 2 else 1)
+        return p_step ^ 1, p_step ^ 1
+    c = p ^ 1 if step == 2 else 1
+    return p_step ^ c, c
 
 
 def _divsum_bits(p: int, r: int, unitary: bool) -> int:
     """sigma(P^r) = 1 + P + ... + P^r, or sigma_star(P^r) = P^r + 1 if
     unitary, for r >= 1, on masks: the affine recurrence at step 1."""
-    s0, c = _divsum_affine(p, p, 1, unitary)
-    s = s0 * p ^ c  # s_0 is 0 or 1, so * is carryless here
+    s, c = _divsum_affine(p, p, 1, unitary)
     for _ in range(r - 1):
         s = _mul_bits(s, p) ^ c
     return s
@@ -144,12 +145,11 @@ def _divsum_bits(p: int, r: int, unitary: bool) -> int:
 
 def _divsum_step(unitary: bool) -> Step:
     """sigma's step, or sigma_star's if unitary: the affine recurrence at
-    step 1, started from its own s_0 rather than the row's f(P^0) = 1."""
+    step 1, whose s_1 follows the row's f(P^0) = 1 as f(P)."""
 
     def step(p: int, row: list[int]) -> int:
-        if len(row) == 1:
-            return _divsum_bits(p, 1, unitary)
-        return _mul_bits(row[-1], p) ^ _divsum_affine(p, p, 1, unitary)[1]
+        s1, c = _divsum_affine(p, p, 1, unitary)
+        return s1 if len(row) == 1 else _mul_bits(row[-1], p) ^ c
 
     return step
 

@@ -8,13 +8,14 @@ factored and a walked product costs two carryless products.  The
 divisor sum of a prime power comes from the affine rule that
 gf2mf.multfun._divsum_affine gives.
 
-Both walks hold A, its divisor sum and the prime powers as lane values
-(gf2poly._spread), so each carryless product is one integer multiply
-masked to the lanes' low bits.  The exhaustive search converts each
-prime once; the odd scan converts its head primes once and a last prime
-only where it is compared or sampled.  Only the hits and the rejected
-sample are converted back.  Both caps lie far inside the lane bound of
-degree 254.
+Both walks read P^(k*step) and its divisor sum off one row table,
+_prime_power_rows, built once per call: at step 1 for the exhaustive
+search, at step 2 for the odd scan's head primes, as it walks squares.
+Rows, A and its divisor sum are lane values (gf2poly._spread), so each
+carryless product is one integer multiply masked to the lanes' low
+bits.  The odd scan converts a last prime only where it is compared or
+sampled; only hits and the rejected sample are converted back.  Both
+caps lie far inside the lane bound of degree 254.
 
 Exhaustive mode walks prime powers of degree <= max_deg // 2: if P^e
 exactly divides a fixed point A, then P^e divides the divisor sum of
@@ -166,16 +167,13 @@ def _divsum_form(h, unitary):
     deg P <= h, in affine form on masks: (s(0), diffs) with diffs[i] =
     s(x^i) + s(0).
 
-    Read off multfun._divsum_affine, which only XORs, so s(P) is s(0)
-    plus the diffs[i] of the terms x^i of P: squaring is additive in
-    characteristic 2.
+    s(P) is the s_1 of multfun._divsum_affine at step 2, which only
+    XORs, so s(P) is s(0) plus the diffs[i] of the terms x^i of P:
+    squaring is additive in characteristic 2.
     """
-    def s(p, p_sq):
-        s0, c = _divsum_affine(p, p_sq, 2, unitary)
-        return (p_sq if s0 else 0) ^ c  # s_1 = s_0 * P^2 + c
-
-    origin = s(0, 0)
-    return origin, [s(1 << i, 1 << 2 * i) ^ origin for i in range(h + 1)]
+    origin = _divsum_affine(0, 0, 2, unitary)[0]
+    return origin, [_divsum_affine(1 << i, 1 << 2 * i, 2, unitary)[0] ^ origin
+                    for i in range(h + 1)]
 
 
 def _filter_solutions(a, acc, h, form, mask):
@@ -234,36 +232,35 @@ def _walk(max_deg, unitary, sample_rejected):
 
     S is a product of P^k over ascending odd primes; the divisor sum is
     sigma(A), or sigma_star(A) if unitary.  Each step multiplies A and
-    its divisor sum by one prime power P^(2k), so no A is ever factored.
-    The divisor sum of P^(2k) is carried across k by the affine rule s_k
-    = s_(k-1) * P^2 + c that multfun._divsum_affine gives.  A candidate
-    whose low coefficients differ from its divisor sum's is rejected;
-    the others are compared whole.  sample holds the sample_rejected
+    its divisor sum by one prime power P^(2k), so no A is ever factored;
+    both are read off _prime_power_rows at step 2.  A candidate whose
+    low coefficients differ from its divisor sum's is rejected; the
+    others are compared whole.  sample holds the sample_rejected
     smallest rejected masks, in no order.
 
     The primes are indexed in ascending order, so the first index above
     degree d is the count of odd primes of degree <= d, which
     factorize._irreducible_counts gives without a sieve.  A node with
     room R left splits its primes, whose weights 2 deg P ascend, at
-    those indexes.  The head, of weight <= R // 2, runs each exponent
-    k <= R // w and recurses; each candidate costs the two products
-    a * P^(2k) and acc * s_k, and each further exponent two more.  Each
-    prime of the tail, of weight above R // 2, admits P^2 only and
-    nothing after it, so the tail is settled at once.  Its candidate
-    A * P^2 has divisor sum acc * s(P), and F(P) = acc * s(P) + A * P^2
-    is affine in the coefficients of P, since squaring is additive in
-    characteristic 2; the filter passes exactly when the low
-    coefficients of F(P) vanish.  _filter_solutions solves that over
-    GF(2), for P of degree <= R // 2; a solution at or above the tail's
-    first prime is a tail prime when it is irreducible.  A prime found
-    gets the full comparison, and every other tail prime is rejected.
-    For sigma at most one P solves: acc(0) = 1 and (A + acc)(0) = 0, so
-    F(P) + F(0) = (A + acc) P^2 + acc P has the lowest term of P.  For
-    sigma_star, A = S^2 and acc = T^2 with T(0) = 0, so F(P) + F(0) =
-    ((S + T) P)^2 fixes P modulo x^16 when A != 1, leaving at most
-    2^(R//2 - 15) solutions, each with P(0) = T(0) = 0, so no odd prime
-    passes.  At the root A = acc = 1, and F(P) = P^2 + P + 1 or 1 has no
-    prime solution.
+    those indexes.  The head, of weight <= R // 2, runs each row of
+    degree <= R and recurses; each candidate costs the two products
+    a * P^(2k) and acc * s_k.  Each prime of the tail, of weight above
+    R // 2, admits P^2 only and nothing after it, so the tail is settled
+    at once.  Its candidate A * P^2 has divisor sum acc * s(P), and
+    F(P) = acc * s(P) + A * P^2 is affine in the coefficients of P,
+    since squaring is additive in characteristic 2; the filter passes
+    exactly when the low coefficients of F(P) vanish.  _filter_solutions
+    solves that over GF(2), for P of degree <= R // 2; a solution at or
+    above the tail's first prime is a tail prime when it is irreducible.
+    A prime found gets the full comparison, on its one row of the table,
+    and every other tail prime is rejected.  For sigma at most one P
+    solves: acc(0) = 1 and (A + acc)(0) = 0, so F(P) + F(0) =
+    (A + acc) P^2 + acc P has the lowest term of P.  For sigma_star,
+    A = S^2 and acc = T^2 with T(0) = 0, so F(P) + F(0) = ((S + T) P)^2
+    fixes P modulo x^16 when A != 1, leaving at most 2^(R//2 - 15)
+    solutions, each with P(0) = T(0) = 0, so no odd prime passes.  At
+    the root A = acc = 1, and F(P) = P^2 + P + 1 or 1 has no prime
+    solution.
 
     Both parts admit a rejected mask to the sample only below cut:
     above every mask until the sample is full, then its largest mask.
@@ -280,11 +277,12 @@ def _walk(max_deg, unitary, sample_rejected):
     under cut, and appends it, so the indexes stay put.
 
     The walk runs on lane values (gf2poly._spread), so each product is
-    one integer multiply masked by keep.  The head primes, of weight
-    <= max_deg // 2, are converted once and squared once per visit;
-    a tail prime is converted only if it passes the filter or its
-    candidate is formed for the sample.  _divsum_affine only XORs, so it
-    gives c in lane form from lane inputs.  Only the hits and the sample
+    one integer multiply masked by keep.  The rows of the head primes,
+    of weight <= max_deg // 2, are built once per scan, so each head
+    prime is converted and squared once, and each further power and
+    divisor sum costs the table two products once, not one per visit.
+    A tail prime is converted only if it passes the filter or its
+    candidate is formed for the sample.  Only the hits and the sample
     are read back into masks.
     """
     def listed(lo, hi):  # the primes of degree lo..hi, lo >= 2, ascending
@@ -294,8 +292,8 @@ def _walk(max_deg, unitary, sample_rejected):
     counts[1] = 0  # x and x+1 are not odd
     start = list(accumulate(counts))  # start[d]: odd primes of degree <= d
     primes = list(listed(2, max_deg // 4 + 1))
-    nhead = start[max_deg // 4]
-    lanes = [_spread(p) for p in primes[:nhead]]
+    rows = _prime_power_rows(primes[:start[max_deg // 4]], max_deg, 2,
+                             unitary)
     weights = [2 * p.bit_length() - 2 for p in primes]
     is_prime = _is_irreducible_bits.__wrapped__  # leaves its cache as it is
     keep = _spread((1 << (max_deg + 1)) - 1)
@@ -321,15 +319,9 @@ def _walk(max_deg, unitary, sample_rejected):
         mid = max(first, start[room // 4])
         end = start[room // 2]
         for i in range(first, mid):
-            w = weights[i]
-            lp = lanes[i]
-            base = lp * lp & keep
-            s0, c = _divsum_affine(lp, base, 2, unitary)
-            top = room // w
-            pw = base
-            sig = base ^ c if s0 else c  # s_1 = s_0 * P^2 + c, s_0 is 0 or 1
-            k = 1
-            while k <= top:  # cheaper than a range per visited prime
+            for e, pw, sig in rows[i]:
+                if e > room:
+                    break
                 a2 = a * pw & keep
                 acc2 = acc * sig & keep
                 if (acc2 ^ a2) & low:
@@ -340,27 +332,21 @@ def _walk(max_deg, unitary, sample_rejected):
                     full += 1
                     if acc2 == a2:
                         hits.append(a2)
-                rest = room - k * w
+                rest = room - e
                 if weights[i + 1] <= rest:
                     rej += walk(i + 1, rest, a2, acc2)
-                if k < top:
-                    pw = pw * base & keep
-                    sig = sig * base & keep ^ c
-                k += 1
         if mid == end:
             return rej
         passed = [p for p in _filter_solutions(_unspread(a & low),
                                                _unspread(acc & low),
                                                room // 2, form, _LOW_MASK)
                   if p & 1 and p >= primes[mid] and is_prime(p)]
-        for p in passed:
-            lp = _spread(p)
-            base = lp * lp & keep
-            s0, c = _divsum_affine(lp, base, 2, unitary)
-            a2 = a * base & keep
-            if acc * (base ^ c if s0 else c) & keep == a2:
-                hits.append(a2)
-        full += len(passed)
+        if passed:  # room // 4 < deg P <= room // 2: one row at cap room
+            for (_, pw, sig), in _prime_power_rows(passed, room, 2, unitary):
+                a2 = a * pw & keep
+                if acc * sig & keep == a2:
+                    hits.append(a2)
+            full += len(passed)
         if cut:
             deg_a = max_deg - room
             for j in range(mid, end):
@@ -385,37 +371,50 @@ def _walk(max_deg, unitary, sample_rejected):
             [_unspread(-x) for x in heap])
 
 
-def _prime_power_rows(primes, cap, unitary):
-    """Per prime P_i of the list, one row (deg, P^k, s_k, req) for each
-    k >= 1 with deg P^k <= cap.
+def _prime_power_rows(primes, cap, step, unitary):
+    """Per prime P of the list, one row (e, P^(k*step), s_k) for each
+    k >= 1 with e = k * step * deg P <= cap: the one table of prime
+    powers that both walks read, at step 1 for the exhaustive search and
+    at step 2 for the odd scan's squares.
 
-    P^k and s_k are lane values (gf2poly._spread).  s_k is the divisor
-    sum of P^k, sigma or sigma_star if unitary, carried across k by the
-    affine rule of multfun._divsum_affine.  req is the index mask of the
-    irreducibles of that divisor sum, factored from multfun._divsum_bits,
-    so the prune does not rest on the carried sums.  Each of those
-    irreducibles has degree <= cap, so it is in the list.
+    P^(k*step) and s_k are lane values (gf2poly._spread), reduced to
+    degree cap.  s_k is the divisor sum of P^(k*step), sigma or
+    sigma_star if unitary, carried across k by the affine rule of
+    multfun._divsum_affine from its s_1.
     """
-    index = {p: i for i, p in enumerate(primes)}
     keep = _spread((1 << (cap + 1)) - 1)
     rows = []
     for p in primes:
-        d = p.bit_length() - 1
-        top = cap // d
+        w = step * (p.bit_length() - 1)
+        top = cap // w
         lp = _spread(p)
-        s0, c = _divsum_affine(lp, lp, 1, unitary)
-        pw = lp
-        sig = lp ^ c if s0 else c  # s_1 = s_0 * P + c, s_0 is 0 or 1
+        base = lp * lp & keep if step == 2 else lp
+        sig, c = _divsum_affine(lp, base, step, unitary)
+        pw = base
         row = []
         for k in range(1, top + 1):
+            row.append((k * w, pw, sig))
+            if k < top:
+                pw = pw * base & keep
+                sig = sig * base & keep ^ c
+        rows.append(row)
+    return rows
+
+
+def _search_rows(primes, cap, unitary):
+    """The step-1 rows of _prime_power_rows, each with req appended: the
+    index mask of the irreducibles of its divisor sum, factored from
+    multfun._divsum_bits, so the prune does not rest on the carried
+    sums.  Each of those irreducibles has degree <= cap, so it is in the
+    list."""
+    index = {p: i for i, p in enumerate(primes)}
+    rows = _prime_power_rows(primes, cap, 1, unitary)
+    for p, row in zip(primes, rows):
+        for k, (e, pw, sig) in enumerate(row, 1):
             req = 0
             for q, _ in factor(Poly(_divsum_bits(p, k, unitary))):
                 req |= 1 << index[q.bits]
-            row.append((k * d, pw, sig, req))
-            if k < top:
-                pw = pw * lp & keep
-                sig = sig * lp & keep ^ c
-        rows.append(row)
+            row[k - 1] = e, pw, sig, req
     return rows
 
 
@@ -558,8 +557,8 @@ def search_fixed_points(
         raise ResourceLimitError(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
         )
-    primes = _irreducible_masks(max_deg // 2)
-    rows = _prime_power_rows(primes, max_deg // 2, unitary)
+    rows = _search_rows(_irreducible_masks(max_deg // 2), max_deg // 2,
+                        unitary)
     masks = sorted(_closed_hits(rows, max_deg))
     return [_result(m, unitary) for m in masks]
 

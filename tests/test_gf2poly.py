@@ -293,9 +293,9 @@ class TestLaneForm:
     def test_divsum_affine_on_lanes(self, p, step, unitary):
         # The rule only XORs, so lane inputs give the lane pair.
         p_step = _mul_bits(p, p) if step == 2 else p
-        s0, c = _divsum_affine(p, p_step, step, unitary)
+        s1, c = _divsum_affine(p, p_step, step, unitary)
         assert (_divsum_affine(_spread(p), _spread(p_step), step, unitary)
-                == (_spread(s0), _spread(c)))
+                == (_spread(s1), _spread(c)))
 
     def test_search_caps_are_within_the_bound(self):
         assert f"<= _LANE_MAX_DEG ({_LANE_MAX_DEG})" in _spread.__doc__

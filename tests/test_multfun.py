@@ -123,17 +123,18 @@ class TestBuiltins:
     ], ids=["sigma", "sigma_star"])
     @pytest.mark.parametrize("step", [1, 2])
     def test_affine_pair_reproduces_the_rule(self, unitary, rule, step):
-        # s_k = s_(k-1) * P^step + c from the pair (s_0, c) is the divisor
-        # sum of P^(k * step), written out literally, for every prime of
-        # degree <= 8 and k <= 8; so is the builtin's value there.
+        # s_1 and s_k = s_(k-1) * P^step + c from the pair (s_1, c) are
+        # the divisor sums of P^(k * step), written out literally, for
+        # every prime of degree <= 8 and k <= 8; so is the builtin's value
+        # there.
         f = sigma_star if unitary else sigma
         for p in irreducibles_up_to(8):
             p_step = (p**step).bits
             s, c = _divsum_affine(p.bits, p_step, step, unitary)
             for k in range(1, 9):
-                s = _mul_bits(s, p_step) ^ c
                 assert s == rule(p, k * step)
                 assert f.at_prime_power(p, k * step).bits == s
+                s = _mul_bits(s, p_step) ^ c
 
     def test_mu_matches_squarefree_rule(self):
         for m in range(1, 1 << 9):

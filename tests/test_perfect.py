@@ -45,8 +45,8 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 
 
 def id_affine(p, p_step, step, unitary):
-    """id's prime-power rule P^r as the walk's affine pair (s_0, c)."""
-    return 1, 0
+    """id's prime-power rule P^r as the walk's affine pair (s_1, c)."""
+    return p_step, 0
 
 
 def smooth_masks(max_deg, f):
@@ -216,10 +216,9 @@ def flat_tail_walk(primes, max_deg, unitary, sample_rejected):
             w = weights[i]
             lp = lanes[i]
             base = lp * lp & keep
-            s0, c = perfect._divsum_affine(lp, base, 2, unitary)
+            sig, c = perfect._divsum_affine(lp, base, 2, unitary)
             top = room // w
             pw = base
-            sig = base ^ c if s0 else c
             for k in range(1, top + 1):
                 a2 = a * pw & keep
                 acc2 = acc * sig & keep
@@ -238,9 +237,9 @@ def flat_tail_walk(primes, max_deg, unitary, sample_rejected):
                 sig = sig * base & keep ^ c
         for lp in lanes[mid:end]:
             base = lp * lp & keep
-            s0, c = perfect._divsum_affine(lp, base, 2, unitary)
+            s1, _ = perfect._divsum_affine(lp, base, 2, unitary)
             a2 = a * base & keep
-            acc2 = acc * (base ^ c if s0 else c) & keep
+            acc2 = acc * s1 & keep
             if (acc2 ^ a2) & low:
                 rej += 1
                 if a2 < cut:
@@ -366,7 +365,7 @@ class TestSearch:
         assert [r.polynomial.bits for r in hits] == expected
 
     def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch):
-        # With id's rule, the affine pair (s_0, c) = (1, 0), in place of
+        # With id's rule, the affine pair (s_1, c) = (P, 0), in place of
         # sigma's, the walked divisor sum is A itself, so every product
         # the walk compares is a hit.  The prune still reads sigma's
         # primes, so the hits are exactly the closed masks: each prime
@@ -385,25 +384,32 @@ class TestSearch:
         # The same fixed points, each once: the walked ones and their
         # conjugates against every closable product in index order.
         for max_deg in range(1, 25):
-            rows = perfect._prime_power_rows(
+            rows = perfect._search_rows(
                 _irreducible_masks(max_deg // 2), max_deg // 2, unitary)
             got = sorted(perfect._closed_hits(rows, max_deg))
             assert got == sorted(closed_walk(rows, max_deg)), max_deg
 
-    @pytest.mark.parametrize("unitary, f", [(False, sigma), (True, sigma_star)],
-                             ids=["sigma", "sigma_star"])
-    def test_rows_hold_reduced_lane_values(self, unitary, f):
+    # (step, cap, degree of the primes): the exhaustive search's rows,
+    # and the odd scan's at D = 40, whose head primes have degree <= 10.
+    @pytest.mark.parametrize("unitary, f, step, cap, deg", [
+        (False, sigma, 1, 12, 12), (True, sigma_star, 1, 12, 12),
+        (False, sigma, 2, 40, 10), (True, sigma_star, 2, 40, 10),
+    ], ids=["sigma", "sigma_star", "sigma-step-2", "sigma_star-step-2"])
+    def test_rows_hold_reduced_lane_values(self, unitary, f, step, cap, deg):
         # Unreduced lanes keep the right parity until one passes 255, so
         # the walk's hits alone would not notice a missing mask; (x+1)^12
-        # has the coefficient C(12, 6) = 924.
-        primes = _irreducible_masks(12)
-        rows = perfect._prime_power_rows(primes, 12, unitary)
+        # has the coefficient C(12, 6) = 924, and (x^2+x+1)^20 one of
+        # 8953.
+        primes = _irreducible_masks(deg)
+        rows = perfect._prime_power_rows(primes, cap, step, unitary)
         for p, row in zip(primes, rows):
-            assert len(row) == 12 // (p.bit_length() - 1)
-            for k, (e, pw, sig, _) in enumerate(row, 1):
-                assert e == k * (p.bit_length() - 1)
-                assert pw == _spread((Poly(p) ** k).bits)
-                assert sig == _spread(f.at_prime_power(Poly(p), k).bits)
+            w = step * (p.bit_length() - 1)
+            assert len(row) == cap // w
+            for k, (e, pw, sig) in enumerate(row, 1):
+                assert e == k * w
+                assert pw == _spread((Poly(p) ** (k * step)).bits)
+                assert sig == _spread(
+                    f.at_prime_power(Poly(p), k * step).bits)
 
     # (max_deg, unitary): count and sha256 of the listing's lines, from
     # the walk over every product of prime powers of degree <= max_deg // 2.
@@ -557,7 +563,7 @@ class TestOddScan:
             self, monkeypatch):
         # No S^2 is a hit at these degrees, so the report alone would not
         # notice a wrong divisor-sum product.  With id's rule, the affine
-        # pair (1, 0), in place of sigma's, that product must be S^2
+        # pair (P^2, 0), in place of sigma's, that product must be S^2
         # itself, which makes every candidate a hit.
         monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
@@ -832,10 +838,10 @@ class TestTailSolve:
 
 
 class TestWalkCost:
-    """Two carryless products per walked product; the odd scan pays two
-    more per further exponent and one square per visited prime, and
-    settles its tail primes without one, the exhaustive search a table
-    of them."""
+    """Two carryless products per walked product, and a table of prime
+    powers built once per call, at two products per further exponent
+    and, for the odd scan, one square per head prime; the odd scan
+    settles its tail primes without a product."""
 
     @staticmethod
     def count_products(monkeypatch):
@@ -892,16 +898,25 @@ class TestWalkCost:
         roots = [s for s in range(2, 1 << 13)
                  if not any(p in (X, X1) for p, _ in factor(Poly(s)))]
         assert report.candidates == len(roots) == 2047
-        assert 0 < calls["walk"] <= self.budget(roots)
+        assert report.full_checked == 0  # no tail prime passes the filter
+        # A head candidate's largest prime P^k was taken in a node's head
+        # loop: deg P <= R // 4, with R = 24 - deg (S / P^k)^2 left.
+        head = 0
+        for s in roots:
+            p, k = list(factor(Poly(s)))[-1]
+            head += 4 * p.degree <= 24 - 2 * (Poly(s).degree - k * p.degree)
+        # Each head prime, an odd prime of degree <= 6, is squared once per
+        # scan, for its rows P^(2k) with 2k deg P <= 24; each further k
+        # costs the rows two products, and each head candidate two more;
+        # a walk that squares a prime on each visit makes 51 and 362.
+        heads = [p for p in _irreducible_masks(6) if p > 3]
+        assert calls["square"] == len(heads) == 21
+        rows = sum(2 * (24 // (2 * p.bit_length() - 2) - 1) for p in heads)
+        assert 0 < calls["walk"] <= 2 * head + rows == 296
         # The tail candidates, 1931 of the 2047, are settled per node
         # without a lane product; a walk that makes each of them pays at
         # least two products per candidate.
-        assert calls["walk"] < report.candidates / 2
-        # Each visit of a prime P squares it once for P^2, and first
-        # makes the candidate with P^2: one whose largest prime has
-        # exponent 1 in S.
-        visits = sum(1 for s in roots if list(factor(Poly(s)))[-1][1] == 1)
-        assert 0 < calls["square"] <= visits
+        assert head == 116 and calls["walk"] < report.candidates / 2
 
     @pytest.mark.parametrize("unitary", [False, True])
     def test_exhaustive_search(self, monkeypatch, unitary):
