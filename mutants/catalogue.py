@@ -3,10 +3,9 @@
 Each Mutant names a file under src/, an exact old text that occurs once
 in it, the new text that replaces it, and the test ids that must fail
 with it.  mutants/run.py applies each one in a temporary copy of the
-repository and runs only its tests.  survives holds the reason when a
-mutant is expected to live: it changes cost, not output.  A new
-survivor is a finding; add a test that kills it rather than dropping
-the mutant.
+repository and runs only its tests.  Every mutant is expected to die:
+a survivor is a finding, so add a test that kills it rather than
+dropping the mutant.
 """
 
 from typing import NamedTuple
@@ -18,12 +17,12 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: "tuple[str, ...]"
-    survives: str = ""
 
 
 PERFECT = "src/gf2mf/perfect.py"
 MULTFUN = "src/gf2mf/multfun.py"
 FACTORIZE = "src/gf2mf/factorize.py"
+IDENTITIES = "src/gf2mf/identities.py"
 
 SEARCH = "tests/test_perfect.py::TestSearch::"
 ODD = "tests/test_perfect.py::TestOddScan::"
@@ -31,6 +30,8 @@ TAIL = "tests/test_perfect.py::TestTailSolve::"
 COST = "tests/test_perfect.py::TestWalkCost::"
 SIEVE = "tests/test_perfect.py::TestFactorSieve::"
 BUILTINS = "tests/test_multfun.py::TestBuiltins::"
+CONVOLVE = "tests/test_multfun.py::TestConvolve::"
+COROLLARIES = "tests/test_identities.py::TestCorollaries::"
 
 MUTANTS = (
     # The one prime-power row table and the affine rule's (s_1, c) pair.
@@ -86,7 +87,7 @@ MUTANTS = (
            "req |= 1 << index[q.bits]",
            "req |= 2 << index[q.bits]",
            (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",)),
-    # The exhaustive walk: buckets, rule 1 and the x <-> x+1 conjugates.
+    # The exhaustive walk: buckets, rules 1-3 and the x <-> x+1 conjugates.
     Mutant("bucket-key-one-high", PERFECT,
            "buckets[low.bit_length() - 1].append(",
            "buckets[low.bit_length()].append(",
@@ -95,6 +96,14 @@ MUTANTS = (
            "if e > room or low & skipped:",
            "if e > room:",
            (SEARCH + "test_walk_visits_each_half_degree_smooth_mask_once",)),
+    Mutant("rule-2-stops-at-the-highest-need", PERFECT,
+           "(need & -need).bit_length()",
+           "need.bit_length()",
+           (COST + "test_exhaustive_search",)),
+    Mutant("rule-3-extends-what-cannot-close", PERFECT,
+           "if weights[need2.bit_length() - 1] <= rest:",
+           "if True:",
+           (COST + "test_exhaustive_search",)),
     Mutant("conjugates-forgotten", PERFECT,
            "return masks + [c for m, c in pairs if c & -c != m & -m]",
            "return masks",
@@ -121,21 +130,31 @@ MUTANTS = (
            "if p & 1 and p >= primes[mid]]",
            (TAIL + "test_walk_equals_the_flat_tail_loop_on_a_narrow_filter",)),
     Mutant("listing-a-degree-short", PERFECT,
-           "primes = list(listed(2, max_deg // 4 + 1))",
-           "primes = list(listed(2, max_deg // 4))",
+           "_factor_sieve(max_deg // 4 + 1)[4:]",
+           "_factor_sieve(max_deg // 4)[4:]",
            (ODD + "test_degree_24_counts",)),
-    Mutant("sample-extension-a-degree-short", PERFECT,
-           "primes.extend(listed(d, d))",
-           "primes.extend(listed(d - 1, d - 1))",
+    # The rejected sample, read off the candidate set.
+    Mutant("sample-takes-even-weight-s", PERFECT,
+           "if s.bit_count() & 1)",
+           "if s & 1)",
            (ODD + "test_walk_matches_a_plain_loop_over_every_s",)),
-    Mutant("sample-stops-a-degree-late", PERFECT,
-           "if deg_a + 2 * d > (cut.bit_length() - 1) >> 3:",
-           "if deg_a + 2 * d - 2 > (cut.bit_length() - 1) >> 3:",
-           (ODD + "test_walk_matches_a_plain_loop_over_every_s",
-            TAIL + "test_walk_equals_the_flat_tail_loop"),
-           survives="it forms the candidates of one more degree, which lie "
-                    "above cut and are never sampled: a cost, not an "
-                    "output"),
+    Mutant("sample-keeps-the-checked", PERFECT,
+           "(a for a in squares if a not in skip)",
+           "squares",
+           (TAIL + "test_walk_equals_the_flat_tail_loop_on_a_narrow_filter",)),
+    Mutant("sample-range-a-degree-short", PERFECT,
+           "range(7, 2 << max_deg // 2, 2)",
+           "range(7, 1 << max_deg // 2, 2)",
+           (ODD + "test_walk_matches_a_plain_loop_over_every_s",)),
+    # The divisor lattice and the corollary spans.
+    Mutant("cotable-unreversed", MULTFUN,
+           "return self._walk(g)[::-1]",
+           "return self._walk(g)",
+           (CONVOLVE + "test_bruteforce_matches_literal_divisor_sum",)),
+    Mutant("mid-span-takes-the-root", IDENTITIES,
+           '"mid": (1, 1)',
+           '"mid": (0, 1)',
+           (COROLLARIES + "test_sigma_id_at_x_squared",)),
     # The factor sieve.
     Mutant("sieve-gray-step-one-shift", FACTORIZE,
            "prod ^= p2 ^ p2 * (i & -i)",

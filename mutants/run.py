@@ -14,9 +14,8 @@ not occur exactly once, or whose tests cannot be collected, is not
 applicable.
 
 It prints one JSON object: the names killed, survived and
-not_applicable, and expected, the survivors the catalogue expects.  The
-exit status is 0 when the survivors are exactly the expected ones and
-every mutant applied, else 1.
+not_applicable.  The exit status is 0 when every mutant applied and was
+killed, else 1.
 """
 
 import json
@@ -81,11 +80,8 @@ def main() -> int:
     outcome = {"killed": [], "survived": [], "not_applicable": []}
     for mutant in MUTANTS:
         outcome[run(mutant)].append(mutant.name)
-    outcome["expected"] = [m.name for m in MUTANTS if m.survives]
     print(json.dumps(outcome, indent=1))
-    ok = (outcome["survived"] == outcome["expected"]
-          and not outcome["not_applicable"])
-    return 0 if ok else 1
+    return 1 if outcome["survived"] or outcome["not_applicable"] else 0
 
 
 if __name__ == "__main__":

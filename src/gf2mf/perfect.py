@@ -13,9 +13,9 @@ _prime_power_rows, built once per call: at step 1 for the exhaustive
 search, at step 2 for the odd scan's head primes, as it walks squares.
 Rows, A and its divisor sum are lane values (gf2poly._spread), so each
 carryless product is one integer multiply masked to the lanes' low
-bits.  The odd scan converts a last prime only where it is compared or
-sampled; only hits and the rejected sample are converted back.  Both
-caps lie far inside the lane bound of degree 254.
+bits.  The odd scan converts a last prime only where it is compared;
+only the candidates compared whole are converted back.  Both caps lie
+far inside the lane bound of degree 254.
 
 Exhaustive mode walks prime powers of degree <= max_deg // 2: if P^e
 exactly divides a fixed point A, then P^e divides the divisor sum of
@@ -58,7 +58,6 @@ sigma, the brute-force convolution of id with z), so no reported fixed
 point depends on the multiplicative evaluation path that found it.
 """
 
-import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, islice
@@ -68,7 +67,8 @@ from .divisors import divisors, unitary_divisors
 from .divisors import ResourceLimitError
 from .factorize import (_factor_sieve, _irreducible_counts, _irreducible_masks,
                         _is_irreducible_bits, factor, parity)
-from .gf2poly import Poly, X, X1, _compose_bits, _spread, _unspread
+from .gf2poly import (Poly, X, X1, _compose_bits, _spread, _sqr_bits,
+                      _unspread)
 from .multfun import (_divsum_affine, _divsum_bits, convolve_bruteforce,
                       ident, z)
 
@@ -226,17 +226,16 @@ def _filter_solutions(a, acc, h, form, mask):
     return solutions
 
 
-def _walk(max_deg, unitary, sample_rejected):
+def _walk(max_deg, unitary):
     """Check every square A = S*S of degree <= max_deg against its
-    divisor sum, as (rejected, full_checked, hit masks, sample).
+    divisor sum, as (rejected, checked masks, hit masks).
 
     S is a product of P^k over ascending odd primes; the divisor sum is
     sigma(A), or sigma_star(A) if unitary.  Each step multiplies A and
     its divisor sum by one prime power P^(2k), so no A is ever factored;
     both are read off _prime_power_rows at step 2.  A candidate whose
-    low coefficients differ from its divisor sum's is rejected; the
-    others are compared whole.  sample holds the sample_rejected
-    smallest rejected masks, in no order.
+    low coefficients differ from its divisor sum's is rejected and only
+    counted; the others are compared whole and listed as checked.
 
     The primes are indexed in ascending order, so the first index above
     degree d is the count of odd primes of degree <= d, which
@@ -262,36 +261,24 @@ def _walk(max_deg, unitary, sample_rejected):
     the root A = acc = 1, and F(P) = P^2 + P + 1 or 1 has no prime
     solution.
 
-    Both parts admit a rejected mask to the sample only below cut:
-    above every mask until the sample is full, then its largest mask.
-    Tail weights ascend and cut only falls, so the tail's rejected
-    masks are formed from the start of the tail up to the first prime
-    whose candidate has a larger degree than cut.
-
-    Only the primes of degree <= max_deg // 4 + 1 are listed up front,
-    off a transient sieve: every head prime and the prime after it.  An
-    odd solution at or above the tail's first prime is tested by
+    Only the primes of degree <= max_deg // 4 + 1 are listed, off a
+    transient sieve: every head prime and the prime after it.  An odd
+    solution at or above the tail's first prime is tested by
     factorize's irreducibility test, uncached, so no tail prime need be
-    listed.  The sample loop lists one degree more only when its next
-    prime has a degree not listed yet and its candidate still fits
-    under cut, and appends it, so the indexes stay put.
+    listed.
 
     The walk runs on lane values (gf2poly._spread), so each product is
     one integer multiply masked by keep.  The rows of the head primes,
     of weight <= max_deg // 2, are built once per scan, so each head
     prime is converted and squared once, and each further power and
     divisor sum costs the table two products once, not one per visit.
-    A tail prime is converted only if it passes the filter or its
-    candidate is formed for the sample.  Only the hits and the sample
-    are read back into masks.
+    A tail prime is converted only if it passes the filter.  Only the
+    checked candidates and the hits are read back into masks.
     """
-    def listed(lo, hi):  # the primes of degree lo..hi, lo >= 2, ascending
-        return compress(count(1 << lo), _factor_sieve(hi)[1 << lo:])
-
     counts = _irreducible_counts(max_deg // 2)
     counts[1] = 0  # x and x+1 are not odd
     start = list(accumulate(counts))  # start[d]: odd primes of degree <= d
-    primes = list(listed(2, max_deg // 4 + 1))
+    primes = list(compress(count(4), _factor_sieve(max_deg // 4 + 1)[4:]))
     rows = _prime_power_rows(primes[:start[max_deg // 4]], max_deg, 2,
                              unitary)
     weights = [2 * p.bit_length() - 2 for p in primes]
@@ -299,22 +286,10 @@ def _walk(max_deg, unitary, sample_rejected):
     keep = _spread((1 << (max_deg + 1)) - 1)
     low = _spread(_LOW_MASK)
     form = _divsum_form(max_deg // 2, unitary)
+    checked: "list[int]" = []
     hits: "list[int]" = []
-    heap: "list[int]" = []  # negated: a max-heap of the smallest
-    full = 0
-    cut = keep + 1 if sample_rejected else 0
-
-    def sample(a2: int) -> None:  # called for a2 < cut only
-        nonlocal cut
-        if len(heap) < sample_rejected:
-            heapq.heappush(heap, -a2)
-        else:
-            heapq.heapreplace(heap, -a2)
-        if len(heap) == sample_rejected:
-            cut = -heap[0]
 
     def walk(first: int, room: int, a: int, acc: int) -> int:
-        nonlocal full
         rej = 0
         mid = max(first, start[room // 4])
         end = start[room // 2]
@@ -326,10 +301,8 @@ def _walk(max_deg, unitary, sample_rejected):
                 acc2 = acc * sig & keep
                 if (acc2 ^ a2) & low:
                     rej += 1
-                    if a2 < cut:
-                        sample(a2)
                 else:
-                    full += 1
+                    checked.append(a2)
                     if acc2 == a2:
                         hits.append(a2)
                 rest = room - e
@@ -344,31 +317,13 @@ def _walk(max_deg, unitary, sample_rejected):
         if passed:  # room // 4 < deg P <= room // 2: one row at cap room
             for (_, pw, sig), in _prime_power_rows(passed, room, 2, unitary):
                 a2 = a * pw & keep
+                checked.append(a2)
                 if acc * sig & keep == a2:
                     hits.append(a2)
-            full += len(passed)
-        if cut:
-            deg_a = max_deg - room
-            for j in range(mid, end):
-                if j < len(primes):
-                    d = primes[j].bit_length() - 1
-                else:  # the first prime of the next degree, not listed yet
-                    d = primes[-1].bit_length()
-                if deg_a + 2 * d > (cut.bit_length() - 1) >> 3:
-                    break
-                if j == len(primes):
-                    primes.extend(listed(d, d))
-                p = primes[j]
-                if p not in passed:
-                    lp = _spread(p)
-                    a2 = a * (lp * lp & keep) & keep
-                    if a2 < cut:
-                        sample(a2)
         return rej + end - mid - len(passed)
 
     rej = walk(0, max_deg, 1, 1)
-    return (rej, full, [_unspread(x) for x in hits],
-            [_unspread(-x) for x in heap])
+    return rej, [_unspread(x) for x in checked], [_unspread(x) for x in hits]
 
 
 def _prime_power_rows(primes, cap, step, unitary):
@@ -579,6 +534,12 @@ def odd_square_scan(
     filter-rejected candidates are recorded for conservativeness checks;
     max_deg must be an int and sample_rejected an int >= 0.
 
+    The sample is read off the candidate set, not out of the walk: the
+    candidates are the squares of the S with S(0) = 1, an odd number of
+    terms and 2 <= deg S <= max_deg // 2, and squaring keeps the order
+    of masks.  So the sample is the first sample_rejected of those
+    squares, S ascending, that the walk did not compare whole.
+
     With unitary=True the hits are always empty: no odd A != 1 is
     unitary-perfect.  Each P^e exactly dividing A has P(1) = 1, so x+1
     divides 1 + P^e = sigma_star(P^e) and hence sigma_star(A), while x+1
@@ -592,13 +553,17 @@ def odd_square_scan(
         )
     if type(sample_rejected) is not int or sample_rejected < 0:
         raise ValueError("sample_rejected must be an int >= 0")
-    rej, full, hits, sample = _walk(max_deg, unitary, sample_rejected)
+    rej, checked, hits = _walk(max_deg, unitary)
+    skip = set(checked)
+    squares = (_sqr_bits(s) for s in range(7, 2 << max_deg // 2, 2)
+               if s.bit_count() & 1)
+    sample = islice((a for a in squares if a not in skip), sample_rejected)
     return ScanReport(
         max_deg=max_deg,
         unitary=unitary,
-        candidates=rej + full,
+        candidates=rej + len(checked),
         filter_rejected=rej,
-        full_checked=full,
+        full_checked=len(checked),
         hits=[_result(m, unitary) for m in sorted(hits)],
-        rejected_sample=[Poly(m) for m in sorted(sample)],
+        rejected_sample=[Poly(m) for m in sample],
     )
