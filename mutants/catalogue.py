@@ -32,6 +32,9 @@ SIEVE = "tests/test_perfect.py::TestFactorSieve::"
 BUILTINS = "tests/test_multfun.py::TestBuiltins::"
 CONVOLVE = "tests/test_multfun.py::TestConvolve::"
 COROLLARIES = "tests/test_identities.py::TestCorollaries::"
+LATTICE = "tests/test_identities.py::TestLatticeTables::"
+BELL = "tests/test_identities.py::TestBellSeries::"
+LEMMAS = "tests/test_identities.py::TestCheckAll::"
 
 MUTANTS = (
     # The one prime-power row table and the affine rule's (s_1, c) pair.
@@ -112,6 +115,27 @@ MUTANTS = (
            "if c & -c != m & -m]",
            "if c != m]",
            (SEARCH + "test_walk_visits_each_half_degree_smooth_mask_once",)),
+    # The exhaustive walk's valuation prune on x and x+1.
+    Mutant("valuation-cut-at-zero-slack", PERFECT,
+           "if sx2 < 0 or",
+           "if sx2 <= 0 or",
+           (SEARCH + "test_exhaustive_degree_6",
+            SEARCH + "test_walk_equals_the_unbucketed_walk")),
+    Mutant("x1-cut-before-x1-is-decided", PERFECT,
+           "sx12 < 0 and nxt > 1:",
+           "sx12 < 0:",
+           (SEARCH + "test_exhaustive_degree_6",
+            SEARCH + "test_walk_equals_the_unbucketed_walk")),
+    Mutant("x-exponent-not-credited", PERFECT,
+           "(k, 0) if p == 2",
+           "(0, 0) if p == 2",
+           (SEARCH + "test_exhaustive_degree_6",
+            SEARCH + "test_walk_equals_the_unbucketed_walk")),
+    Mutant("x1-cut-dropped", PERFECT,
+           "if sx2 < 0 or sx12 < 0 and nxt > 1:",
+           "if sx2 < 0:",
+           (COST + "test_exhaustive_search",
+            SEARCH + "test_walk_visits_each_half_degree_smooth_mask_once")),
     # The odd scan's prefilter, tail solve and listing.
     Mutant("prefilter-mask-not-in-lanes", PERFECT,
            "low = _spread(_LOW_MASK)",
@@ -146,7 +170,21 @@ MUTANTS = (
            "range(7, 2 << max_deg // 2, 2)",
            "range(7, 1 << max_deg // 2, 2)",
            (ODD + "test_walk_matches_a_plain_loop_over_every_s",)),
-    # The divisor lattice and the corollary spans.
+    # The divisor lattice, the convolution step, a lemma's Bell series
+    # and the corollary spans.
+    Mutant("table-reversed", MULTFUN,
+           "return self._walk(f)\n",
+           "return self._walk(f)[::-1]\n",
+           (LATTICE + "test_tables_match_multfun",)),
+    Mutant("conv-step-drops-the-last-term", MULTFUN,
+           "for l in range(m + 1):",
+           "for l in range(m):",
+           (CONVOLVE + "test_id_conv_z_is_sigma",)),
+    Mutant("bell-coefficient-of-sigma-phi", IDENTITIES,
+           '"sigma*phi", (1,), (1, 0, 0b100)',
+           '"sigma*phi", (1,), (1, 0, 0b10)',
+           (BELL + "test_lemma_is_proved[sigma_phi]",
+            LEMMAS + "test_full_grid_green")),
     Mutant("cotable-unreversed", MULTFUN,
            "return self._walk(g)[::-1]",
            "return self._walk(g)",

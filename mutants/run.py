@@ -1,9 +1,11 @@
 """Run the mutant catalogue, each mutant against only its own tests.
 
 Usage:
-    python3 mutants/run.py
+    python3 mutants/run.py [NAME...]
 
-For each mutant of catalogue.py the runner
+With no NAME it runs every mutant of catalogue.py, else only the named
+ones; an unknown name is refused, with exit status 2 and the name on
+stderr, before any mutant runs.  For each mutant the runner
 copies src/, tests/, pyproject.toml and a read-only perfbench/ (a test
 reads its reference listing) into a new temporary directory, replaces
 the mutant's old text with its new text there and runs
@@ -76,13 +78,18 @@ def run(mutant) -> str:
         done.returncode, "not_applicable")
 
 
-def main() -> int:
+def main(names: "list[str]") -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print("unknown mutant: " + " ".join(unknown), file=sys.stderr)
+        return 2
     outcome = {"killed": [], "survived": [], "not_applicable": []}
-    for mutant in MUTANTS:
+    for mutant in [by_name[n] for n in dict.fromkeys(names)] or MUTANTS:
         outcome[run(mutant)].append(mutant.name)
     print(json.dumps(outcome, indent=1))
     return 1 if outcome["survived"] or outcome["not_applicable"] else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -33,7 +33,12 @@ buckets keyed by the highest lower prime they require, so it visits
 only those that require none or whose key it has taken.  And x -> x+1
 is a ring automorphism that keeps degrees, so sigma(A(x+1)) =
 sigma(A)(x+1) and likewise for sigma_star: the walk takes no more x+1
-than x in A and adds the conjugate of each hit with less.
+than x in A and adds the conjugate of each hit with less.  Last, the
+valuation rule: x and x+1 are the first two primes, so below a node
+that has passed x the exponent of x in A is final, and below one that
+has passed x+1 so is that of x+1, while the divisor sum only gains
+factors further down.  A product whose divisor sum already has more x,
+or past x+1 more x+1, than A is dropped with its subtree.
 
 Odd mode rests on one fact: a fixed point of sigma with no linear
 factor is a square (E. F. Canaday, "The sum of the divisors of a
@@ -84,7 +89,7 @@ __all__ = [
     "odd_square_scan",
 ]
 
-EXHAUSTIVE_MAX_DEG = 28
+EXHAUSTIVE_MAX_DEG = 32
 ODD_SCAN_MAX_DEG = 40
 
 # The odd-mode pre-filter compares this many low coefficients before
@@ -357,19 +362,26 @@ def _prime_power_rows(primes, cap, step, unitary):
 
 
 def _search_rows(primes, cap, unitary):
-    """The step-1 rows of _prime_power_rows, each with req appended: the
-    index mask of the irreducibles of its divisor sum, factored from
-    multfun._divsum_bits, so the prune does not rest on the carried
-    sums.  Each of those irreducibles has degree <= cap, so it is in the
-    list."""
+    """The step-1 rows of _prime_power_rows, each with req, dx and dx1
+    appended, all read off one factoring of its divisor sum s_k from
+    multfun._divsum_bits, so the prunes do not rest on the carried sums.
+    req is the index mask of the irreducibles of s_k; each has degree
+    <= cap, so it is in the list.  dx is the exponent of x in P^k less
+    that in s_k, and dx1 likewise for x+1: summed down a walk they are
+    the exponent of x (or x+1) in A less that in its divisor sum, since
+    exponents add over a product."""
     index = {p: i for i, p in enumerate(primes)}
     rows = _prime_power_rows(primes, cap, 1, unitary)
     for p, row in zip(primes, rows):
         for k, (e, pw, sig) in enumerate(row, 1):
             req = 0
-            for q, _ in factor(Poly(_divsum_bits(p, k, unitary))):
+            # x and x+1 are the masks 2 and 3.
+            dx, dx1 = (k, 0) if p == 2 else (0, k) if p == 3 else (0, 0)
+            for q, m in factor(Poly(_divsum_bits(p, k, unitary))):
                 req |= 1 << index[q.bits]
-            row[k - 1] = e, pw, sig, req
+                dx -= m * (q.bits == 2)
+                dx1 -= m * (q.bits == 3)
+            row[k - 1] = e, pw, sig, req, dx, dx1
     return rows
 
 
@@ -395,6 +407,15 @@ def _closed_hits(rows, max_deg) -> "list[int]":
     their own for each a >= b, which only x^a opens, so the walk takes
     the products with no more x+1 than x in them.  A hit with less x+1
     than x adds its conjugate A(x+1), which the walk does not take.
+
+    A node also carries the slacks sx and sx1, the sums of its rows' dx
+    and dx1: the exponent of x in A less that in acc, and likewise for
+    x+1.  Below a row of index nxt - 1 every row has a higher index, so
+    A gains no more x once nxt >= 1 and no more x+1 once nxt >= 2,
+    while acc gains every factor of the rows below.  So a row that
+    leaves a slack negative heads a subtree with no fixed point, and the
+    walk drops it unmultiplied: on sx always, since every row's nxt is
+    at least 1, and on sx1 when nxt > 1.
     """
     n = len(rows)
     weights = [row[0][0] for row in rows]
@@ -405,12 +426,13 @@ def _closed_hits(rows, max_deg) -> "list[int]":
 
     def entry(i, row, opened):
         # The child's first, e, P^k, s_k, req below and above P_i, the
-        # mask that clears P_i, e plus the weight of P_(i+1), opened.
-        e, pw, sig, req = row
+        # mask that clears P_i, e plus the weight of P_(i+1), opened,
+        # dx, dx1.
+        e, pw, sig, req, dx, dx1 = row
         bit = 1 << i
         after = weights[i + 1] if i + 1 < n else max_deg + 1
         return (i + 1, e, pw, sig, req & bit - 1, req >> i << i, ~bit,
-                e + after, opened)
+                e + after, opened, dx, dx1)
 
     def indexed(bucket):  # a bucket with its prime indexes, for bisect
         return [nxt - 1 for nxt, *_ in bucket], bucket
@@ -430,34 +452,38 @@ def _closed_hits(rows, max_deg) -> "list[int]":
                   + opens[0]) for row in rows[0]]
     hits: "list[int]" = []
 
-    def walk(first, room, a, acc, have, need, scan):
+    def walk(first, room, a, acc, have, need, sx, sx1, scan):
         top = upto[room]
         if need:  # skipping the lowest needed prime leaves A unclosable
             top = min(top, (need & -need).bit_length())
         skipped = ~have
         for index, bucket in scan:
-            for nxt, e, pw, sig, low, high, clear, reach, opened in islice(
-                    bucket, bisect_left(index, first), None):
+            for (nxt, e, pw, sig, low, high, clear, reach, opened, dx,
+                 dx1) in islice(bucket, bisect_left(index, first), None):
                 if nxt > top:
                     break
                 if e > room or low & skipped:
                     continue  # too heavy, or requires a prime the walk skipped
+                sx2 = sx + dx
+                sx12 = sx1 + dx1
+                if sx2 < 0 or sx12 < 0 and nxt > 1:
+                    continue  # acc has more x, or more x+1, than A can get
                 need2 = (need | high) & clear
                 if need2:
                     rest = room - e
                     if weights[need2.bit_length() - 1] <= rest:
                         walk(nxt, rest, a * pw & keep, acc * sig & keep,
-                             have | ~clear, need2, scan + opened)
+                             have | ~clear, need2, sx2, sx12, scan + opened)
                     continue
                 a2 = a * pw & keep
                 acc2 = acc * sig & keep
                 if acc2 == a2:
                     hits.append(a2)
                 if reach <= room:
-                    walk(nxt, room - e, a2, acc2, have | ~clear, 0,
+                    walk(nxt, room - e, a2, acc2, have | ~clear, 0, sx2, sx12,
                          scan + opened)
 
-    walk(0, max_deg, 1, 1, 0, 0, [indexed(buckets[-1])])
+    walk(0, max_deg, 1, 1, 0, 0, 0, 0, [indexed(buckets[-1])])
     masks = [_unspread(x) for x in hits]
     # The lowest bit of A(x+1) is the power of x+1 in A.
     pairs = [(m, _compose_bits(m, 3)) for m in masks]
@@ -503,8 +529,14 @@ def search_fixed_points(
     It swaps the exponents a of x and b of x+1 in A, so the walk takes
     only b <= a (with x skipped, x+1 is skipped too) and adds the
     conjugate of each hit with b < a.  A hit with b = a has a conjugate
-    with b = a, which the walk takes itself.  Every hit and each added
-    conjugate is re-verified.  max_deg must be an int.
+    with b = a, which the walk takes itself.
+    Valuation rule: x and x+1 are the first two primes, so once the walk
+    has passed x the exponent of x in A is final, and once it has
+    passed x+1 that of x+1 is, while the divisor sum gains a factor with
+    each prime power below.  A fixed point has as much x and x+1 as its
+    divisor sum, so a product whose divisor sum already has more x (or,
+    past x+1, more x+1) than A is dropped with its subtree.  Every hit
+    and each added conjugate is re-verified.  max_deg must be an int.
     """
     if type(max_deg) is not int:
         raise ValueError("max_deg must be an int")

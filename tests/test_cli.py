@@ -201,8 +201,8 @@ class TestSearch:
         assert "degree" in err
 
     @pytest.mark.parametrize("kind, max_deg, valid", [
-        ("perfect", "0", "1..28"),
-        ("unitary", "0", "1..28"),
+        ("perfect", "0", "1..32"),
+        ("unitary", "0", "1..32"),
         ("odd", "1", "2..40"),
     ])
     def test_degree_below_range_names_the_range(self, capsys, kind, max_deg,

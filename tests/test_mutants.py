@@ -1,20 +1,59 @@
 """The mutant catalogue cannot rot silently: each mutant's old text
 occurs exactly once in src/, and each of its tests exists.  The mutants
-themselves run only under mutants/run.py, outside this suite."""
+themselves run only under mutants/run.py, outside this suite; here its
+runner's choice of mutants is checked with the runs stubbed out."""
 
 import importlib.util
+import json
 import os
 import re
+import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
-def catalogue():
-    path = os.path.join(ROOT, "mutants", "catalogue.py")
-    spec = importlib.util.spec_from_file_location("mutant_catalogue", path)
+def load(name, module_name):
+    path = os.path.join(ROOT, "mutants", name)
+    spec = importlib.util.spec_from_file_location(module_name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
+
+
+def catalogue():
+    return load("catalogue.py", "mutant_catalogue").MUTANTS
+
+
+def runner(monkeypatch, ran):
+    """mutants/run.py with each mutant's run recorded, not started."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it prepends mutants/
+    module = load("run.py", "mutant_runner")
+    sys.modules.pop("catalogue", None)
+    monkeypatch.setattr(module, "run",
+                        lambda mutant: ran.append(mutant.name) or "killed")
+    return module
+
+
+def test_an_unknown_name_is_refused_before_any_mutant_runs(monkeypatch,
+                                                          capsys):
+    ran = []
+    known = catalogue()[0].name
+    assert runner(monkeypatch, ran).main([known, "no-such-mutant"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, ran) == ("", [])
+    assert "no-such-mutant" in err and known not in err
+
+
+def test_names_pick_the_mutants_and_none_picks_all(monkeypatch, capsys):
+    names = [m.name for m in catalogue()]
+    ran = []
+    run = runner(monkeypatch, ran)
+    assert run.main([names[2], names[0], names[2]]) == 0
+    assert ran == [names[2], names[0]]
+    assert json.loads(capsys.readouterr().out)["killed"] == ran
+    ran.clear()
+    assert run.main([]) == 0
+    assert ran == names
 
 
 def sources():

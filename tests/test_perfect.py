@@ -68,6 +68,16 @@ def closed_masks(max_deg, f):
     return [m for m, _, missing in smooth_masks(max_deg, f) if not missing]
 
 
+def lean(m, pairs, f):
+    """True when f(A), for A = m with the factorization pairs, has no
+    more x than A and, unless A is a power of x, no more x+1: the
+    products that the valuation prune lets the search enter."""
+    a = dict(pairs)
+    s = dict(factor(f(Poly(m))))
+    return (s.get(X, 0) <= a.get(X, 0)
+            and (pairs[-1][0] == X or s.get(X1, 0) <= a.get(X1, 0)))
+
+
 def closed_walk(rows, max_deg):
     """perfect._closed_hits as it was before the buckets and the conjugate
     rule: each node scans every row of every prime from first on, drops
@@ -87,7 +97,8 @@ def closed_walk(rows, max_deg):
             below = bit - 1
             have2 = have | bit
             after = weights[i + 1] if i + 1 < n else room + 1
-            for e, pw, sig, req in rows[i]:
+            for row in rows[i]:
+                e, pw, sig, req = row[:4]
                 if e > room:
                     break
                 if req & below & ~have:
@@ -366,14 +377,29 @@ class TestSearch:
     def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch):
         # With id's rule, the affine pair (s_1, c) = (P, 0), in place of
         # sigma's, the walked divisor sum is A itself, so every product
-        # the walk compares is a hit.  The prune still reads sigma's
-        # primes, so the hits are exactly the closed masks: each prime
-        # power has degree <= 6 and each irreducible of its multfun
-        # sigma divides the mask, each mask once.
+        # the walk compares is a hit.  The prunes still read sigma's
+        # factors, so the hits are exactly the closed masks whose sigma
+        # has no more x and no more x+1 than they have: each prime power
+        # has degree <= 6 and each irreducible of its multfun sigma
+        # divides the mask, each mask once.
         monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
-        expected = closed_masks(12, sigma)
+        expected = [m for m, pairs, missing in smooth_masks(12, sigma)
+                    if not missing and lean(m, pairs, sigma)]
+        assert 0 < len(expected) < len(closed_masks(12, sigma))
         assert search_fixed_points(12) == expected
+        # Up to D = 12 the valuation prune alone drops every product
+        # that lacks a needed prime, and each hit with as much x+1 as x
+        # is its own conjugate; at D = 24 neither holds.  There each hit
+        # is still closed and lean, and listed once.
+        hits = search_fixed_points(24)
+        assert len(set(hits)) == len(hits) > len(expected)
+        for m in hits:
+            pairs = list(factor(Poly(m)))
+            primes = {p for p, _ in pairs}
+            assert all(q in primes for p, e in pairs
+                       for q, _ in factor(sigma(p**e))), m
+            assert lean(m, pairs, sigma), m
         # Any other constant term reaches the hits.
         monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
         assert search_fixed_points(12) != expected
@@ -444,6 +470,24 @@ class TestSearch:
                           "fffaa47badd4b5b628a3cf0b6299be5c"),
         (28, True): (35, "335e9b6b73d0f9601c8b47ba8a9a62a9"
                          "9f54b9b79cb845adf765889cccc35172"),
+        # D = 29..32, from the bucketed walk before the valuation prune,
+        # its cap lifted.  Sigma gains (x^2+x)^15 at degree 30.
+        (29, False): (14, "e5d6a6aed8b6e3ea8babf844ffb68a5c"
+                          "fffaa47badd4b5b628a3cf0b6299be5c"),
+        (29, True): (41, "12641ff2eaaee6f230675385447740ff"
+                         "b20c928c16832fab6a1830a2395284c7"),
+        (30, False): (15, "c02ab2a63b348f38627bc651fe8bdbef"
+                          "f57054450a92b2af2723419634ae3b88"),
+        (30, True): (42, "8231772bbe6b9716796e064a328387e6"
+                         "5940f4a116a575aa61eb30214ba0eff5"),
+        (31, False): (15, "c02ab2a63b348f38627bc651fe8bdbef"
+                          "f57054450a92b2af2723419634ae3b88"),
+        (31, True): (42, "8231772bbe6b9716796e064a328387e6"
+                         "5940f4a116a575aa61eb30214ba0eff5"),
+        (32, False): (15, "c02ab2a63b348f38627bc651fe8bdbef"
+                          "f57054450a92b2af2723419634ae3b88"),
+        (32, True): (46, "7be14156ec98af662c1344dba18c5dee"
+                         "5046b9b7af7e2485df6aeed11e3750af"),
     }
 
     @pytest.mark.parametrize("max_deg, unitary", sorted(LISTINGS))
@@ -469,7 +513,7 @@ class TestSearch:
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            search_fixed_points(29)
+            search_fixed_points(33)
 
     @pytest.mark.parametrize("max_deg", [True, 12.0, "12", None])
     def test_degree_must_be_an_int(self, max_deg):
@@ -929,29 +973,42 @@ class TestWalkCost:
     @pytest.mark.parametrize("unitary", [False, True])
     def test_exhaustive_search(self, monkeypatch, unitary):
         calls = self.count_products(monkeypatch)
-        search_fixed_points(12, unitary)
-        spent = calls["walk"] + calls["square"]  # multfun's below are ours
-        # The search pays two products per mask it enters: the closed
-        # ones, and the open ones whose missing primes all lie above
-        # their largest prime and still fit in the degree, each with no
-        # more x+1 than x in it.
-        masks = list(smooth_masks(12, sigma_star if unitary else sigma))
-        entered = [m for m, pairs, missing in masks
-                   if dict(pairs).get(X1, 0) <= dict(pairs).get(X, 0)
-                   and all(q.bits > pairs[-1][0].bits
-                           and q.degree <= 12 - Poly(m).degree
-                           for q in missing)]
-        # Its table of P^k, their divisor sums and the sums' primes costs
-        # 2 products per k >= 2 and k - 1 more in multfun._divsum_bits.
-        table = sum(2 * (top - 1) + top * (top - 1) // 2
-                    for top in (6 // (p.bit_length() - 1)
-                                for p in _irreducible_masks(6)))
-        assert 0 < spent <= 2 * len(entered) + table
-        # The unpruned walk over every smooth mask paid more than twice
-        # as much.
-        assert spent < self.budget([m for m, _, _ in masks]) / 2
-        # The walk that also took x^a (x+1)^b with b > a paid 781 (sigma)
-        # and 1129 (sigma_star), the bound above without that rule; this
-        # one pays 549 and 769.  The hits' conjugates are made off the
-        # lanes, by gf2poly's own products.
-        assert spent < (1129 if unitary else 781)
+        f = sigma_star if unitary else sigma
+        # The walk without the valuation prune paid 549 (sigma) and 769
+        # (sigma_star) at D = 12, 1467 and 2055 at D = 14; this one pays
+        # 143 and 111, then 197 and 157.  At D = 12 the valuation prune
+        # alone drops every product past the lowest prime still needed,
+        # so D = 14 is what checks that the sibling loop stops there.
+        for max_deg, before in (12, (549, 769)), (14, (1467, 2055)):
+            calls.update(walk=0, square=0)
+            search_fixed_points(max_deg, unitary)
+            spent = calls["walk"] + calls["square"]  # multfun's are ours
+            # The search pays two products per mask it enters: the
+            # closed ones, and the open ones whose missing primes all lie
+            # above their largest prime and still fit in the degree, each
+            # with no more x+1 than x in it, and whose divisor sum has no
+            # more x and, past the powers of x, no more x+1 than they
+            # have.
+            masks = list(smooth_masks(max_deg, f))
+            entered = [m for m, pairs, missing in masks
+                       if dict(pairs).get(X1, 0) <= dict(pairs).get(X, 0)
+                       and all(q.bits > pairs[-1][0].bits
+                               and q.degree <= max_deg - Poly(m).degree
+                               for q in missing)
+                       and lean(m, pairs, f)]
+            # Its table of P^k, their divisor sums and the sums' primes
+            # costs 2 products per k >= 2 and k - 1 more in
+            # multfun._divsum_bits.
+            half = max_deg // 2
+            table = sum(2 * (top - 1) + top * (top - 1) // 2
+                        for top in (half // (p.bit_length() - 1)
+                                    for p in _irreducible_masks(half)))
+            assert 0 < spent <= 2 * len(entered) + table
+            # The unpruned walk over every smooth mask paid more than
+            # twice as much, and so did the walk without the valuation
+            # prune.  The one before that, which also took x^a (x+1)^b
+            # with b > a, paid 781 and 1129 at D = 12.  The hits'
+            # conjugates are made off the lanes, by gf2poly's own
+            # products.
+            assert spent < self.budget([m for m, _, _ in masks]) / 2
+            assert spent < before[unitary] / 2
