@@ -150,9 +150,22 @@ MUTANTS = (
            "bit = 1 << v.bit_length() - 1\n            pivot = pivots.get(bit)",
            (TAIL + "test_solutions_equal_brute_force",)),
     Mutant("irreducibility-test-skipped", PERFECT,
-           "if p & 1 and p >= primes[mid] and is_prime(p)]",
-           "if p & 1 and p >= primes[mid]]",
+           "if p >= primes[mid] and is_prime(p)]",
+           "if p >= primes[mid]]",
            (TAIL + "test_walk_equals_the_flat_tail_loop_on_a_narrow_filter",)),
+    Mutant("solve-origin-at-p-0", PERFECT,
+           "p = 1\n    while v:",
+           "p = 0\n    while v:",
+           (TAIL + "test_solutions_equal_brute_force",)),
+    Mutant("solve-column-shift-in-mask-units", PERFECT,
+           "a << 16 * i",
+           "a << 2 * i",
+           (TAIL + "test_solutions_equal_brute_force",)),
+    Mutant("solve-columns-from-0", PERFECT,
+           "for i in range(1, h + 1):",
+           "for i in range(h + 1):",
+           (TAIL + "test_solution_set_sizes",
+            COST + "test_odd_scan")),
     Mutant("listing-a-degree-short", PERFECT,
            "_factor_sieve(max_deg // 4 + 1)[4:]",
            "_factor_sieve(max_deg // 4)[4:]",

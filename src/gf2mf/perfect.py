@@ -13,9 +13,10 @@ _prime_power_rows, built once per call: at step 1 for the exhaustive
 search, at step 2 for the odd scan's head primes, as it walks squares.
 Rows, A and its divisor sum are lane values (gf2poly._spread), so each
 carryless product is one integer multiply masked to the lanes' low
-bits.  The odd scan converts a last prime only where it is compared;
-only the candidates compared whole are converted back.  Both caps lie
-far inside the lane bound of degree 254.
+bits.  The odd scan solves for its last primes on the same lane values
+and converts a last prime only where it is compared; only the
+candidates compared whole are converted back.  Both caps lie far inside
+the lane bound of degree 254.
 
 Exhaustive mode walks prime powers of degree <= max_deg // 2: if P^e
 exactly divides a fixed point A, then P^e divides the divisor sum of
@@ -55,8 +56,8 @@ alone and nothing after it; those are the node's last primes.  They
 make most candidates, 129071 of the 131071 at degree 36, and the walk
 settles them together: the prefilter on A * P^2 is affine in the
 coefficients of P, since squaring is additive in characteristic 2, so
-one solve over GF(2) per node names the few last primes that pass it,
-and the rest are rejected without being made.
+one solve over GF(2) per node, over the P with P(0) = 1, names the few
+last primes that pass it, and the rest are rejected without being made.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -90,7 +91,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_MAX_DEG = 32
-ODD_SCAN_MAX_DEG = 40
+ODD_SCAN_MAX_DEG = 48
 
 # The odd-mode pre-filter compares this many low coefficients before
 # committing to a full product; rejections must stay conservative, which
@@ -169,43 +170,43 @@ _run_shards = ThreadPoolExecutor = None
 
 def _divsum_form(h, unitary):
     """The divisor sum s(P) of P^2, sigma or sigma_star if unitary, for
-    deg P <= h, in affine form on masks: (s(0), diffs) with diffs[i] =
-    s(x^i) + s(0).
+    deg P <= h, in affine form on lane values (gf2poly._spread):
+    (s(1), diffs) with diffs[i] = s(1 + x^i) + s(1).
 
     s(P) is the s_1 of multfun._divsum_affine at step 2, which only
-    XORs, so s(P) is s(0) plus the diffs[i] of the terms x^i of P:
-    squaring is additive in characteristic 2.
+    XORs, so for odd P, s(P) is s(1) plus the diffs[i] of the terms x^i
+    of P + 1: squaring is additive in characteristic 2.  In lanes x^i
+    is 1 << 8i and x^(2i) is 1 << 16i.
     """
-    origin = _divsum_affine(0, 0, 2, unitary)[0]
-    return origin, [_divsum_affine(1 << i, 1 << 2 * i, 2, unitary)[0] ^ origin
+    origin = _divsum_affine(1, 1, 2, unitary)[0]
+    return origin, [_divsum_affine(1 ^ 1 << 8 * i, 1 ^ 1 << 16 * i, 2,
+                                   unitary)[0] ^ origin
                     for i in range(h + 1)]
 
 
 def _filter_solutions(a, acc, h, form, mask):
-    """Every P of degree <= h, as masks, for which A * P^2 and acc * s(P)
-    agree on the coefficients in mask, where a and acc are masks and
-    form is the affine form (s(0), diffs) of s from _divsum_form.
+    """Every odd P of degree <= h, as masks, for which A * P^2 and
+    acc * s(P) agree on the lanes in mask, where a, acc and mask are
+    lane values and form is the affine form (s(1), diffs) of s from
+    _divsum_form.
 
     F(P) = acc * s(P) + A * P^2 is affine in the coefficients of P, so
-    F(P) = F(0) + the sum of the columns F(x^i) + F(0) over the terms
-    x^i of P.  The columns are eliminated over GF(2) with each pivot at
-    its vector's lowest bit.  Those that vanish give the kernel, and if
-    F(0) is in the pivots' span it gives one solution; the others are
-    that one plus sums of kernel vectors.
+    for P(0) = 1, F(P) = F(1) + the sum of the columns F(1 + x^i) + F(1)
+    = A x^(2i) + acc * diffs[i] over the terms x^i, i >= 1, of P + 1.
+    Each column is one shift and one lane product of the masked
+    operands, exact while mask has at most 255 lanes: no lane under it
+    sums more terms.  The columns are eliminated over GF(2) with each
+    pivot at its vector's lowest bit.  Those that vanish give the
+    kernel, and if F(1) is in the pivots' span it gives one solution;
+    the others are that one plus sums of kernel vectors.
     """
-    def times_acc(d: int) -> int:  # carryless, one shift per term of d
-        v = 0
-        while d:
-            bit = d & -d
-            v ^= acc * bit
-            d ^= bit
-        return v
-
+    a &= mask
+    acc &= mask
     origin, diffs = form
-    pivots = {}  # lowest bit -> (vector, the P whose column it is)
+    pivots = {}  # lowest bit -> (vector, the P + 1 whose column it is)
     kernel = []
-    for i in range(h + 1):
-        v = (a << 2 * i ^ times_acc(diffs[i])) & mask
+    for i in range(1, h + 1):
+        v = (a << 16 * i ^ acc * diffs[i]) & mask
         p = 1 << i
         while v:
             bit = v & -v
@@ -217,8 +218,8 @@ def _filter_solutions(a, acc, h, form, mask):
             p ^= pivot[1]
         else:
             kernel.append(p)
-    v = times_acc(origin) & mask  # F(0)
-    p = 0
+    v = (a ^ acc * origin) & mask  # F(1)
+    p = 1
     while v:
         pivot = pivots.get(v & -v)
         if pivot is None:
@@ -254,17 +255,15 @@ def _walk(max_deg, unitary):
     F(P) = acc * s(P) + A * P^2 is affine in the coefficients of P,
     since squaring is additive in characteristic 2; the filter passes
     exactly when the low coefficients of F(P) vanish.  _filter_solutions
-    solves that over GF(2), for P of degree <= R // 2; a solution at or
-    above the tail's first prime is a tail prime when it is irreducible.
-    A prime found gets the full comparison, on its one row of the table,
-    and every other tail prime is rejected.  For sigma at most one P
-    solves: acc(0) = 1 and (A + acc)(0) = 0, so F(P) + F(0) =
-    (A + acc) P^2 + acc P has the lowest term of P.  For sigma_star,
-    A = S^2 and acc = T^2 with T(0) = 0, so F(P) + F(0) = ((S + T) P)^2
-    fixes P modulo x^16 when A != 1, leaving at most 2^(R//2 - 15)
-    solutions, each with P(0) = T(0) = 0, so no odd prime passes.  At
-    the root A = acc = 1, and F(P) = P^2 + P + 1 or 1 has no prime
-    solution.
+    solves that over GF(2) on the node's own lane values, for odd P of
+    degree <= R // 2; a solution at or above the tail's first prime is a
+    tail prime when it is irreducible.  A prime found gets the full
+    comparison, on its one row of the table, and every other tail prime
+    is rejected.  For sigma at most one P solves: acc(0) = 1 and
+    (A + acc)(0) = 0, so F(P) + F(0) = (A + acc) P^2 + acc P has the
+    lowest term of P.  For sigma_star no P solves when A != 1: acc(0) =
+    0, so F(P)(0) = P(0) = 1.  At the root A = acc = 1, and F(P) =
+    P^2 + P + 1 or 1 has no prime solution.
 
     Only the primes of degree <= max_deg // 4 + 1 are listed, off a
     transient sieve: every head prime and the prime after it.  An odd
@@ -315,10 +314,8 @@ def _walk(max_deg, unitary):
                     rej += walk(i + 1, rest, a2, acc2)
         if mid == end:
             return rej
-        passed = [p for p in _filter_solutions(_unspread(a & low),
-                                               _unspread(acc & low),
-                                               room // 2, form, _LOW_MASK)
-                  if p & 1 and p >= primes[mid] and is_prime(p)]
+        passed = [p for p in _filter_solutions(a, acc, room // 2, form, low)
+                  if p >= primes[mid] and is_prime(p)]
         if passed:  # room // 4 < deg P <= room // 2: one row at cap room
             for (_, pw, sig), in _prime_power_rows(passed, room, 2, unitary):
                 a2 = a * pw & keep

@@ -203,7 +203,7 @@ class TestSearch:
     @pytest.mark.parametrize("kind, max_deg, valid", [
         ("perfect", "0", "1..32"),
         ("unitary", "0", "1..32"),
-        ("odd", "1", "2..40"),
+        ("odd", "1", "2..48"),
     ])
     def test_degree_below_range_names_the_range(self, capsys, kind, max_deg,
                                                 valid):

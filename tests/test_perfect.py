@@ -654,8 +654,8 @@ class TestOddScan:
 
     # sha256 of repr(odd_square_scan(40, unitary, sample_rejected=1000)),
     # from the walk that checked each tail prime in a flat loop.  Degree
-    # 40 has the widest tails, and there sigma_star's filter passes up to
-    # 2^5 coefficient vectors per node.
+    # 40 has wide tails, and there the solve over every P passed up to
+    # 2^5 of sigma_star's even coefficient vectors per node.
     REPORTS_40 = {
         False: ("8885efe00d387caafa9c69dda04b49d7"
                 "5bab799dc99ecf6fd55d59e43d24f4fb"),
@@ -668,6 +668,22 @@ class TestOddScan:
         text = repr(odd_square_scan(40, unitary, sample_rejected=1000))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.REPORTS_40[unitary]
+
+    # sha256 of repr(odd_square_scan(48, unitary, sample_rejected=1000)),
+    # the cap, from the walk that solved each node's tail over every P on
+    # masks.  There sigma's filter passes one candidate, which is no hit.
+    REPORTS_48 = {
+        False: ("3ceaccd568d2ef48ee64a526c6a996ef"
+                "bb503d05634be851f9a42dadb5f0ba61"),
+        True: ("967d1334277d3b8375d7f0a7a98a5897"
+               "078613b67d34f2e0a3af12d1ae154430"),
+    }
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_report_at_degree_48_is_pinned(self, unitary):
+        text = repr(odd_square_scan(48, unitary, sample_rejected=1000))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.REPORTS_48[unitary]
 
     # sha256 of repr(odd_square_scan(36, unitary, sample_rejected=1000)),
     # the perfbench odd_scan workload, from the walk that listed every
@@ -697,16 +713,23 @@ class TestOddScan:
             "c58794628a03a8ba818754991078d002"
             "8c8172451b0b7fd63e9f4a41ec7cc06b")
 
-    def test_scan_leaves_no_irreducible_table_cached(self):
+    def test_scan_leaves_no_irreducible_table_cached(self, monkeypatch):
         # The scan lists its low primes off small sieves of its own and
         # tests a filter solution above them without the test's cache; the
         # shared caches are untouched, and the table's refuses bounds
-        # above 16.  sigma_star's filter has solutions above the listing
-        # at degree 40.
+        # above 16.  To degree 44 no solution reaches that test; at 48
+        # sigma's one, of degree 18, does, and is not a prime.
+        tested = []
+
+        def is_prime(p, test=_is_irreducible_bits.__wrapped__):
+            tested.append((p.bit_length() - 1, test(p)))
+            return tested[-1][1]
+
+        monkeypatch.setattr(_is_irreducible_bits, "__wrapped__", is_prime)
         before = (_irreducible_masks.cache_info(),
                   _is_irreducible_bits.cache_info())
-        odd_square_scan(36)
-        odd_square_scan(40, unitary=True)
+        odd_square_scan(48)
+        assert tested == [(18, False)]
         after = (_irreducible_masks.cache_info(),
                  _is_irreducible_bits.cache_info())
         assert after == before
@@ -750,7 +773,7 @@ class TestOddScan:
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            odd_square_scan(41)
+            odd_square_scan(49)
 
     @pytest.mark.parametrize("max_deg", [True, 36.0, "36", None])
     def test_degree_must_be_an_int(self, max_deg):
@@ -795,9 +818,9 @@ class TestTailSolve:
         # At 32 bits no candidate passes the filter to degree 40; at 8 and
         # 12 bits some of sigma's do, and reach the full comparison.
         # sigma_star's never do: for A != 1 its divisor sum vanishes at 0,
-        # so F(P) has constant term P(0) = 1, and its solutions, all with
-        # P(0) = 0, are dropped before the irreducibility test, which
-        # settles every odd solution in a node's range, listed or not.
+        # so F(P) has constant term P(0) = 1, and the solve, over odd P
+        # only, has no solution to test.  The irreducibility test settles
+        # every solution in a node's range, listed or not.
         monkeypatch.setattr(perfect, "_LOW_MASK", (1 << bits) - 1)
         tested = []
 
@@ -827,10 +850,10 @@ class TestTailSolve:
 
     @staticmethod
     def brute_force(a, total, h, unitary, mask):
-        """Every P of degree <= h for which A * P^2 and total * s(P) agree
-        under mask, s(P) the divisor sum of P^2 for a prime P."""
+        """Every odd P of degree <= h for which A * P^2 and total * s(P)
+        agree under mask, s(P) the divisor sum of P^2 for a prime P."""
         found = []
-        for m in range(1 << (h + 1)):
+        for m in range(1, 1 << (h + 1), 2):
             p = Poly(m)
             s = p * p + ONE if unitary else p * p + p + ONE
             if ((a * p * p).bits ^ (total * s).bits) & mask == 0:
@@ -852,37 +875,39 @@ class TestTailSolve:
             assert f.at_prime_power(p, 2) == s
         for a in [ONE] + TestOddScan.squares(16):
             total = f(a)
-            got = perfect._filter_solutions(a.bits & mask, total.bits & mask,
-                                            h, form, mask)
+            got = perfect._filter_solutions(_spread(a.bits),
+                                            _spread(total.bits), h, form,
+                                            _spread(mask))
             assert sorted(got) == self.brute_force(a, total, h, unitary,
                                                    mask), a
 
     def test_solution_set_sizes(self):
         # sigma's map is injective: one solution at most.  sigma_star's
-        # fixes P modulo x^16: 2^(h - 15) solutions when A != 1.
+        # divisor sum vanishes at 0 when A != 1, so F(P)(0) = P(0) = 1 and
+        # no odd P solves.
         h = 20
+        low = _spread(_LOW_MASK)
         for unitary, f in ((False, sigma), (True, sigma_star)):
             form = perfect._divsum_form(h, unitary)
             for a in TestOddScan.squares(8):
                 total = f(a)
                 got = perfect._filter_solutions(
-                    a.bits & _LOW_MASK, total.bits & _LOW_MASK, h, form,
-                    _LOW_MASK)
-                assert len(set(got)) == len(got)
+                    _spread(a.bits), _spread(total.bits), h, form, low)
                 if unitary:
-                    assert len(got) == 1 << (h - 15)
+                    assert got == []
                 else:
                     assert len(got) <= 1
                 for m in got:
                     p = Poly(m)
-                    s = p * p + ONE if unitary else p * p + p + ONE
+                    s = p * p + p + ONE
+                    assert m & 1
                     assert ((a * p * p).bits ^ (total * s).bits) & _LOW_MASK == 0
         # At the root A = acc = 1 nothing passes but P = 1 for sigma,
         # which is not a prime.
         assert perfect._filter_solutions(1, 1, h, perfect._divsum_form(
-            h, True), _LOW_MASK) == []
+            h, True), low) == []
         assert perfect._filter_solutions(1, 1, h, perfect._divsum_form(
-            h, False), _LOW_MASK) == [1]
+            h, False), low) == [1]
 
 
 class TestWalkCost:
@@ -946,11 +971,23 @@ class TestWalkCost:
     @pytest.mark.parametrize("size", [0, 1000])
     def test_odd_scan(self, monkeypatch, size):
         calls = self.count_products(monkeypatch)
-        report = odd_square_scan(24, sample_rejected=size)
+        solves = []  # (h, its lane products, its solutions) per solve
+        converted = []  # the lane values read back into masks
+
+        def solve(a, acc, h, form, mask, solve=perfect._filter_solutions):
+            before = calls["walk"]
+            got = solve(a, acc, h, form, mask)
+            solves.append((h, calls["walk"] - before, got))
+            return got
+
+        def unspread(x, unspread=perfect._unspread):
+            converted.append(x)
+            return unspread(x)
+
+        monkeypatch.setattr(perfect, "_filter_solutions", solve)
+        monkeypatch.setattr(perfect, "_unspread", unspread)
         roots = [s for s in range(2, 1 << 13)
                  if not any(p in (X, X1) for p, _ in factor(Poly(s)))]
-        assert report.candidates == len(roots) == 2047
-        assert report.full_checked == 0  # no tail prime passes the filter
         # A head candidate's largest prime P^k was taken in a node's head
         # loop: deg P <= R // 4, with R = 24 - deg (S / P^k)^2 left.
         head = 0
@@ -962,13 +999,34 @@ class TestWalkCost:
         # costs the rows two products, and each head candidate two more;
         # a walk that squares a prime on each visit makes 51 and 362.
         heads = [p for p in _irreducible_masks(6) if p > 3]
-        assert calls["square"] == len(heads) == 21
         rows = sum(2 * (24 // (2 * p.bit_length() - 2) - 1) for p in heads)
-        assert 0 < calls["walk"] <= 2 * head + rows == 296
-        # The tail candidates, 1931 of the 2047, are settled per node
-        # without a lane product; a walk that makes each of them pays at
-        # least two products per candidate.
-        assert head == 116 and calls["walk"] < report.candidates / 2
+        for unitary in (False, True):
+            calls.update(walk=0, square=0)
+            del solves[:], converted[:]
+            report = odd_square_scan(24, unitary, sample_rejected=size)
+            assert report.candidates == len(roots) == 2047
+            assert report.full_checked == 0  # no tail prime passes
+            assert calls["square"] == len(heads) == 21
+            solved = sum(n for _, n, _ in solves)
+            assert 0 < calls["walk"] - solved <= 2 * head + rows == 296
+            # The tail candidates, 1931 of the 2047, are settled by one
+            # solve per node, of one lane product per column x^i,
+            # 1 <= i <= h, and one for the origin; a walk that makes each
+            # of them pays at least two products per candidate.
+            assert [n for _, n, _ in solves] == [h + 1 for h, _, _ in solves]
+            assert len(solves) == 55 and solved == 380
+            assert head == 116 and calls["walk"] < report.candidates / 2
+            # Each solution is odd.  sigma_star's divisor sum vanishes at
+            # 0 below the root, so no odd P solves; the solve over every P
+            # enumerated 24 even ones here.
+            assert all(p & 1 for _, _, got in solves for p in got)
+            if unitary:
+                assert [got for _, _, got in solves] == [[]] * 55
+            # Only the checked candidates and the hits leave the lanes;
+            # the walk that solved on masks converted each node's a and
+            # acc, 110 calls here.
+            assert len(converted) == (report.full_checked
+                                      + len(report.hits)) == 0
 
     @pytest.mark.parametrize("unitary", [False, True])
     def test_exhaustive_search(self, monkeypatch, unitary):
