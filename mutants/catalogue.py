@@ -31,6 +31,7 @@ COST = "tests/test_perfect.py::TestWalkCost::"
 SIEVE = "tests/test_perfect.py::TestFactorSieve::"
 BUILTINS = "tests/test_multfun.py::TestBuiltins::"
 CONVOLVE = "tests/test_multfun.py::TestConvolve::"
+LANES = "tests/test_multfun.py::TestLatticeLanes::"
 COROLLARIES = "tests/test_identities.py::TestCorollaries::"
 LATTICE = "tests/test_identities.py::TestLatticeTables::"
 BELL = "tests/test_identities.py::TestBellSeries::"
@@ -186,8 +187,8 @@ MUTANTS = (
     # The divisor lattice, the convolution step, a lemma's Bell series
     # and the corollary spans.
     Mutant("table-reversed", MULTFUN,
-           "return self._walk(f)\n",
-           "return self._walk(f)[::-1]\n",
+           "return self._walk(f)[0]\n",
+           "return self._walk(f)[0][::-1]\n",
            (LATTICE + "test_tables_match_multfun",)),
     Mutant("conv-step-drops-the-last-term", MULTFUN,
            "for l in range(m + 1):",
@@ -199,9 +200,23 @@ MUTANTS = (
            (BELL + "test_lemma_is_proved[sigma_phi]",
             LEMMAS + "test_full_grid_green")),
     Mutant("cotable-unreversed", MULTFUN,
-           "return self._walk(g)[::-1]",
-           "return self._walk(g)",
+           "return self._walk(g)[0][::-1]",
+           "return self._walk(g)[0]",
            (CONVOLVE + "test_bruteforce_matches_literal_divisor_sum",)),
+    # The lattice's lane route: its bound, its one parity mask, and the
+    # read-back of a lane table in a sum with a mask table.
+    Mutant("lane-bound-one-high", MULTFUN,
+           "if bound <= _LANE_MAX_DEG:",
+           "if bound <= _LANE_MAX_DEG + 1:",
+           (LANES + "test_lane_route_equals_mask_route_at_the_bound",)),
+    Mutant("sum-parity-mask-dropped", MULTFUN,
+           "_unspread(acc & _SUM_KEEP)",
+           "_unspread(acc)",
+           (CONVOLVE + "test_bruteforce_matches_literal_divisor_sum",)),
+    Mutant("mixed-sum-in-lanes", MULTFUN,
+           "if lanes and g_lanes:",
+           "if lanes or g_lanes:",
+           (LANES + "test_mixed_sum_reads_the_lane_table_back",)),
     Mutant("mid-span-takes-the-root", IDENTITIES,
            '"mid": (1, 1)',
            '"mid": (0, 1)',

@@ -7,8 +7,10 @@ _products, in mixed-radix counting order over the exponent vectors (the
 first listed factor is the fastest digit), so output order is
 reproducible.  In that order the complement A/D of the n-th divisor D of
 A is the (size - 1 - n)-th, so a table of g(D) read backwards is a table
-of g(A/D).  Enumerations larger than DIVISOR_LIMIT entries are refused
-there, before any value is computed, rather than silently truncated.
+of g(A/D).  It multiplies masks, or lane values (gf2poly._spread) where
+multfun._Lattice keeps a table in lane form.  Enumerations larger than
+DIVISOR_LIMIT entries are refused there, before any value is computed,
+rather than silently truncated.
 """
 
 from math import prod
@@ -35,42 +37,52 @@ class ResourceLimitError(RuntimeError):
     """An enumeration or search would exceed its configured size bound."""
 
 
-def _products(rows: "list[tuple[Poly, Sequence[int]]]",
-              value: "Callable[[Poly, int], int]") -> list[int]:
-    """Every product of one value(p, j) per row (p, exponents j).
+def _products(sizes: "Sequence[int]",
+              values: "Callable[[], tuple[list[list[int]], int]]"
+              ) -> "tuple[list[int], int]":
+    """Every product of one entry per row of values(), the rows' lengths
+    being sizes, and the keep they were multiplied under.
 
     The first row is the fastest digit, so entry n of the result belongs
-    to the n-th exponent vector in mixed-radix counting order.  The size
-    check runs before value is first called.
+    to the n-th exponent vector in mixed-radix counting order.  values()
+    returns the rows and a keep: 0 when the entries are masks, multiplied
+    by _mul_bits, else the entries are lane values (gf2poly._spread) and
+    each product is d * v & keep, which the caller makes exact.  The size
+    check runs before values is called.
     """
-    count = prod(len(exps) for _, exps in rows)
+    count = prod(sizes)
     if count > DIVISOR_LIMIT:
         raise ResourceLimitError(
             f"{count} divisors exceed the enumeration bound of {DIVISOR_LIMIT}"
         )
+    rows, keep = values()
     out = [1]
-    for p, exps in rows:
-        vals = [value(p, j) for j in exps]
+    for vals in rows:
         # The products by the unit, the first row's, are the row itself.
-        out = vals if out == [1] else [_mul_bits(d, v)
-                                       for v in vals for d in out]
-    return out
+        if out == [1]:
+            out = vals
+        elif keep:
+            out = [d * v & keep for v in vals for d in out]
+        else:
+            out = [_mul_bits(d, v) for v in vals for d in out]
+    return out, keep
 
 
-def _power_bits(p: Poly, j: int) -> int:
-    return (p**j).bits
+def _power_products(rows: "list[tuple[Poly, Sequence[int]]]") -> list[int]:
+    """Every product of one P^j per row (P, exponents j), as masks."""
+    return _products([len(exps) for _, exps in rows], lambda: (
+        [[(p**j).bits for j in exps] for p, exps in rows], 0))[0]
 
 
 def divisors(f: Factorization) -> list[Poly]:
     """All divisors in mixed-radix order over the exponent vectors."""
-    rows = [(p, range(e + 1)) for p, e in f]
-    return [Poly(m) for m in _products(rows, _power_bits)]
+    return [Poly(m) for m in _power_products([(p, range(e + 1))
+                                              for p, e in f])]
 
 
 def unitary_divisors(f: Factorization) -> list[Poly]:
     """Divisors D with gcd(D, A/D) = 1: one subset of full prime powers each."""
-    rows = [(p, (0, e)) for p, e in f]
-    return [Poly(m) for m in _products(rows, _power_bits)]
+    return [Poly(m) for m in _power_products([(p, (0, e)) for p, e in f])]
 
 
 def radical(f: Factorization) -> Poly:

@@ -14,14 +14,17 @@ comparison operators; comparing masks as plain integers coincides with
 this package.  The raw-int helpers (_mul_bits, _divmod_bits, _sqr_bits,
 ...) back the hot loops in the other modules.
 
-The fixed-point walks keep their values in a second, "lane" form
-(_spread, _unspread): coefficient i of the mask at bit 8i.  There a
-carryless product is one C-level integer multiply, x * y & M with M the
-lane form of 2^(n+1) - 1, exact while the product has degree <= n and a
-factor degree <= 254, since no 8-bit lane then counts past 255.  XOR,
-== and < act on lane values as on their masks.  Converting costs about as
-much as a product, so the form pays only where values stay converted
-across many products; _mul_bits stays the kernel everywhere else.
+The fixed-point walks and the divisor-lattice tables of
+multfun._Lattice keep their values in a second, "lane" form (_spread,
+_unspread): coefficient i of the mask at bit 8i.  There a carryless
+product is one C-level integer multiply, x * y & M with M the lane form
+of 2^(n+1) - 1, exact while the product has degree <= n and a factor
+degree <= 254, since no 8-bit lane then counts past 255.  XOR, == and <
+act on lane values as on their masks, and XOR carries nothing between
+lanes, so raw products can be XORed first and masked once.  Converting
+costs about as much as a product, so the form pays only where values
+stay converted across many products; _mul_bits stays the kernel of the
+Poly arithmetic, of factoring and of the symbolic rows and convolutions.
 """
 
 import warnings

@@ -28,9 +28,11 @@ mu(Q) is 1 exactly when Q is squarefree, and with inv(id), since
 inv(id)(Q) = mu(Q) Q.  The lattice of A is the oracle's own,
 multfun._Lattice: it factors A once and walks each function once, each
 entry evaluated multiplicatively at its own divisor, and reads g(A/D)
-off g's table at the complement index.  Every spec at A shares the
-tables, and its precondition (shape and nontrivial) reads the lattice's
-exponent vector.  A right side of None means the left side must differ
+off g's table at the complement index.  A left side is the lattice's
+xor_sum over the span, the oracle's one sum, on lane values within the
+lattice's lane bound.  Every spec at A shares the tables, and its
+precondition (shape and nontrivial) reads the lattice's exponent
+vector.  A right side of None means the left side must differ
 from A: a square convolution equals A exactly when f fixes the square
 root of A.  The catalogue is built once, at import.
 
@@ -445,18 +447,7 @@ def check_corollaries(a: Poly) -> list[IdentityReport]:
                 kind="corollary", spec_id=spec.id, point=a, skipped=True,
             ))
             continue
-        first, last = _SPANS[spec.span]
-        span = range(first, lat.size - last)
-        fs = lat.table(spec.f)
-        acc = 0
-        if spec.g is z:  # z(A/D) = 1
-            for n in span:
-                acc ^= fs[n]
-        else:
-            gs = lat.cotable(spec.g)
-            for n in span:
-                acc ^= _mul_bits(fs[n], gs[n])
-        got = Poly(acc)
+        got = Poly(lat.xor_sum(spec.f, spec.g, *_SPANS[spec.span]))
         expected = _right_side(spec, a, lat)
         passed = got != a if expected is None else got == expected
         reports.append(IdentityReport(

@@ -17,7 +17,15 @@ code that tabulates a function over the divisors of a: one walk of the
 divisor walker of gf2mf.divisors per function, in counting order, where
 a/d sits at the complement index size - 1 - n of d (the involution
 d <-> a/d), so g(a/d) is the same table read from the other end.  The
-oracle and the corollary checks of gf2mf.identities both read it.
+oracle and the corollary checks of gf2mf.identities both read it, and
+both sum through its one xor_sum.  A table and its sums run on lane
+values (gf2poly._spread) while the table's entry bound, the sum over the
+primes of the largest degree in the function's row, is at most
+gf2poly._LANE_MAX_DEG; then no lane of a product counts past 255, so
+integer products are exact.  The bound is read off the rows, never off
+deg a, as a pointwise product's rows can outgrow their exponents.
+Larger lattices keep masks and _mul_bits, which the symbolic route uses
+throughout, so the two routes share no carryless kernel.
 
 _divsum_affine is the one home of the sigma and sigma_star rules: a
 start s_1 and an affine recurrence in P^step with constant c.  Their
@@ -25,14 +33,16 @@ steps and _divsum_bits (the search's closure prune) run it at step 1,
 and gf2mf.perfect's walks read it through their one prime-power table.
 """
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from math import prod
+from operator import mul, xor
 from typing import Callable, Iterator
 
 from .divisors import ResourceLimitError, _products
 from .factorize import factor
-from .gf2poly import Poly, _mul_bits, _sqrt_bits
+from .gf2poly import (_LANE_MAX_DEG, Poly, _mul_bits, _spread, _sqrt_bits,
+                      _unspread)
 
 __all__ = [
     "MultiplicativeFunction",
@@ -73,12 +83,13 @@ class MultiplicativeFunction:
     tested points, so no equality operation is defined on instances.
     """
 
-    __slots__ = ("name", "_step", "_cache")
+    __slots__ = ("name", "_step", "_cache", "_lanes")
 
     def __init__(self, name: str, step: Step):
         self.name = name
         self._step = step
         self._cache: dict[int, list[int]] = {}
+        self._lanes: dict[int, tuple[list[int], list[int]]] = {}
 
     def row(self, p: int, e: int) -> list[int]:
         """The stored row at the prime mask p, grown to hold f(P^0..P^e);
@@ -96,6 +107,32 @@ class MultiplicativeFunction:
             while len(row) <= e:
                 row.append(self._step(p, row))
         return row
+
+    def lane_row(self, p: int, e: int) -> "tuple[list[int], int]":
+        """The stored lane row at p, holding f(P^0..P^e) as lane values
+        (gf2poly._spread), and the largest degree among those e + 1.
+
+        Each entry is spread once, with the running maximum of the
+        degrees so far.  No entry of a degree past _LANE_MAX_DEG is
+        spread: when the degree returned exceeds it, the row ends short
+        of e, and callers must read the masks of row() instead.
+        """
+        lanes = self._lanes.get(p)
+        if lanes is None:
+            lanes = self._lanes[p] = [], []
+        vals, tops = lanes
+        if len(vals) > e:
+            return vals, tops[e]
+        row = self.row(p, e)
+        top = tops[-1] if tops else 0
+        while len(vals) <= e:
+            m = row[len(vals)]
+            top = max(top, m.bit_length() - 1)
+            if top > _LANE_MAX_DEG:
+                break
+            vals.append(_spread(m))
+            tops.append(top)
+        return vals, top
 
     def at_prime_power(self, prime: Poly, r: int) -> Poly:
         """Value at prime**r; r = 0 yields the unit value 1."""
@@ -211,6 +248,13 @@ def square_conv(f: MultiplicativeFunction) -> MultiplicativeFunction:
     return MultiplicativeFunction(f"sq({f.name})", _conv_step(f, f))
 
 
+# A table's entries have degree <= _LANE_MAX_DEG, so _TABLE_KEEP keeps
+# every lane of a table product; a convolution term, the product of two
+# entries, has degree <= 2 * _LANE_MAX_DEG, the last lane _SUM_KEEP keeps.
+_TABLE_KEEP = _spread((1 << _LANE_MAX_DEG + 1) - 1)
+_SUM_KEEP = _spread((1 << 2 * _LANE_MAX_DEG + 1) - 1)
+
+
 class _Lattice:
     """The divisor lattice of one polynomial A, factored once.
 
@@ -221,15 +265,25 @@ class _Lattice:
     walked once, over its own prime rows, and its table kept with the
     lattice.  root and the values of value() are made on first read,
     since the oracle reads neither.
+
+    A table is kept in lane form (gf2poly._spread) while its entry
+    bound, the sum over the primes of the largest degree in f's row up
+    to the exponent, is at most _LANE_MAX_DEG (254); past it the table
+    holds masks.  The bound is read off the rows, never off deg A, since
+    a row's degrees need not follow its exponents.  Every entry, and so
+    every partial product of the walk, has degree <= the bound, so each
+    lane of a product counts at most 255 pairs, and masking to each
+    lane's low bit gives the lane value of the carryless product.
     """
 
     def __init__(self, a: Poly):
         self._a = a
         self.fact = factor(a)
         self.exps = [e for _, e in self.fact]
-        self.size = prod(e + 1 for e in self.exps)
-        self._rows = [(p, range(e + 1)) for p, e in self.fact]
-        self._tables: "dict[MultiplicativeFunction, list[int]]" = {}
+        self._sizes = [e + 1 for e in self.exps]
+        self.size = prod(self._sizes)
+        self._primes = [(p.bits, e) for p, e in self.fact]
+        self._tables: "dict[MultiplicativeFunction, tuple[list[int], int]]" = {}
 
     @cached_property
     def root(self) -> "Poly | None":
@@ -244,26 +298,82 @@ class _Lattice:
 
     def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Yield (exponents, divisor mask, codivisor mask) in counting order."""
-        ds = self._walk(ident)
+        ds = self.masks(ident)
         # itertools.product counts with its last range fastest.
         counts = product(*[range(e + 1) for e in reversed(self.exps)])
         yield from zip((t[::-1] for t in counts), ds, reversed(ds))
 
-    def _walk(self, f: MultiplicativeFunction) -> list[int]:
-        if f not in self._tables:
+    def _rows(self, f: MultiplicativeFunction) -> "tuple[list[list[int]], int]":
+        """f's row per prime, up to its exponent, and the keep _products
+        multiplies them under: lane rows and _TABLE_KEEP within the
+        entry bound, else mask rows and 0."""
+        rows, bound = [], 0
+        for p, e in self._primes:
+            vals, top = f.lane_row(p, e)
+            rows.append(vals[:e + 1])
+            bound += top
+        if bound <= _LANE_MAX_DEG:
+            return rows, _TABLE_KEEP
+        return [f.row(p, e)[:e + 1] for p, e in self._primes], 0
+
+    def _walk(self, f: MultiplicativeFunction) -> "tuple[list[int], int]":
+        """f's table and the keep it was built under, 0 for masks."""
+        walked = self._tables.get(f)
+        if walked is None:
             # _products refuses an oversized lattice before any row grows.
-            self._tables[f] = _products(
-                self._rows, lambda p, j: f.row(p.bits, j)[j])
-        return self._tables[f]
+            walked = self._tables[f] = _products(self._sizes,
+                                                 lambda: self._rows(f))
+        return walked
+
+    def lanes(self, f: MultiplicativeFunction) -> bool:
+        """Whether table(f) and cotable(f) hold lane values, not masks."""
+        return self._walk(f)[1] != 0
 
     def table(self, f: MultiplicativeFunction) -> list[int]:
-        """f(D) for every divisor D, as masks in counting order."""
-        return self._walk(f)
+        """f(D) for every divisor D, in counting order, as lane values if
+        lanes(f), else as masks."""
+        return self._walk(f)[0]
 
     def cotable(self, g: MultiplicativeFunction) -> list[int]:
-        """g(A/D) for every divisor D, as masks in counting order."""
+        """g(A/D) for every divisor D, in counting order, in the form of
+        table(g)."""
         # Not self.table(g): each side can be replaced without the other.
-        return self._walk(g)[::-1]
+        return self._walk(g)[0][::-1]
+
+    def masks(self, f: MultiplicativeFunction) -> list[int]:
+        """f(D) for every divisor D, in counting order, as masks."""
+        table = self.table(f)
+        return list(map(_unspread, table)) if self.lanes(f) else table
+
+    def xor_sum(self, f: MultiplicativeFunction, g: MultiplicativeFunction,
+                first: int = 0, last: int = 0) -> int:
+        """The mask of the XOR of f(D) g(A/D) over the divisors D at the
+        indices first .. size - 1 - last, read off table(f) and
+        cotable(g); g = z reads no cotable, as z(A/D) = 1.
+
+        When both tables are lane values, each term is one integer
+        product and the terms are XORed raw: no lane of a term passes
+        255, so no term carries between lanes, and the low bit of each
+        lane of the XOR is the parity of that lane's count.  One mask
+        then keeps those bits.  Otherwise the lane table is read back
+        and the terms are _mul_bits products of masks.
+        """
+        span = slice(first, self.size - last)
+        fs, lanes = self.table(f)[span], self.lanes(f)
+        if g is z:
+            terms = fs
+        else:
+            gs, g_lanes = self.cotable(g)[span], self.lanes(g)
+            if lanes and g_lanes:
+                terms = map(mul, fs, gs)
+            else:
+                if lanes:
+                    fs = map(_unspread, fs)
+                if g_lanes:
+                    gs = map(_unspread, gs)
+                terms, lanes = map(_mul_bits, fs, gs), False
+        acc = reduce(xor, terms, 0)
+        return _unspread(acc & _SUM_KEEP) if lanes else acc
 
     def value(self, f: MultiplicativeFunction, b: Poly) -> Poly:
         """f(b), evaluated by f itself once per (f, b) on this lattice.
@@ -282,11 +392,7 @@ def convolve_bruteforce(f: MultiplicativeFunction, g: MultiplicativeFunction,
     """(f*g)(a) as the literal sum over all divisors d of f(d) g(a/d)."""
     if a.bits == 0:
         raise ValueError("convolution is undefined at 0")
-    lat = _Lattice(a)
-    acc = 0
-    for fd, gq in zip(lat.table(f), lat.cotable(g)):
-        acc ^= _mul_bits(fd, gq)
-    return Poly(acc)
+    return Poly(_Lattice(a).xor_sum(f, g))
 
 
 def inverse(f: MultiplicativeFunction) -> MultiplicativeFunction:

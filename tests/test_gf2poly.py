@@ -275,6 +275,19 @@ class TestLaneForm:
         assert (_spread(a) * _spread(b) & self.keep(a, b)
                 == _spread(_mul_bits(a, b)))
 
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(lane_masks, lane_masks), max_size=40))
+    def test_xor_of_raw_products_then_one_mask(self, pairs):
+        # No lane of a raw product passes 255, so XOR carries nothing
+        # between lanes and each lane's low bit is the parity of its
+        # counts: one mask at the end gives the XOR of the products.
+        raw, masks = 0, 0
+        for a, b in pairs:
+            raw ^= _spread(a) * _spread(b)
+            masks ^= _mul_bits(a, b)
+        assert _unspread(raw & _spread((1 << 2 * _LANE_MAX_DEG + 1) - 1)
+                         ) == masks
+
     @given(lane_masks, lane_masks)
     def test_xor_commutes_with_spread(self, a, b):
         assert _spread(a ^ b) == _spread(a) ^ _spread(b)

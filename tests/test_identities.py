@@ -10,7 +10,8 @@ import pytest
 from gf2mf import identities, multfun
 from gf2mf.divisors import divisors
 from gf2mf.factorize import factor
-from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, sqrt_if_square
+from gf2mf.gf2poly import (ONE, Poly, ZERO, _mul_bits, _unspread,
+                           sqrt_if_square)
 from gf2mf.identities import (
     IdentityReport,
     check_all,
@@ -544,11 +545,14 @@ class TestLatticeTables:
             lat = identities._Lattice(a)
             vectors = list(lat.vectors())
             for name, f in FUNCTIONS.items():
+                # Every input is far inside the lane bound.
+                assert lat.lanes(f), (a, name)
                 table, cotable = lat.table(f), lat.cotable(f)
                 assert len(table) == len(cotable) == len(vectors)
                 for n, (_, d, q) in enumerate(vectors):
-                    assert table[n] == f(Poly(d)).bits, (a, name, n)
-                    assert cotable[n] == f(Poly(q)).bits, (a, name, n)
+                    assert _unspread(table[n]) == f(Poly(d)).bits, (a, name, n)
+                    assert _unspread(cotable[n]) == f(Poly(q)).bits, (
+                        a, name, n)
 
     def test_registry_reads_what_is_declared(self):
         specs = corollary_registry()
@@ -569,9 +573,13 @@ class TestLatticeTables:
         a = root**2  # special: every corollary applies
         assert all(r.passed for r in check_corollaries(a))
         # mid, A/D = root
-        index = identities._Lattice(a).table(ident).index(root.bits)
+        lat = identities._Lattice(a)
+        index = lat.masks(ident).index(root.bits)
         original = getattr(identities._Lattice, method)
         target = FUNCTIONS[name]
+        # The flip below lands on a lane value: in lane form, ^ 1 flips
+        # the constant coefficient, as it does on a mask.
+        assert lat.lanes(target)
 
         def corrupted(lat, f):
             values = original(lat, f)
@@ -623,9 +631,10 @@ class TestLatticeTables:
         # and z(A/D) = 1 is not read at all.
         walked = []
 
-        def counted(rows, value, walk=multfun._products):
-            walked.append(walk(rows, value))
-            return walked[-1]
+        def counted(sizes, values, walk=multfun._products):
+            table, keep = walk(sizes, values)
+            walked.append(list(map(_unspread, table)) if keep else table)
+            return table, keep
 
         monkeypatch.setattr(multfun, "_products", counted)
         a = (X * X1 * P2) ** 2  # special: every corollary applies

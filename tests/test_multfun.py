@@ -1,6 +1,6 @@
 """Tests for the multiplicative-function algebra."""
 
-import importlib
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,9 +38,6 @@ from gf2mf.multfun import (
 )
 
 ALL_BUILTINS = [delta, z, ident, mu, phi, sigma, sigma_star]
-
-# The module, which the package's function of the same name shadows.
-divisors_module = importlib.import_module("gf2mf.divisors")
 
 nonzero_masks = st.integers(min_value=1, max_value=(1 << 13) - 1)
 
@@ -253,17 +250,30 @@ class TestConvolve:
                                                      products):
         # The first row's values are the first row's products: a one-prime
         # lattice multiplies nothing, and each later row pays one product
-        # per entry of the tables it extends.
+        # per entry of the tables it extends.  Both tables are lane values
+        # here, so a product is one integer multiply, which the row values
+        # count as they take part in it.
         calls = []
 
-        def counted(x, y):
-            calls.append((x, y))
-            return _mul_bits(x, y)
+        class Counted(int):
+            def __mul__(self, other):
+                calls.append(other)
+                return int(self) * int(other)
+
+            __rmul__ = __mul__
+
+        lane_row = multfun.MultiplicativeFunction.lane_row
+
+        def counted(f, p, e):
+            vals, top = lane_row(f, p, e)
+            return [Counted(v) for v in vals], top
 
         expected = [sigma(d).bits for d in divisors(factor(a))]
-        monkeypatch.setattr(divisors_module, "_mul_bits", counted)
+        monkeypatch.setattr(multfun.MultiplicativeFunction, "lane_row",
+                            counted)
         lat = multfun._Lattice(a)
-        assert lat.table(sigma) == expected
+        assert lat.lanes(sigma) and lat.lanes(phi)
+        assert lat.masks(sigma) == expected
         lat.cotable(phi)
         assert len(calls) == 2 * products
 
@@ -284,6 +294,53 @@ class TestConvolve:
         assert lat.root == lat.root == X * X1 * Poly("x^2+x+1")
         assert multfun._Lattice(X**3).root is None
         assert calls == [a.bits]
+
+
+class TestLatticeLanes:
+    """A lattice keeps f's table in lane form only while the entry bound
+    read off f's rows is at most _LANE_MAX_DEG, and its sums equal those
+    of the mask route and of the symbolic convolution."""
+
+    # f(P^j) = sigma(P^j) phi(P^j)^5 has degree 6 j deg P: its entries
+    # pass the lane bound on lattices of degree far below it.
+    SIGMA_PHI5 = reduce(pointwise_mul, [phi] * 5, sigma)
+
+    @pytest.mark.parametrize("a, lanes", [
+        (X**42, True), (X**120, False), (X**200, False),
+        (Poly("x^2+x") ** 60, False),
+    ])
+    def test_row_degrees_not_deg_a_pick_the_route(self, a, lanes):
+        f = self.SIGMA_PHI5
+        assert convolve_bruteforce(f, f, a) == convolve(f, f)(a)
+        assert multfun._Lattice(a).lanes(f) is lanes
+
+    @pytest.mark.parametrize("a, lanes", [
+        (X**254, True), (X**255, False),
+        (X**127 * X1**127, True), (X**128 * X1**127, False),
+    ])
+    def test_lane_route_equals_mask_route_at_the_bound(
+            self, monkeypatch, a, lanes):
+        pairs = [(ident, ident), (sigma, phi), (phi, z), (ident, mu)]
+        lat = multfun._Lattice(a)
+        got = [lat.xor_sum(f, g, first, last) for f, g in pairs
+               for first, last in ((0, 0), (1, 1))]
+        assert [lat.lanes(f) for f in (ident, sigma, phi)] == [lanes] * 3
+        monkeypatch.setattr(multfun, "_LANE_MAX_DEG", -1)
+        masks = multfun._Lattice(a)
+        assert not any(masks.lanes(f) for f in (ident, sigma, phi, mu))
+        assert got == [masks.xor_sum(f, g, first, last) for f, g in pairs
+                       for first, last in ((0, 0), (1, 1))]
+        assert got[::2] == [convolve(f, g)(a).bits for f, g in pairs]
+
+    def test_mixed_sum_reads_the_lane_table_back(self):
+        # phi's entries reach degree 45, SIGMA_PHI5's 270.
+        a = X**25 * X1**20
+        f = self.SIGMA_PHI5
+        lat = multfun._Lattice(a)
+        assert lat.lanes(phi) and not lat.lanes(f)
+        for left, right in ((phi, f), (f, phi)):
+            assert convolve_bruteforce(left, right, a) == convolve(
+                left, right)(a)
 
 
 class TestInverse:
@@ -384,7 +441,8 @@ class TestRows:
     def test_state_after_verify_is_bounded(self, fresh_python):
         # The grid and the suite leave 3276 prime-power values in the
         # live functions, the count of distinct (P, r) values they asked
-        # for; a row holds only the values below the largest it serves.
+        # for; a row holds only the values below the largest it serves,
+        # and its lane form no more than the row.
         out = fresh_python(
             "import gc\n"
             "from gf2mf.identities import check_all, corollary_suite\n"
@@ -395,8 +453,12 @@ class TestRows:
             "fs = [o for o in gc.get_objects()\n"
             "      if isinstance(o, MultiplicativeFunction)]\n"
             "print(sum(len(r) - 1 for f in fs for r in f._cache.values()))\n"
+            "print(all(len(f._lanes[p][0]) <= len(f._cache[p])\n"
+            "          for f in fs for p in f._lanes))\n"
         )
-        assert int(out) <= 3276
+        values, lanes = out.split()
+        assert int(values) <= 3276
+        assert lanes == "True"
 
 
 class TestPointwise:

@@ -881,27 +881,51 @@ class TestTailSolve:
             assert sorted(got) == self.brute_force(a, total, h, unitary,
                                                    mask), a
 
+    @staticmethod
+    def planted(a, p):
+        """acc = A P^2 / s(P) mod x^32, s(P) = P^2 + P + 1: the sigma
+        solve at A and acc then has the odd P as its one solution."""
+        s = (p * p + p + ONE).bits
+        inv = 1  # s(0) = 1, so s is a unit mod x^32
+        for i in range(1, _LOW_MASK.bit_length()):
+            if _mul_bits(s, inv) >> i & 1:
+                inv ^= 1 << i
+        return Poly(_mul_bits((a * p * p).bits, inv) & _LOW_MASK)
+
     def test_solution_set_sizes(self):
         # sigma's map is injective: one solution at most.  sigma_star's
         # divisor sum vanishes at 0 when A != 1, so F(P)(0) = P(0) = 1 and
-        # no odd P solves.
+        # no odd P solves.  No sigma(A) itself has a solution here, so for
+        # sigma each A also takes a planted acc for a few odd P.
         h = 20
         low = _spread(_LOW_MASK)
+        rng = random.Random(20261019)
+        ps = [0b111, 0b1011, (1 << h) | 1] + [
+            rng.randrange(1 << h, 1 << h + 1) | 1 for _ in range(3)]
+        checked = 0
         for unitary, f in ((False, sigma), (True, sigma_star)):
             form = perfect._divsum_form(h, unitary)
             for a in TestOddScan.squares(8):
-                total = f(a)
-                got = perfect._filter_solutions(
-                    _spread(a.bits), _spread(total.bits), h, form, low)
-                if unitary:
-                    assert got == []
-                else:
-                    assert len(got) <= 1
-                for m in got:
-                    p = Poly(m)
-                    s = p * p + p + ONE
-                    assert m & 1
-                    assert ((a * p * p).bits ^ (total * s).bits) & _LOW_MASK == 0
+                totals = [f(a)]
+                if not unitary:
+                    totals += [self.planted(a, Poly(p)) for p in ps]
+                for n, total in enumerate(totals):
+                    got = perfect._filter_solutions(
+                        _spread(a.bits), _spread(total.bits), h, form, low)
+                    if unitary:
+                        assert got == []
+                    elif n:
+                        assert got == [ps[n - 1]]
+                    else:
+                        assert len(got) <= 1
+                    for m in got:
+                        p = Poly(m)
+                        s = p * p + p + ONE
+                        assert m & 1
+                        assert ((a * p * p).bits
+                                ^ (total * s).bits) & _LOW_MASK == 0
+                        checked += 1
+        assert checked >= 7 * len(ps)
         # At the root A = acc = 1 nothing passes but P = 1 for sigma,
         # which is not a prime.
         assert perfect._filter_solutions(1, 1, h, perfect._divsum_form(
