@@ -25,6 +25,7 @@ FACTORIZE = "src/gf2mf/factorize.py"
 IDENTITIES = "src/gf2mf/identities.py"
 
 SEARCH = "tests/test_perfect.py::TestSearch::"
+TABLE = SEARCH + "test_walks_equal_the_table_oracle_to_degree_16"
 ODD = "tests/test_perfect.py::TestOddScan::"
 TAIL = "tests/test_perfect.py::TestTailSolve::"
 COST = "tests/test_perfect.py::TestWalkCost::"
@@ -34,6 +35,7 @@ CONVOLVE = "tests/test_multfun.py::TestConvolve::"
 LANES = "tests/test_multfun.py::TestLatticeLanes::"
 COROLLARIES = "tests/test_identities.py::TestCorollaries::"
 LATTICE = "tests/test_identities.py::TestLatticeTables::"
+SUITE = "tests/test_identities.py::TestSuite::"
 BELL = "tests/test_identities.py::TestBellSeries::"
 LEMMAS = "tests/test_identities.py::TestCheckAll::"
 
@@ -83,19 +85,22 @@ MUTANTS = (
            "return s1 if len(row) == 1 else",
            "return c if len(row) == 1 else",
            (BUILTINS + "test_sigma_is_divisor_xor",)),
-    Mutant("divsum-bits-one-step-more", MULTFUN,
-           "for _ in range(r - 1):",
-           "for _ in range(r):",
-           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",)),
+    Mutant("divsum-bits-one-step-more", PERFECT,
+           "factor(Poly(sums[k]))",
+           "factor(Poly(step(p, sums)))",
+           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",
+            TABLE)),
     Mutant("req-index-one-high", PERFECT,
            "req |= 1 << index[q.bits]",
            "req |= 2 << index[q.bits]",
-           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",)),
+           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",
+            TABLE)),
     # The exhaustive walk: buckets, rules 1-3 and the x <-> x+1 conjugates.
     Mutant("bucket-key-one-high", PERFECT,
            "buckets[low.bit_length() - 1].append(",
            "buckets[low.bit_length()].append(",
-           (SEARCH + "test_walk_equals_the_unbucketed_walk",)),
+           (SEARCH + "test_walk_equals_the_unbucketed_walk",
+            TABLE)),
     Mutant("rule-1-recheck-dropped", PERFECT,
            "if e > room or low & skipped:",
            "if e > room:",
@@ -111,7 +116,8 @@ MUTANTS = (
     Mutant("conjugates-forgotten", PERFECT,
            "return masks + [c for m, c in pairs if c & -c != m & -m]",
            "return masks",
-           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",)),
+           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",
+            TABLE)),
     Mutant("conjugate-whenever-different", PERFECT,
            "if c & -c != m & -m]",
            "if c != m]",
@@ -121,17 +127,20 @@ MUTANTS = (
            "if sx2 < 0 or",
            "if sx2 <= 0 or",
            (SEARCH + "test_exhaustive_degree_6",
-            SEARCH + "test_walk_equals_the_unbucketed_walk")),
+            SEARCH + "test_walk_equals_the_unbucketed_walk",
+            TABLE)),
     Mutant("x1-cut-before-x1-is-decided", PERFECT,
            "sx12 < 0 and nxt > 1:",
            "sx12 < 0:",
            (SEARCH + "test_exhaustive_degree_6",
-            SEARCH + "test_walk_equals_the_unbucketed_walk")),
+            SEARCH + "test_walk_equals_the_unbucketed_walk",
+            TABLE)),
     Mutant("x-exponent-not-credited", PERFECT,
            "(k, 0) if p == 2",
            "(0, 0) if p == 2",
            (SEARCH + "test_exhaustive_degree_6",
-            SEARCH + "test_walk_equals_the_unbucketed_walk")),
+            SEARCH + "test_walk_equals_the_unbucketed_walk",
+            TABLE)),
     Mutant("x1-cut-dropped", PERFECT,
            "if sx2 < 0 or sx12 < 0 and nxt > 1:",
            "if sx2 < 0:",
@@ -221,6 +230,15 @@ MUTANTS = (
            '"mid": (1, 1)',
            '"mid": (0, 1)',
            (COROLLARIES + "test_sigma_id_at_x_squared",)),
+    # The corollary right sides' argument table and value memo.
+    Mutant("root-argument-is-a", IDENTITIES,
+           '"root": root',
+           '"root": a',
+           (COROLLARIES + "test_sigma_id_at_x_squared",)),
+    Mutant("value-memo-keyed-by-the-argument-alone", IDENTITIES,
+           "key = f, b.bits",
+           "key = b.bits",
+           (SUITE + "test_every_report_is_pinned",)),
     # The factor sieve.
     Mutant("sieve-gray-step-one-shift", FACTORIZE,
            "prod ^= p2 ^ p2 * (i & -i)",

@@ -262,7 +262,7 @@ def _factor_squarefree(f: int) -> list[int]:
 def _factor_bits(bits: int) -> tuple[tuple[int, int], ...]:
     counts: dict[int, int] = {}
     f, mult = bits, 1
-    while f != 1:
+    while True:
         der = _derivative_bits(f)
         if der:
             # f = A^2 B with B squarefree and gcd(f, f') = A^2: each prime
@@ -280,10 +280,11 @@ def _factor_bits(bits: int) -> tuple[tuple[int, int], ...]:
                     f = q
                     e += 1
                 counts[p] = counts.get(p, 0) + e * mult
+        if f == 1:
+            return tuple(sorted(counts.items()))
         # f is a square (zero derivative): go on with its root.
         f = _sqrt_bits(f)
         mult *= 2
-    return tuple(sorted(counts.items()))
 
 
 def factor(a: Poly) -> Factorization:

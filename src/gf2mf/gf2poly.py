@@ -116,15 +116,10 @@ def _unspread(x: int) -> int:
 
 
 def _sqrt_bits(n: int) -> int:
-    """Square root of a mask whose odd-index bits are all clear."""
-    r = 0
-    i = 0
-    while n:
-        if n & 1:
-            r |= 1 << i
-        n >>= 2
-        i += 1
-    return r
+    """Square root of a mask whose odd-index bits are all clear: the
+    even-index bits of n, read as one slice of its binary digits."""
+    s = format(n, "b")
+    return int(s[len(s) - 1 & 1::2], 2)
 
 
 def _divmod_bits(a: int, b: int) -> tuple[int, int]:

@@ -32,9 +32,12 @@ off g's table at the complement index.  A left side is the lattice's
 xor_sum over the span, the oracle's one sum, on lane values within the
 lattice's lane bound.  Every spec at A shares the tables, and its
 precondition (shape and nontrivial) reads the lattice's exponent
-vector.  A right side of None means the left side must differ
-from A: a square convolution equals A exactly when f fixes the square
-root of A.  The catalogue is built once, at import.
+vector and the root.  check_corollaries takes the root and radical of
+A once per input, and a right side evaluates each f(b) itself, once per
+input, never off a lattice table, so it stays independent of the tables
+the left sides XOR.  A right side of None means the left side must
+differ from A: a square convolution equals A exactly when f fixes the
+square root of A.  The catalogue is built once, at import.
 
 registry(functions=...) accepts an alternative table of the seven named
 functions so tests can corrupt one step and watch the right lemmas
@@ -47,7 +50,7 @@ from typing import Callable, Mapping
 
 from .divisors import radical
 from .factorize import factor, irreducibles_up_to, is_irreducible
-from .gf2poly import ONE, Poly, ZERO, _compose_bits, _mul_bits
+from .gf2poly import ONE, Poly, ZERO, _compose_bits, _mul_bits, _sqrt_bits
 from .multfun import (
     BUILTINS,
     MultiplicativeFunction,
@@ -400,33 +403,35 @@ _COROLLARIES: "tuple[CorollarySpec, ...]" = tuple(CorollarySpec(*r) for r in (
 ))
 
 
-def _applies(spec: CorollarySpec, lat: _Lattice) -> bool:
-    """Whether the exponent vector of A meets the spec's precondition."""
-    if spec.nontrivial and not lat.exps:
+def _applies(spec: CorollarySpec, exps: "list[int]",
+             root: "Poly | None") -> bool:
+    """Whether the exponent vector of A meets the spec's precondition;
+    root is the square root of A, or None when A is not a square."""
+    if spec.nontrivial and not exps:
         return False
     if spec.shape == "square":
-        return lat.root is not None
-    return spec.shape == "any" or all(e == 2 for e in lat.exps)
+        return root is not None
+    return spec.shape == "any" or all(e == 2 for e in exps)
 
 
-def _right_side(spec: CorollarySpec, a: Poly, lat: _Lattice) -> "Poly | None":
-    """The XOR of the spec's terms at A.  A square convolution (rhs None)
-    expects A when f fixes the root of A, and otherwise None."""
+def _right_side(spec: CorollarySpec, args: "dict[str, Poly | None]",
+                value: Callable) -> "Poly | None":
+    """The XOR of the spec's terms, each argument read off args by name
+    and each f(b) off value.  A square convolution (rhs None) expects A
+    when f fixes the root of A, and otherwise None."""
     if spec.rhs is None:
-        root = lat.root
-        if root is not None and lat.value(spec.f, root) == root:
-            return a
+        root = args["root"]
+        if root is not None and value(spec.f, root) == root:
+            return args["A"]
         return None
     total = 0
     for term in spec.rhs:
-        h, arg = term[0], term[1]
-        value = (a if arg == "A" else lat.root if arg == "root"
-                 else radical(lat.fact) if arg == "rad" else ONE)
+        h, arg = term[0], args[term[1]]
         if h is not None:
-            value = lat.value(h, value)
+            arg = value(h, arg)
         if len(term) > 2:
-            value = value * value
-        total ^= value.bits
+            arg = arg * arg
+        total ^= arg.bits
     return Poly(total)
 
 
@@ -441,14 +446,24 @@ def check_corollaries(a: Poly) -> list[IdentityReport]:
         raise ValueError("corollaries are undefined at 0")
     reports = []
     lat = _Lattice(a)  # every input has some lattice corollary that applies
+    root = None if any(e % 2 for e in lat.exps) else Poly(_sqrt_bits(a.bits))
+    args = {"A": a, "root": root, "rad": radical(lat.fact), "1": ONE}
+    values: "dict[tuple[MultiplicativeFunction, int], Poly]" = {}
+
+    def value(f: MultiplicativeFunction, b: Poly) -> Poly:
+        key = f, b.bits
+        if key not in values:
+            values[key] = f(b)
+        return values[key]
+
     for spec in _COROLLARIES:
-        if not _applies(spec, lat):
+        if not _applies(spec, lat.exps, root):
             reports.append(IdentityReport(
                 kind="corollary", spec_id=spec.id, point=a, skipped=True,
             ))
             continue
         got = Poly(lat.xor_sum(spec.f, spec.g, *_SPANS[spec.span]))
-        expected = _right_side(spec, a, lat)
+        expected = _right_side(spec, args, value)
         passed = got != a if expected is None else got == expected
         reports.append(IdentityReport(
             kind="corollary", spec_id=spec.id, point=a,

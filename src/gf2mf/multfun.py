@@ -18,22 +18,23 @@ divisor walker of gf2mf.divisors per function, in counting order, where
 a/d sits at the complement index size - 1 - n of d (the involution
 d <-> a/d), so g(a/d) is the same table read from the other end.  The
 oracle and the corollary checks of gf2mf.identities both read it, and
-both sum through its one xor_sum.  A table and its sums run on lane
-values (gf2poly._spread) while the table's entry bound, the sum over the
-primes of the largest degree in the function's row, is at most
-gf2poly._LANE_MAX_DEG; then no lane of a product counts past 255, so
-integer products are exact.  The bound is read off the rows, never off
-deg a, as a pointwise product's rows can outgrow their exponents.
-Larger lattices keep masks and _mul_bits, which the symbolic route uses
-throughout, so the two routes share no carryless kernel.
+both sum through its one xor_sum; it holds nothing else.  A table and
+its sums run on lane values (gf2poly._spread) while the table's entry
+bound, the sum over the primes of the largest degree in the function's
+row, is at most gf2poly._LANE_MAX_DEG; then no lane of a product counts
+past 255, so integer products are exact.  The bound is read off the
+rows, never off deg a, as a pointwise product's rows can outgrow their
+exponents.  Larger lattices keep masks and _mul_bits, which the symbolic
+route uses throughout, so the two routes share no carryless kernel.
 
 _divsum_affine is the one home of the sigma and sigma_star rules: a
 start s_1 and an affine recurrence in P^step with constant c.  Their
-steps and _divsum_bits (the search's closure prune) run it at step 1,
-and gf2mf.perfect's walks read it through their one prime-power table.
+steps run it at step 1, gf2mf.perfect's prunes factor the sums those
+steps make, and its walks read the rule through their one prime-power
+table.
 """
 
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product
 from math import prod
 from operator import mul, xor
@@ -41,8 +42,7 @@ from typing import Callable, Iterator
 
 from .divisors import ResourceLimitError, _products
 from .factorize import factor
-from .gf2poly import (_LANE_MAX_DEG, Poly, _mul_bits, _spread, _sqrt_bits,
-                      _unspread)
+from .gf2poly import _LANE_MAX_DEG, Poly, _mul_bits, _spread, _unspread
 
 __all__ = [
     "MultiplicativeFunction",
@@ -171,15 +171,6 @@ def _divsum_affine(p: int, p_step: int, step: int,
     return p_step ^ c, c
 
 
-def _divsum_bits(p: int, r: int, unitary: bool) -> int:
-    """sigma(P^r) = 1 + P + ... + P^r, or sigma_star(P^r) = P^r + 1 if
-    unitary, for r >= 1, on masks: the affine recurrence at step 1."""
-    s, c = _divsum_affine(p, p, 1, unitary)
-    for _ in range(r - 1):
-        s = _mul_bits(s, p) ^ c
-    return s
-
-
 def _divsum_step(unitary: bool) -> Step:
     """sigma's step, or sigma_star's if unitary: the affine recurrence at
     step 1, whose s_1 follows the row's f(P^0) = 1 as f(P)."""
@@ -263,8 +254,7 @@ class _Lattice:
     holds g(A/D).  A/D has the complementary exponent vector, at index
     size - 1 - n, so cotable(g) is g's table reversed.  Each function is
     walked once, over its own prime rows, and its table kept with the
-    lattice.  root and the values of value() are made on first read,
-    since the oracle reads neither.
+    lattice.
 
     A table is kept in lane form (gf2poly._spread) while its entry
     bound, the sum over the primes of the largest degree in f's row up
@@ -277,24 +267,12 @@ class _Lattice:
     """
 
     def __init__(self, a: Poly):
-        self._a = a
         self.fact = factor(a)
         self.exps = [e for _, e in self.fact]
         self._sizes = [e + 1 for e in self.exps]
         self.size = prod(self._sizes)
         self._primes = [(p.bits, e) for p, e in self.fact]
         self._tables: "dict[MultiplicativeFunction, tuple[list[int], int]]" = {}
-
-    @cached_property
-    def root(self) -> "Poly | None":
-        """The square root of A when every exponent is even, else None."""
-        if any(e % 2 for e in self.exps):
-            return None
-        return Poly(_sqrt_bits(self._a.bits))
-
-    @cached_property
-    def _values(self) -> "dict[tuple[MultiplicativeFunction, int], Poly]":
-        return {}
 
     def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Yield (exponents, divisor mask, codivisor mask) in counting order."""
@@ -374,17 +352,6 @@ class _Lattice:
                 terms, lanes = map(_mul_bits, fs, gs), False
         acc = reduce(xor, terms, 0)
         return _unspread(acc & _SUM_KEEP) if lanes else acc
-
-    def value(self, f: MultiplicativeFunction, b: Poly) -> Poly:
-        """f(b), evaluated by f itself once per (f, b) on this lattice.
-
-        Right sides read this, never table(f), so they stay independent
-        of the tables the left sides XOR.
-        """
-        key = (f, b.bits)
-        if key not in self._values:
-            self._values[key] = f(b)
-        return self._values[key]
 
 
 def convolve_bruteforce(f: MultiplicativeFunction, g: MultiplicativeFunction,

@@ -6,7 +6,9 @@ primes in ascending order with their exponents, and extend A and its
 divisor sum by one prime power per step, so no candidate is ever
 factored and a walked product costs two carryless products.  The
 divisor sum of a prime power comes from the affine rule that
-gf2mf.multfun._divsum_affine gives.
+gf2mf.multfun._divsum_affine gives.  The exhaustive search's prunes
+factor the sums that multfun's own sigma or sigma_star step makes,
+never the sums the walk carries.
 
 Both walks read P^(k*step) and its divisor sum off one row table,
 _prime_power_rows, built once per call: at step 1 for the exhaustive
@@ -75,7 +77,7 @@ from .factorize import (_factor_sieve, _irreducible_counts, _irreducible_masks,
                         _is_irreducible_bits, factor, parity)
 from .gf2poly import (Poly, X, X1, _compose_bits, _spread, _sqr_bits,
                       _unspread)
-from .multfun import (_divsum_affine, _divsum_bits, convolve_bruteforce,
+from .multfun import (_divsum_affine, _divsum_step, convolve_bruteforce,
                       ident, z)
 
 __all__ = [
@@ -360,21 +362,25 @@ def _prime_power_rows(primes, cap, step, unitary):
 
 def _search_rows(primes, cap, unitary):
     """The step-1 rows of _prime_power_rows, each with req, dx and dx1
-    appended, all read off one factoring of its divisor sum s_k from
-    multfun._divsum_bits, so the prunes do not rest on the carried sums.
-    req is the index mask of the irreducibles of s_k; each has degree
-    <= cap, so it is in the list.  dx is the exponent of x in P^k less
-    that in s_k, and dx1 likewise for x+1: summed down a walk they are
-    the exponent of x (or x+1) in A less that in its divisor sum, since
-    exponents add over a product."""
+    appended, all read off one factoring of its divisor sum s_k, which
+    multfun's own step (multfun._divsum_step) makes in a list per prime,
+    so the prunes do not rest on the carried sums.  req is the index
+    mask of the irreducibles of s_k; each has degree <= cap, so it is in
+    the list.  dx is the exponent of x in P^k less that in s_k, and dx1
+    likewise for x+1: summed down a walk they are the exponent of x (or
+    x+1) in A less that in its divisor sum, since exponents add over a
+    product."""
     index = {p: i for i, p in enumerate(primes)}
     rows = _prime_power_rows(primes, cap, 1, unitary)
+    step = _divsum_step(unitary)
     for p, row in zip(primes, rows):
+        sums = [1]
         for k, (e, pw, sig) in enumerate(row, 1):
+            sums.append(step(p, sums))
             req = 0
             # x and x+1 are the masks 2 and 3.
             dx, dx1 = (k, 0) if p == 2 else (0, k) if p == 3 else (0, 0)
-            for q, m in factor(Poly(_divsum_bits(p, k, unitary))):
+            for q, m in factor(Poly(sums[k])):
                 req |= 1 << index[q.bits]
                 dx -= m * (q.bits == 2)
                 dx1 -= m * (q.bits == 3)

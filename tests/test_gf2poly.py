@@ -1,6 +1,7 @@
 """Tests for the bitmask polynomial ring."""
 
 import operator
+import random
 import warnings
 
 import pytest
@@ -18,6 +19,7 @@ from gf2mf.gf2poly import (
     _mul_bits,
     _spread,
     _sqr_bits,
+    _sqrt_bits,
     _unspread,
     add,
     conjugate,
@@ -332,6 +334,26 @@ class TestSqrt:
     def test_square_round_trip(self, s):
         p = Poly(s)
         assert sqrt_if_square(p * p) == p
+
+    def test_bits_equal_the_bit_loop(self):
+        # The loop _sqrt_bits replaced: bit 2i of n goes to bit i, for
+        # any n, square or not.
+        def loop(n):
+            r = i = 0
+            while n:
+                if n & 1:
+                    r |= 1 << i
+                n >>= 2
+                i += 1
+            return r
+
+        rng = random.Random(20261019)
+        ns = [0, 1, 2, 3]
+        for _ in range(500):
+            n = rng.getrandbits(rng.randrange(1, 1001))
+            ns += [n, _sqr_bits(n)]
+        for n in ns:
+            assert _sqrt_bits(n) == loop(n), n
 
 
 class TestConjugate:

@@ -10,8 +10,8 @@ import pytest
 from gf2mf import identities, multfun
 from gf2mf.divisors import divisors
 from gf2mf.factorize import factor
-from gf2mf.gf2poly import (ONE, Poly, ZERO, _mul_bits, _unspread,
-                           sqrt_if_square)
+from gf2mf.gf2poly import (ONE, Poly, ZERO, _mul_bits, _sqrt_bits,
+                           _unspread, sqrt_if_square)
 from gf2mf.identities import (
     IdentityReport,
     check_all,
@@ -449,6 +449,32 @@ class TestCorollaries:
         assert reports["corol_sigma_mu"].skipped
         assert not reports["corol_sigmainv_sigma"].skipped
         assert reports["corol_sigmainv_sigma"].passed
+
+    def test_one_square_root_per_square_input(self, monkeypatch):
+        # check_corollaries takes the root once per square input, however
+        # many specs read it, and none for a non-square, whose
+        # square-shape specs are skipped; the oracle takes none.
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return _sqrt_bits(n)
+
+        monkeypatch.setattr(identities, "_sqrt_bits", counted)
+        root = X * X1 * P2
+        a = root**2
+        assert multfun.convolve_bruteforce(sigma, phi, a) == (
+            multfun.convolve(sigma, phi)(a))
+        assert calls == []
+        reports = {r.spec_id: r for r in check_corollaries(a)}
+        assert calls == [a.bits]
+        assert all(r.passed for r in reports.values())
+        assert reports["corol_sigmastarinv_id"].expected == root + a
+        calls.clear()
+        reports = check_corollaries(X**3)
+        assert calls == []
+        assert {r.spec_id for r in reports if r.skipped} == {
+            i for i, (shape, _) in PRECONDITIONS.items() if shape != "any"}
 
     def test_unit_input(self):
         reports = {r.spec_id: r for r in check_corollaries(ONE)}

@@ -13,8 +13,7 @@ from gf2mf.divisors import (
     unitary_divisors,
 )
 from gf2mf.factorize import factor, irreducibles_up_to
-from gf2mf.gf2poly import (ONE, Poly, X, X1, ZERO, _mul_bits, _sqrt_bits,
-                           conjugate)
+from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _mul_bits, conjugate
 from gf2mf.multfun import (
     BUILTINS,
     MAX_EXPRESSION_TERMS,
@@ -276,24 +275,6 @@ class TestConvolve:
         assert lat.masks(sigma) == expected
         lat.cotable(phi)
         assert len(calls) == 2 * products
-
-    def test_oracle_never_takes_a_square_root(self, monkeypatch):
-        # Only the corollary filters read the lattice's root, once each
-        # lattice however often they read it.
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return _sqrt_bits(n)
-
-        monkeypatch.setattr(multfun, "_sqrt_bits", counted)
-        a = (X * X1 * Poly("x^2+x+1")) ** 2
-        assert convolve_bruteforce(sigma, phi, a) == convolve(sigma, phi)(a)
-        assert calls == []
-        lat = multfun._Lattice(a)
-        assert lat.root == lat.root == X * X1 * Poly("x^2+x+1")
-        assert multfun._Lattice(X**3).root is None
-        assert calls == [a.bits]
 
 
 class TestLatticeLanes:

@@ -8,13 +8,16 @@ import os
 import random
 from bisect import bisect_right
 from collections.abc import Mapping
+from functools import reduce
 from itertools import compress, count
+from operator import xor
 
 import pytest
 
 import gf2mf.multfun as multfun
 import gf2mf.perfect as perfect
-from gf2mf.divisors import ResourceLimitError
+import table_oracle
+from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
 from gf2mf.factorize import (
     _TABLE_MAX_DEG,
     _factor_sieve,
@@ -373,6 +376,18 @@ class TestSearch:
                     if f(Poly(m)).bits == m]
         hits = search_fixed_points(max_deg, unitary)
         assert [r.polynomial.bits for r in hits] == expected
+
+    def test_walks_equal_the_table_oracle_to_degree_16(self):
+        # Every mask of degree <= 16, its divisor sums built by
+        # multiplicativity off a sieve of the test's own; the table
+        # itself is held to the literal divisor XOR up to degree 9.
+        sums = table_oracle.divisor_sums(9)
+        for m in range(1, 1 << 10):
+            fact = factor(Poly(m))
+            for s, ds in zip(sums, (divisors(fact), unitary_divisors(fact))):
+                assert s[m] == reduce(xor, (d.bits for d in ds)), m
+        for name, walked, table in table_oracle.checks(16):
+            assert walked == table, name
 
     def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch):
         # With id's rule, the affine pair (s_1, c) = (P, 0), in place of
@@ -937,8 +952,10 @@ class TestTailSolve:
 class TestWalkCost:
     """Two carryless products per walked product, and a table of prime
     powers built once per call, at two products per further exponent
-    and, for the odd scan, one square per head prime; the odd scan
-    settles its tail primes without a product."""
+    and, for the odd scan, one square per head prime; the exhaustive
+    search's prunes factor sums that cost one product per further
+    exponent, and the odd scan settles its tail primes without a
+    product."""
 
     @staticmethod
     def count_products(monkeypatch):
@@ -946,9 +963,9 @@ class TestWalkCost:
         # perfect._spread: each product has a Lane operand, and Lane
         # results of *, & and ^ keep the count going down the walk.  A
         # lane straight from _spread times itself squares a prime.
-        # multfun._mul_bits is counted too, for the products
-        # multfun._divsum_bits makes.
-        calls = {"walk": 0, "square": 0}
+        # multfun._mul_bits is counted apart, as "sums", for the divisor
+        # sums the exhaustive search's prunes factor.
+        calls = {"walk": 0, "square": 0, "sums": 0}
 
         class Lane(int):
             spread = False  # made by perfect._spread, not by arithmetic
@@ -969,7 +986,7 @@ class TestWalkCost:
             __rxor__ = __xor__
 
         def counted(a, b):
-            calls["walk"] += 1
+            calls["sums"] += 1
             return _mul_bits(a, b)
 
         def spread(m, spread=perfect._spread):
@@ -1025,12 +1042,13 @@ class TestWalkCost:
         heads = [p for p in _irreducible_masks(6) if p > 3]
         rows = sum(2 * (24 // (2 * p.bit_length() - 2) - 1) for p in heads)
         for unitary in (False, True):
-            calls.update(walk=0, square=0)
+            calls.update(walk=0, square=0, sums=0)
             del solves[:], converted[:]
             report = odd_square_scan(24, unitary, sample_rejected=size)
             assert report.candidates == len(roots) == 2047
             assert report.full_checked == 0  # no tail prime passes
             assert calls["square"] == len(heads) == 21
+            assert calls["sums"] == 0
             solved = sum(n for _, n, _ in solves)
             assert 0 < calls["walk"] - solved <= 2 * head + rows == 296
             # The tail candidates, 1931 of the 2047, are settled by one
@@ -1062,9 +1080,10 @@ class TestWalkCost:
         # alone drops every product past the lowest prime still needed,
         # so D = 14 is what checks that the sibling loop stops there.
         for max_deg, before in (12, (549, 769)), (14, (1467, 2055)):
-            calls.update(walk=0, square=0)
+            calls.update(walk=0, square=0, sums=0)
             search_fixed_points(max_deg, unitary)
-            spent = calls["walk"] + calls["square"]  # multfun's are ours
+            spent = sum(calls.values())  # multfun's products are ours
+            sums = calls["sums"]
             # The search pays two products per mask it enters: the
             # closed ones, and the open ones whose missing primes all lie
             # above their largest prime and still fit in the degree, each
@@ -1078,14 +1097,14 @@ class TestWalkCost:
                                and q.degree <= max_deg - Poly(m).degree
                                for q in missing)
                        and lean(m, pairs, f)]
-            # Its table of P^k, their divisor sums and the sums' primes
-            # costs 2 products per k >= 2 and k - 1 more in
-            # multfun._divsum_bits.
+            # Its table of P^k and their divisor sums costs 2 products
+            # per k >= 2, and the sums the prunes factor, one row of
+            # multfun's step per prime, 1 more per k >= 2.
             half = max_deg // 2
-            table = sum(2 * (top - 1) + top * (top - 1) // 2
-                        for top in (half // (p.bit_length() - 1)
-                                    for p in _irreducible_masks(half)))
-            assert 0 < spent <= 2 * len(entered) + table
+            tops = [half // (p.bit_length() - 1)
+                    for p in _irreducible_masks(half)]
+            assert sums == sum(top - 1 for top in tops)
+            assert 0 < spent <= 2 * len(entered) + 3 * sums
             # The unpruned walk over every smooth mask paid more than
             # twice as much, and so did the walk without the valuation
             # prune.  The one before that, which also took x^a (x+1)^b
