@@ -86,13 +86,13 @@ MUTANTS = (
            "return c if len(row) == 1 else",
            (BUILTINS + "test_sigma_is_divisor_xor",)),
     Mutant("divsum-bits-one-step-more", PERFECT,
-           "factor(Poly(sums[k]))",
-           "factor(Poly(step(p, sums)))",
+           "_table_factor(spf, sums[k])",
+           "_table_factor(spf, step(p, sums))",
            (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",
             TABLE)),
     Mutant("req-index-one-high", PERFECT,
-           "req |= 1 << index[q.bits]",
-           "req |= 2 << index[q.bits]",
+           "req |= 1 << index[q]",
+           "req |= 2 << index[q]",
            (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",
             TABLE)),
     # The exhaustive walk: buckets, rules 1-3 and the x <-> x+1 conjugates.
@@ -177,8 +177,8 @@ MUTANTS = (
            (TAIL + "test_solution_set_sizes",
             COST + "test_odd_scan")),
     Mutant("listing-a-degree-short", PERFECT,
-           "_factor_sieve(max_deg // 4 + 1)[4:]",
-           "_factor_sieve(max_deg // 4)[4:]",
+           "_spf_table(max_deg // 4 + 1)",
+           "_spf_table(max_deg // 4)",
            (ODD + "test_degree_24_counts",)),
     # The rejected sample, read off the candidate set.
     Mutant("sample-takes-even-weight-s", PERFECT,
@@ -239,13 +239,23 @@ MUTANTS = (
            "key = f, b.bits",
            "key = b.bits",
            (SUITE + "test_every_report_is_pinned",)),
-    # The factor sieve.
+    # The smallest-prime table and the factoring off it.
     Mutant("sieve-gray-step-one-shift", FACTORIZE,
            "prod ^= p2 ^ p2 * (i & -i)",
            "prod ^= p2 * (i & -i)",
            (SIEVE + "test_flags_equal_the_plain_sieve",)),
     Mutant("sieve-parity-seed-flipped", FACTORIZE,
-           "flags = bytearray(1)\n",
-           "flags = bytearray(b\"\\1\")\n",
+           "marks = bytearray(1)\n",
+           "marks = bytearray(b\"\\2\")\n",
            (SIEVE + "test_flags_equal_the_plain_sieve",)),
+    Mutant("spf-entry-written-by-the-last-prime", FACTORIZE,
+           "if spf[prod] == mark:\n                spf[prod] = p",
+           "spf[prod] = p",
+           (SIEVE + "test_entries_are_the_smallest_primes",
+            SIEVE + "test_factorization_equals_factor")),
+    Mutant("table-factor-leaves-x1", FACTORIZE,
+           "while not m.bit_count() & 1:",
+           "while not m & 1:",
+           (SIEVE + "test_factorization_equals_factor",
+            SEARCH + "test_walk_matches_a_plain_loop_over_every_mask")),
 )

@@ -8,7 +8,8 @@ factored and a walked product costs two carryless products.  The
 divisor sum of a prime power comes from the affine rule that
 gf2mf.multfun._divsum_affine gives.  The exhaustive search's prunes
 factor the sums that multfun's own sigma or sigma_star step makes,
-never the sums the walk carries.
+never the sums the walk carries, and factor them off one smallest-prime
+table (factorize._spf_table) per call, not through factor().
 
 Both walks read P^(k*step) and its divisor sum off one row table,
 _prime_power_rows, built once per call: at step 1 for the exhaustive
@@ -68,13 +69,14 @@ point depends on the multiplicative evaluation path that found it.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, islice
 from types import MappingProxyType
 
 from .divisors import divisors, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import (_factor_sieve, _irreducible_counts, _irreducible_masks,
-                        _is_irreducible_bits, factor, parity)
+from .factorize import (_irreducible_counts, _irreducible_masks,
+                        _is_irreducible_bits, _odd_primes, _spf_table,
+                        _table_factor, factor, parity)
 from .gf2poly import (Poly, X, X1, _compose_bits, _spread, _sqr_bits,
                       _unspread)
 from .multfun import (_divsum_affine, _divsum_step, convolve_bruteforce,
@@ -268,10 +270,10 @@ def _walk(max_deg, unitary):
     P^2 + P + 1 or 1 has no prime solution.
 
     Only the primes of degree <= max_deg // 4 + 1 are listed, off a
-    transient sieve: every head prime and the prime after it.  An odd
-    solution at or above the tail's first prime is tested by
-    factorize's irreducibility test, uncached, so no tail prime need be
-    listed.
+    transient smallest-prime table: every head prime and the prime
+    after it.  An odd solution at or above the tail's first prime is
+    tested by factorize's irreducibility test, uncached, so no tail
+    prime need be listed.
 
     The walk runs on lane values (gf2poly._spread), so each product is
     one integer multiply masked by keep.  The rows of the head primes,
@@ -284,7 +286,7 @@ def _walk(max_deg, unitary):
     counts = _irreducible_counts(max_deg // 2)
     counts[1] = 0  # x and x+1 are not odd
     start = list(accumulate(counts))  # start[d]: odd primes of degree <= d
-    primes = list(compress(count(4), _factor_sieve(max_deg // 4 + 1)[4:]))
+    primes = list(_odd_primes(_spf_table(max_deg // 4 + 1)))
     rows = _prime_power_rows(primes[:start[max_deg // 4]], max_deg, 2,
                              unitary)
     weights = [2 * p.bit_length() - 2 for p in primes]
@@ -364,15 +366,18 @@ def _search_rows(primes, cap, unitary):
     """The step-1 rows of _prime_power_rows, each with req, dx and dx1
     appended, all read off one factoring of its divisor sum s_k, which
     multfun's own step (multfun._divsum_step) makes in a list per prime,
-    so the prunes do not rest on the carried sums.  req is the index
-    mask of the irreducibles of s_k; each has degree <= cap, so it is in
-    the list.  dx is the exponent of x in P^k less that in s_k, and dx1
-    likewise for x+1: summed down a walk they are the exponent of x (or
-    x+1) in A less that in its divisor sum, since exponents add over a
-    product."""
+    so the prunes do not rest on the carried sums.  s_k has degree
+    <= cap, so it is factored off one smallest-prime table of degree cap
+    (factorize._spf_table), built per call, and never by factor().  req
+    is the index mask of the irreducibles of s_k; each has degree
+    <= cap, so it is in the list.  dx is the exponent of x in P^k less
+    that in s_k, and dx1 likewise for x+1: summed down a walk they are
+    the exponent of x (or x+1) in A less that in its divisor sum, since
+    exponents add over a product."""
     index = {p: i for i, p in enumerate(primes)}
     rows = _prime_power_rows(primes, cap, 1, unitary)
     step = _divsum_step(unitary)
+    spf = _spf_table(cap)
     for p, row in zip(primes, rows):
         sums = [1]
         for k, (e, pw, sig) in enumerate(row, 1):
@@ -380,10 +385,10 @@ def _search_rows(primes, cap, unitary):
             req = 0
             # x and x+1 are the masks 2 and 3.
             dx, dx1 = (k, 0) if p == 2 else (0, k) if p == 3 else (0, 0)
-            for q, m in factor(Poly(sums[k])):
-                req |= 1 << index[q.bits]
-                dx -= m * (q.bits == 2)
-                dx1 -= m * (q.bits == 3)
+            for q, m in _table_factor(spf, sums[k]):
+                req |= 1 << index[q]
+                dx -= m * (q == 2)
+                dx1 -= m * (q == 3)
             row[k - 1] = e, pw, sig, req, dx, dx1
     return rows
 
@@ -538,8 +543,12 @@ def search_fixed_points(
     passed x+1 that of x+1 is, while the divisor sum gains a factor with
     each prime power below.  A fixed point has as much x and x+1 as its
     divisor sum, so a product whose divisor sum already has more x (or,
-    past x+1, more x+1) than A is dropped with its subtree.  Every hit
-    and each added conjugate is re-verified.  max_deg must be an int.
+    past x+1, more x+1) than A is dropped with its subtree.
+    Tables: the primes come off the cached irreducible list of degree
+    max_deg // 2, and the divisor sums that the rules read are factored
+    off one smallest-prime table of that degree, built per call.  Every
+    hit and each added conjugate is re-verified through factor() and
+    the literal divisor sum.  max_deg must be an int.
     """
     if type(max_deg) is not int:
         raise ValueError("max_deg must be an int")

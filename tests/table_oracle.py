@@ -13,9 +13,12 @@ factor through the package: it shares only gf2poly._mul_bits with it.
 checks(n) pairs search_fixed_points(D) with the table's fixed points at
 every D <= n, for both kinds, and the hits of odd_square_scan(D) with
 the table's odd fixed points, those with no factor x or x+1, at every
-even D <= n.  The table makes no assumption about its fixed points, so
-the second pairing also checks that the odd ones are squares.  The
-tier-1 suite runs n = 16; mutants/oracle.py runs n = 20.
+even D <= n.  The table has no odd fixed point of either kind to degree
+20, so there the second pairing compares empty lists: it checks only
+that the scan reports no hit, not the scan's candidates, and says
+nothing of squares.  mutants/oracle.py prints how many odd fixed points
+it compared.  The tier-1 suite runs n = 16; mutants/oracle.py runs
+n = 20.
 """
 
 from array import array

@@ -14,19 +14,24 @@ from operator import xor
 
 import pytest
 
+import gf2mf.factorize as factorize
 import gf2mf.multfun as multfun
 import gf2mf.perfect as perfect
 import table_oracle
 from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
 from gf2mf.factorize import (
+    _PRIME,
     _TABLE_MAX_DEG,
-    _factor_sieve,
     _irreducible_counts,
     _irreducible_masks,
     _is_irreducible_bits,
+    _odd_primes,
+    _spf_table,
+    _table_factor,
     factor,
 )
-from gf2mf.gf2poly import ONE, Poly, ZERO, _mul_bits, _spread, conjugate
+from gf2mf.gf2poly import (ONE, Poly, ZERO, _mod_bits, _mul_bits, _spread,
+                           conjugate)
 from gf2mf.multfun import sigma, sigma_star
 from gf2mf.perfect import (
     _LOW_MASK,
@@ -190,10 +195,35 @@ def gray_code_sieve(max_deg):
     return flags
 
 
+def table_flags(max_deg):
+    """Prime flags of every mask of degree <= max_deg, read off the
+    smallest-prime table: x and x+1, and the odd primes it marks."""
+    flags = bytearray(1 << (max_deg + 1))
+    for m in (2, 3, *_odd_primes(_spf_table(max_deg))):
+        if m < len(flags):
+            flags[m] = 1
+    return flags
+
+
+def plain_spf_table(max_deg):
+    """The smallest-prime table the plain way: each mask with no linear
+    factor divided by the irreducibles of gray_code_sieve in ascending
+    order, _PRIME for a prime and 0 for the masks x or x+1 divide."""
+    flags = gray_code_sieve(max_deg)
+    primes = list(compress(count(4), flags[4:]))
+    entries = [0] * len(flags)
+    for m in range(7, len(flags), 2):
+        if not m.bit_count() & 1:
+            continue
+        entries[m] = _PRIME if flags[m] else next(
+            p for p in primes if not _mod_bits(m, p))
+    return entries
+
+
 def scan_primes(max_deg):
-    """Every odd irreducible of degree <= max_deg // 2, off one sieve: the
+    """Every odd irreducible of degree <= max_deg // 2, off one table: the
     primes the scan walks, which it lists only to degree max_deg // 4 + 1."""
-    return list(compress(count(4), _factor_sieve(max_deg // 2)[4:]))
+    return list(_odd_primes(_spf_table(max_deg // 2)))
 
 
 def flat_tail_walk(primes, max_deg, unitary, sample_rejected):
@@ -282,12 +312,14 @@ def mobius(n):
 
 
 class TestFactorSieve:
-    """The sieve's prime flags against a plain Gray-code sieve, factor(),
-    the Frobenius test and Gauss's count."""
+    """The smallest-prime table's prime listing against a plain Gray-code
+    sieve, factor(), the Frobenius test and Gauss's count; its entries
+    against plain trial division, and its factorizations against
+    factor()."""
 
     def test_flags_equal_the_plain_sieve(self):
         for d in range(0, 17):
-            assert _factor_sieve(d) == gray_code_sieve(d), d
+            assert table_flags(d) == gray_code_sieve(d), d
 
     def test_flags_match_the_frobenius_test(self):
         # Every bound, since the degrees 1-3 and masks 1-3 are set apart
@@ -295,27 +327,45 @@ class TestFactorSieve:
         expected = bytes(_is_irreducible_bits(m) if m > 1 else 0
                          for m in range(1 << 14))
         for d in range(0, 14):
-            flags = _factor_sieve(d)
-            assert len(flags) == 1 << (d + 1)
-            assert flags == expected[:1 << (d + 1)], d
+            assert len(_spf_table(d)) == 1 << (d + 1)
+            assert table_flags(d) == expected[:1 << (d + 1)], d
 
     @pytest.mark.parametrize("max_deg", [18, 20])
     def test_counts_per_degree_are_gauss_counts(self, max_deg):
         # By Mobius inversion, and by the recurrence the odd scan reads.
-        flags = _factor_sieve(max_deg)
+        degrees = [m.bit_length() - 1
+                   for m in (2, 3, *_odd_primes(_spf_table(max_deg)))]
         counts = _irreducible_counts(max_deg)
         assert len(counts) == max_deg + 1 and counts[0] == 0
         for d in range(1, max_deg + 1):
             gauss = sum(mobius(e) * 2 ** (d // e)
                         for e in range(1, d + 1) if d % e == 0) // d
-            assert sum(flags[1 << d:2 << d]) == gauss == counts[d], d
+            assert degrees.count(d) == gauss == counts[d], d
 
     def test_flags_match_factor(self):
         deg = 18
-        flags = _factor_sieve(deg)
+        flags = table_flags(deg)
         for m in random.Random(1).sample(range(2, 1 << (deg + 1)), 500):
             prime = [e for _, e in factor(Poly(m))] == [1]
             assert flags[m] == prime, m
+
+    def test_entries_are_the_smallest_primes(self):
+        for d in range(0, 13):
+            assert _spf_table(d).tolist() == plain_spf_table(d), d
+
+    def test_factorization_equals_factor(self):
+        def pairs(m):
+            return [(p.bits, e) for p, e in factor(Poly(m))]
+
+        spf = _spf_table(12)
+        for m in range(1, 1 << 13):
+            assert _table_factor(spf, m) == pairs(m), m
+        rng = random.Random(0x5F7)
+        spf = _spf_table(20)
+        for d in range(13, 21):
+            for _ in range(500):
+                m = 1 << d | rng.getrandbits(d)
+                assert _table_factor(spf, m) == pairs(m), m
 
     def test_irreducibles_match_the_frobenius_test(self):
         for d in range(1, 11):
@@ -428,6 +478,35 @@ class TestSearch:
                 _irreducible_masks(max_deg // 2), max_deg // 2, unitary)
             got = sorted(perfect._closed_hits(rows, max_deg))
             assert got == sorted(closed_walk(rows, max_deg)), max_deg
+
+    def test_rows_are_factored_off_the_table(self, monkeypatch):
+        # One smallest-prime table per call, of degree cap, factors every
+        # row's divisor sum; factor() is left to the re-verification.
+        factored, tables = [], []
+
+        def counted(bits, factor_bits=factorize._factor_bits):
+            factored.append(bits)
+            return factor_bits(bits)
+
+        def table(max_deg, spf_table=perfect._spf_table):
+            tables.append(max_deg)
+            return spf_table(max_deg)
+
+        monkeypatch.setattr(factorize, "_factor_bits", counted)
+        monkeypatch.setattr(perfect, "factor", None)
+        monkeypatch.setattr(perfect, "_spf_table", table)
+        for unitary in (False, True):
+            rows = perfect._search_rows(_irreducible_masks(12), 12, unitary)
+            assert sum(map(len, rows)) > len(rows) > 0
+        assert factored == [] and tables == [12, 12]
+        # A search factors only its hits, each in _result.
+        monkeypatch.setattr(perfect, "factor", factor)
+        hits = search_fixed_points(12)
+        assert tables == [12, 12, 6]
+        assert set(factored) == {r.polynomial.bits for r in hits}
+        del factored[:]
+        _result(B.bits, True)
+        assert factored == [B.bits]
 
     # (step, cap, degree of the primes): the exhaustive search's rows,
     # and the odd scan's at D = 40, whose head primes have degree <= 10.
@@ -754,16 +833,16 @@ class TestOddScan:
 
     @pytest.mark.parametrize("size, top", [(0, 10), (1000, 10)])
     def test_scan_sieves_only_its_low_primes(self, monkeypatch, size, top):
-        # The walk lists the primes of degree <= 36 // 4 + 1 off one sieve
+        # The walk lists the primes of degree <= 36 // 4 + 1 off one table
         # and places the others by their count per degree; the rejected
         # sample is read off the candidate set and lists no prime.
         asked = []
 
-        def sieve(max_deg, sieve=perfect._factor_sieve):
+        def sieve(max_deg, sieve=perfect._spf_table):
             asked.append(max_deg)
             return sieve(max_deg)
 
-        monkeypatch.setattr(perfect, "_factor_sieve", sieve)
+        monkeypatch.setattr(perfect, "_spf_table", sieve)
         odd_square_scan(36, sample_rejected=size)
         assert asked == [top]
 
