@@ -95,6 +95,16 @@ MUTANTS = (
            "req |= 2 << index[q]",
            (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",
             TABLE)),
+    # The exhaustive search's primes, listed off its one table.
+    Mutant("search-primes-listed-at-cap-0", PERFECT,
+           "primes = [2, 3, *_odd_primes(spf)] if cap else []",
+           "primes = [2, 3, *_odd_primes(spf)]",
+           (SEARCH + "test_rows_list_the_cached_primes",
+            SEARCH + "test_walk_equals_the_unbucketed_walk")),
+    Mutant("search-table-a-degree-short", PERFECT,
+           "spf = _spf_table(cap)",
+           "spf = _spf_table(cap - 1)",
+           (SEARCH + "test_rows_list_the_cached_primes",)),
     # The exhaustive walk: buckets, rules 1-3 and the x <-> x+1 conjugates.
     Mutant("bucket-key-one-high", PERFECT,
            "buckets[low.bit_length() - 1].append(",

@@ -12,13 +12,13 @@ no step is random and factoring reads no table.
 The package's one sieve, _spf_table, is a smallest-prime table: two
 bytes per mask up to a degree, holding the smallest irreducible of each
 mask with no linear factor, or a mark if that mask is itself
-irreducible.  The primes are read off it: enumeration and exhaustive
-fixed-point search take them from the cached irreducible list, and the
-odd-square scan lists only its low odd irreducibles off a small table
-of its own and places the others by their count per degree, which
-Gauss's identity gives without a sieve.  The exhaustive search also
-factors its rows' divisor sums off a table (_table_factor), which
-factor() never reads.
+irreducible.  The primes are read off it: enumeration takes them from
+the cached irreducible list.  The exhaustive fixed-point search lists
+them off a table of its own, built per call, and factors its rows'
+divisor sums off the same table (_table_factor), which factor() never
+reads.  The odd-square scan lists only its low odd irreducibles off a
+small table of its own and places the others by their count per
+degree, which Gauss's identity gives without a sieve.
 """
 
 import functools
@@ -49,8 +49,8 @@ __all__ = [
     "parity",
 ]
 
-# Public bound of the cached prime lists; the exhaustive search reads
-# them up to degree EXHAUSTIVE_MAX_DEG // 2 = 16.
+# Bound of the cached prime lists, which irreducibles_up_to reads; the
+# searches list their primes off tables of their own.
 _TABLE_MAX_DEG = 16
 
 # The smallest-prime table's mark of an odd irreducible.  Every other

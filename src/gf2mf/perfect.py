@@ -8,8 +8,9 @@ factored and a walked product costs two carryless products.  The
 divisor sum of a prime power comes from the affine rule that
 gf2mf.multfun._divsum_affine gives.  The exhaustive search's prunes
 factor the sums that multfun's own sigma or sigma_star step makes,
-never the sums the walk carries, and factor them off one smallest-prime
-table (factorize._spf_table) per call, not through factor().
+never the sums the walk carries, and one smallest-prime table
+(factorize._spf_table) per call lists its primes and factors those
+sums, not factor().
 
 Both walks read P^(k*step) and its divisor sum off one row table,
 _prime_power_rows, built once per call: at step 1 for the exhaustive
@@ -21,28 +22,10 @@ and converts a last prime only where it is compared; only the
 candidates compared whole are converted back.  Both caps lie far inside
 the lane bound of degree 254.
 
-Exhaustive mode walks prime powers of degree <= max_deg // 2: if P^e
-exactly divides a fixed point A, then P^e divides the divisor sum of
-A / P^e, so no fixed point has a larger one.  It walks only products
-that can still be closed.  Since sigma is multiplicative, sigma(P^e)
-divides sigma(A) = A, so every irreducible of sigma(P^e) divides A, and
-likewise 1 + P^e for sigma_star.  Primes are taken in ascending index
-order, so a prime the walk skipped is absent below that node, and three
-rules follow: a P^e whose divisor sum has a skipped prime is dropped
-with its subtree; a sibling loop stops at the lowest prime still
-required; and A is compared with its divisor sum only once no prime is
-still required.  Nor is a product extended once its largest required
-prime no longer fits in the degree.  A node finds its prime powers in
-buckets keyed by the highest lower prime they require, so it visits
-only those that require none or whose key it has taken.  And x -> x+1
-is a ring automorphism that keeps degrees, so sigma(A(x+1)) =
-sigma(A)(x+1) and likewise for sigma_star: the walk takes no more x+1
-than x in A and adds the conjugate of each hit with less.  Last, the
-valuation rule: x and x+1 are the first two primes, so below a node
-that has passed x the exponent of x in A is final, and below one that
-has passed x+1 so is that of x+1, while the divisor sum only gains
-factors further down.  A product whose divisor sum already has more x,
-or past x+1 more x+1, than A is dropped with its subtree.
+Exhaustive mode walks prime powers of degree <= max_deg // 2, the
+bound search_fixed_points derives, and only the products that can still
+be closed.  Its four prunes, the closure, bucket, conjugate and
+valuation rules, are stated once, in _closed_hits, which applies them.
 
 Odd mode rests on one fact: a fixed point of sigma with no linear
 factor is a square (E. F. Canaday, "The sum of the divisors of a
@@ -74,9 +57,9 @@ from types import MappingProxyType
 
 from .divisors import divisors, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import (_irreducible_counts, _irreducible_masks,
-                        _is_irreducible_bits, _odd_primes, _spf_table,
-                        _table_factor, factor, parity)
+from .factorize import (_irreducible_counts, _is_irreducible_bits,
+                        _odd_primes, _spf_table, _table_factor, factor,
+                        parity)
 from .gf2poly import (Poly, X, X1, _compose_bits, _spread, _sqr_bits,
                       _unspread)
 from .multfun import (_divsum_affine, _divsum_step, convolve_bruteforce,
@@ -362,22 +345,24 @@ def _prime_power_rows(primes, cap, step, unitary):
     return rows
 
 
-def _search_rows(primes, cap, unitary):
-    """The step-1 rows of _prime_power_rows, each with req, dx and dx1
-    appended, all read off one factoring of its divisor sum s_k, which
-    multfun's own step (multfun._divsum_step) makes in a list per prime,
-    so the prunes do not rest on the carried sums.  s_k has degree
-    <= cap, so it is factored off one smallest-prime table of degree cap
-    (factorize._spf_table), built per call, and never by factor().  req
-    is the index mask of the irreducibles of s_k; each has degree
+def _search_rows(cap, unitary):
+    """The step-1 rows of _prime_power_rows over the irreducibles of
+    degree <= cap, each with req, dx and dx1 appended, all read off one
+    factoring of its divisor sum s_k, which multfun's own step
+    (multfun._divsum_step) makes in a list per prime, so the prunes do
+    not rest on the carried sums.  One smallest-prime table of degree
+    cap (factorize._spf_table), built per call, lists the primes, x and
+    x+1 first, and factors each s_k, of degree <= cap, never by factor().
+    req is the index mask of the irreducibles of s_k; each has degree
     <= cap, so it is in the list.  dx is the exponent of x in P^k less
     that in s_k, and dx1 likewise for x+1: summed down a walk they are
     the exponent of x (or x+1) in A less that in its divisor sum, since
     exponents add over a product."""
+    spf = _spf_table(cap)
+    primes = [2, 3, *_odd_primes(spf)] if cap else []
     index = {p: i for i, p in enumerate(primes)}
     rows = _prime_power_rows(primes, cap, 1, unitary)
     step = _divsum_step(unitary)
-    spf = _spf_table(cap)
     for p, row in zip(primes, rows):
         sums = [1]
         for k, (e, pw, sig) in enumerate(row, 1):
@@ -394,29 +379,47 @@ def _search_rows(primes, cap, unitary):
 
 
 def _closed_hits(rows, max_deg) -> "list[int]":
-    """The fixed points among the products search_fixed_points walks,
-    and their conjugates, as masks, by the rules its docstring states.
+    """The fixed points among the products of the rows' prime powers of
+    degree <= max_deg that the four rules below leave, and their
+    conjugates, as masks.
 
     A node carries A and its divisor sum acc as lane values, the index
     mask have of the primes taken and the mask need of the primes that a
     taken P^k's divisor sum requires and A lacks.  Each product is one
     integer multiply masked by keep; only the hits are read back.
 
-    Each row of P_i goes in the bucket of the highest prime P_j, j < i,
-    that its divisor sum requires, or in bucket -1 if it requires none
-    below P_i: a node that skipped P_j can take no row of bucket j.  So
-    a node scans bucket -1 and the buckets its taken primes opened, each
-    from index first on, and still drops a row that requires a skipped
-    prime below P_j.  The buckets are built once per call from the
-    rows, ordered by prime index and then exponent, so a scan stops at
-    the first prime that is out of weight or past the lowest one needed.
+    Closure rule: the divisor sum is multiplicative, so that of a taken
+    P^k divides that of A, which is A at a fixed point, and each
+    irreducible that it requires (req) divides A.  Primes are taken in
+    ascending index order, so a prime the walk skipped is absent below
+    that node.  So a row whose divisor sum requires a skipped prime is
+    dropped with its subtree, a sibling loop stops at the lowest prime
+    still needed, a product is not extended once its largest needed
+    prime no longer fits in the degree left, and A is compared with acc
+    only once no prime is needed.
 
-    x and x+1 are P_0 and P_1.  The rows of (x+1)^b sit in a bucket of
-    their own for each a >= b, which only x^a opens, so the walk takes
-    the products with no more x+1 than x in them.  A hit with less x+1
-    than x adds its conjugate A(x+1), which the walk does not take.
+    Bucket rule: each row of P_i goes in the bucket of the highest prime
+    P_j, j < i, that its divisor sum requires, or in bucket -1 if it
+    requires none below P_i: a node that skipped P_j can take no row of
+    bucket j.  So a node scans bucket -1 and the buckets its taken
+    primes opened, each from index first on, and still drops a row that
+    requires a skipped prime below P_j.  The buckets are built once per
+    call from the rows, ordered by prime index and then exponent, so a
+    scan stops at the first prime that is out of weight or past the
+    lowest one needed.
 
-    A node also carries the slacks sx and sx1, the sums of its rows' dx
+    Conjugate rule: x -> x+1 is a ring automorphism of F2[x] that keeps
+    degrees and irreducibility, so sigma(A(x+1)) = sigma(A)(x+1),
+    likewise for sigma_star, and it maps fixed points to fixed points,
+    swapping the exponents a of x and b of x+1 in A.  x and x+1 are P_0
+    and P_1.  The rows of (x+1)^b sit in a bucket of their own for each
+    a >= b, which only x^a opens, so the walk takes only the products
+    with b <= a (with x skipped, x+1 is skipped too).  A hit with b < a
+    adds its conjugate A(x+1), which the walk does not take; one with
+    b = a has a conjugate with b = a, which the walk takes itself.
+
+    Valuation rule: a fixed point has as much x and x+1 as its divisor
+    sum.  A node carries the slacks sx and sx1, the sums of its rows' dx
     and dx1: the exponent of x in A less that in acc, and likewise for
     x+1.  Below a row of index nxt - 1 every row has a higher index, so
     A gains no more x once nxt >= 1 and no more x+1 once nxt >= 2,
@@ -517,38 +520,14 @@ def search_fixed_points(
     If P^e exactly divides a fixed point A then P^e divides the divisor
     sum of A / P^e, because that of P^e is 1 modulo P; so 2 deg P^e <=
     deg A, and the search walks products of prime powers of degree
-    <= max_deg // 2.  It walks only those that can still be closed: the
-    divisor sum of P^e divides that of A, which is A, so each of its
-    irreducibles divides A.  Primes are taken in ascending order, so a
-    prime the walk skipped is absent from every product below; a P^e
-    whose divisor sum needs a skipped prime is dropped with its subtree,
-    a sibling loop stops at the lowest prime still needed, a product is
-    not extended once its largest needed prime no longer fits, and
-    A = sigma(A) is tested only when no prime is needed.
-
-    Bucket rule: each P^e goes in the bucket of the highest prime below
-    P that its divisor sum needs, or in bucket -1 if it needs none below
-    P.  A node scans bucket -1 and the buckets of the primes it has
-    taken, and there still drops a P^e that needs a lower skipped prime,
-    so a P^e whose highest lower need was skipped is never visited.
-    Conjugate rule: x -> x+1 is a ring automorphism of F2[x] that keeps
-    degrees and irreducibility, so sigma(A(x+1)) = sigma(A)(x+1),
-    likewise for sigma_star, and it maps fixed points to fixed points.
-    It swaps the exponents a of x and b of x+1 in A, so the walk takes
-    only b <= a (with x skipped, x+1 is skipped too) and adds the
-    conjugate of each hit with b < a.  A hit with b = a has a conjugate
-    with b = a, which the walk takes itself.
-    Valuation rule: x and x+1 are the first two primes, so once the walk
-    has passed x the exponent of x in A is final, and once it has
-    passed x+1 that of x+1 is, while the divisor sum gains a factor with
-    each prime power below.  A fixed point has as much x and x+1 as its
-    divisor sum, so a product whose divisor sum already has more x (or,
-    past x+1, more x+1) than A is dropped with its subtree.
-    Tables: the primes come off the cached irreducible list of degree
-    max_deg // 2, and the divisor sums that the rules read are factored
-    off one smallest-prime table of that degree, built per call.  Every
-    hit and each added conjugate is re-verified through factor() and
-    the literal divisor sum.  max_deg must be an int.
+    <= max_deg // 2.  It walks only those that can still be closed, by
+    the closure, bucket, conjugate and valuation rules that _closed_hits
+    states, and adds the conjugate of a hit the walk does not take.
+    Tables: one smallest-prime table of degree max_deg // 2, built per
+    call, lists the primes and factors the divisor sums that the rules
+    read (_search_rows).  Every hit and each added conjugate is
+    re-verified through factor() and the literal divisor sum.  max_deg
+    must be an int.
     """
     if type(max_deg) is not int:
         raise ValueError("max_deg must be an int")
@@ -556,8 +535,7 @@ def search_fixed_points(
         raise ResourceLimitError(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
         )
-    rows = _search_rows(_irreducible_masks(max_deg // 2), max_deg // 2,
-                        unitary)
+    rows = _search_rows(max_deg // 2, unitary)
     masks = sorted(_closed_hits(rows, max_deg))
     return [_result(m, unitary) for m in masks]
 

@@ -31,7 +31,7 @@ from gf2mf.factorize import (
     factor,
 )
 from gf2mf.gf2poly import (ONE, Poly, ZERO, _mod_bits, _mul_bits, _spread,
-                           conjugate)
+                           _unspread, conjugate)
 from gf2mf.multfun import sigma, sigma_star
 from gf2mf.perfect import (
     _LOW_MASK,
@@ -474,8 +474,7 @@ class TestSearch:
         # The same fixed points, each once: the walked ones and their
         # conjugates against every closable product in index order.
         for max_deg in range(1, 25):
-            rows = perfect._search_rows(
-                _irreducible_masks(max_deg // 2), max_deg // 2, unitary)
+            rows = perfect._search_rows(max_deg // 2, unitary)
             got = sorted(perfect._closed_hits(rows, max_deg))
             assert got == sorted(closed_walk(rows, max_deg)), max_deg
 
@@ -496,7 +495,7 @@ class TestSearch:
         monkeypatch.setattr(perfect, "factor", None)
         monkeypatch.setattr(perfect, "_spf_table", table)
         for unitary in (False, True):
-            rows = perfect._search_rows(_irreducible_masks(12), 12, unitary)
+            rows = perfect._search_rows(12, unitary)
             assert sum(map(len, rows)) > len(rows) > 0
         assert factored == [] and tables == [12, 12]
         # A search factors only its hits, each in _result.
@@ -507,6 +506,37 @@ class TestSearch:
         del factored[:]
         _result(B.bits, True)
         assert factored == [B.bits]
+
+    @pytest.mark.parametrize("max_deg", [12, 32])
+    @pytest.mark.parametrize("unitary", [False, True],
+                             ids=["sigma", "sigma_star"])
+    def test_a_cold_search_builds_one_table(self, monkeypatch, max_deg,
+                                            unitary):
+        # The search lists its primes off the table it factors its rows
+        # with, so even with no prime list cached it builds one table,
+        # of degree max_deg // 2, and caches no list.
+        tables = []
+
+        def table(deg, spf_table=_spf_table):
+            tables.append(deg)
+            return spf_table(deg)
+
+        monkeypatch.setattr(factorize, "_spf_table", table)
+        monkeypatch.setattr(perfect, "_spf_table", table)
+        _irreducible_masks.cache_clear()
+        before = _irreducible_masks.cache_info()
+        assert search_fixed_points(max_deg, unitary)
+        assert tables == [max_deg // 2]
+        assert _irreducible_masks.cache_info() == before
+
+    def test_rows_list_the_cached_primes(self):
+        # One row per prime, its first power P itself: the primes the
+        # rows index are the cached irreducible list's, x and x+1 first,
+        # none at cap 0.
+        for cap in range(17):
+            rows = perfect._search_rows(cap, False)
+            primes = [_unspread(row[0][1]) for row in rows]
+            assert primes == list(_irreducible_masks(cap)), cap
 
     # (step, cap, degree of the primes): the exhaustive search's rows,
     # and the odd scan's at D = 40, whose head primes have degree <= 10.
