@@ -85,11 +85,12 @@ MUTANTS = (
            "return s1 if len(row) == 1 else",
            "return c if len(row) == 1 else",
            (BUILTINS + "test_sigma_is_divisor_xor",)),
-    Mutant("divsum-bits-one-step-more", PERFECT,
-           "_table_factor(spf, sums[k])",
-           "_table_factor(spf, step(p, sums))",
-           (SEARCH + "test_walk_matches_a_plain_loop_over_every_mask",
-            TABLE)),
+    # The prunes factor the sum the row carries, not its power.
+    Mutant("prunes-factor-the-power-not-its-sum", PERFECT,
+           "_table_factor(spf, _unspread(sig))",
+           "_table_factor(spf, _unspread(pw))",
+           (COST + "test_exhaustive_search",
+            SEARCH + "test_prune_data_equal_factor_of_multfun_sums")),
     Mutant("req-index-one-high", PERFECT,
            "req |= 1 << index[q]",
            "req |= 2 << index[q]",

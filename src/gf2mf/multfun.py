@@ -29,9 +29,9 @@ route uses throughout, so the two routes share no carryless kernel.
 
 _divsum_affine is the one home of the sigma and sigma_star rules: a
 start s_1 and an affine recurrence in P^step with constant c.  Their
-steps run it at step 1, gf2mf.perfect's prunes factor the sums those
-steps make, and its walks read the rule through their one prime-power
-table.
+steps run it at step 1, and gf2mf.perfect's walks read the rule
+through their one prime-power table, whose sums the exhaustive
+search's prunes also factor.
 """
 
 from functools import reduce

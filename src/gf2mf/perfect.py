@@ -7,8 +7,7 @@ divisor sum by one prime power per step, so no candidate is ever
 factored and a walked product costs two carryless products.  The
 divisor sum of a prime power comes from the affine rule that
 gf2mf.multfun._divsum_affine gives.  The exhaustive search's prunes
-factor the sums that multfun's own sigma or sigma_star step makes,
-never the sums the walk carries, and one smallest-prime table
+factor the sums the walk carries, and one smallest-prime table
 (factorize._spf_table) per call lists its primes and factors those
 sums, not factor().
 
@@ -62,8 +61,7 @@ from .factorize import (_irreducible_counts, _is_irreducible_bits,
                         parity)
 from .gf2poly import (Poly, X, X1, _compose_bits, _spread, _sqr_bits,
                       _unspread)
-from .multfun import (_divsum_affine, _divsum_step, convolve_bruteforce,
-                      ident, z)
+from .multfun import _divsum_affine, convolve_bruteforce, ident, z
 
 __all__ = [
     "SearchResult",
@@ -348,11 +346,11 @@ def _prime_power_rows(primes, cap, step, unitary):
 def _search_rows(cap, unitary):
     """The step-1 rows of _prime_power_rows over the irreducibles of
     degree <= cap, each with req, dx and dx1 appended, all read off one
-    factoring of its divisor sum s_k, which multfun's own step
-    (multfun._divsum_step) makes in a list per prime, so the prunes do
-    not rest on the carried sums.  One smallest-prime table of degree
-    cap (factorize._spf_table), built per call, lists the primes, x and
-    x+1 first, and factors each s_k, of degree <= cap, never by factor().
+    factoring of the divisor sum s_k that the row carries for the walk.
+    s_k has degree k deg P <= cap, so the row's reduction to degree cap
+    leaves it whole.  One smallest-prime table of degree cap
+    (factorize._spf_table), built per call, lists the primes, x and x+1
+    first, and factors each s_k, never by factor().
     req is the index mask of the irreducibles of s_k; each has degree
     <= cap, so it is in the list.  dx is the exponent of x in P^k less
     that in s_k, and dx1 likewise for x+1: summed down a walk they are
@@ -362,15 +360,12 @@ def _search_rows(cap, unitary):
     primes = [2, 3, *_odd_primes(spf)] if cap else []
     index = {p: i for i, p in enumerate(primes)}
     rows = _prime_power_rows(primes, cap, 1, unitary)
-    step = _divsum_step(unitary)
     for p, row in zip(primes, rows):
-        sums = [1]
         for k, (e, pw, sig) in enumerate(row, 1):
-            sums.append(step(p, sums))
             req = 0
             # x and x+1 are the masks 2 and 3.
             dx, dx1 = (k, 0) if p == 2 else (0, k) if p == 3 else (0, 0)
-            for q, m in _table_factor(spf, sums[k]):
+            for q, m in _table_factor(spf, _unspread(sig)):
                 req |= 1 << index[q]
                 dx -= m * (q == 2)
                 dx1 -= m * (q == 3)

@@ -440,14 +440,21 @@ class TestSearch:
             assert walked == table, name
 
     def test_walk_visits_each_half_degree_smooth_mask_once(self, monkeypatch):
-        # With id's rule, the affine pair (s_1, c) = (P, 0), in place of
-        # sigma's, the walked divisor sum is A itself, so every product
-        # the walk compares is a hit.  The prunes still read sigma's
-        # factors, so the hits are exactly the closed masks whose sigma
-        # has no more x and no more x+1 than they have: each prime power
-        # has degree <= 6 and each irreducible of its multfun sigma
-        # divides the mask, each mask once.
-        monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
+        # Each row's sum set to its power P^k, id's value, once the prune
+        # data are read off sigma's: the walked divisor sum is A itself,
+        # so every product the walk compares is a hit.  The prunes still
+        # read sigma's factors, so the hits are exactly the closed masks
+        # whose sigma has no more x and no more x+1 than they have: each
+        # prime power has degree <= 6 and each irreducible of its multfun
+        # sigma divides the mask, each mask once.
+        search_rows = perfect._search_rows
+
+        def resummed(sum_of):
+            return lambda cap, unitary: [
+                [(e, pw, sum_of(pw), *prune) for e, pw, _, *prune in row]
+                for row in search_rows(cap, unitary)]
+
+        monkeypatch.setattr(perfect, "_search_rows", resummed(lambda pw: pw))
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
         expected = [m for m, pairs, missing in smooth_masks(12, sigma)
                     if not missing and lean(m, pairs, sigma)]
@@ -465,8 +472,8 @@ class TestSearch:
             assert all(q in primes for p, e in pairs
                        for q, _ in factor(sigma(p**e))), m
             assert lean(m, pairs, sigma), m
-        # Any other constant term reaches the hits.
-        monkeypatch.setattr(perfect, "_divsum_affine", lambda *args: (1, 1))
+        # Any other sum reaches the hits.
+        monkeypatch.setattr(perfect, "_search_rows", resummed(lambda pw: 1))
         assert search_fixed_points(12) != expected
 
     @pytest.mark.parametrize("unitary", [False, True])
@@ -537,6 +544,26 @@ class TestSearch:
             rows = perfect._search_rows(cap, False)
             primes = [_unspread(row[0][1]) for row in rows]
             assert primes == list(_irreducible_masks(cap)), cap
+
+    @pytest.mark.parametrize("unitary, f", [(False, sigma),
+                                            (True, sigma_star)],
+                             ids=["sigma", "sigma_star"])
+    def test_prune_data_equal_factor_of_multfun_sums(self, unitary, f):
+        # The prunes factor the sums the walk carries, so nothing at run
+        # time checks them apart: here req is the index mask of the
+        # primes of factor() of multfun's own f(P^k), and dx and dx1 are
+        # the exponents of x and x+1 in P^k less those in f(P^k).
+        for cap in range(17):
+            rows = perfect._search_rows(cap, unitary)
+            primes = [_unspread(row[0][1]) for row in rows]
+            index = {p: i for i, p in enumerate(primes)}
+            for p, row in zip(primes, rows):
+                for k, (_, _, _, req, dx, dx1) in enumerate(row, 1):
+                    pairs = dict(factor(f.at_prime_power(Poly(p), k)))
+                    assert req == sum(1 << index[q.bits] for q in pairs), (
+                        cap, p, k)
+                    assert dx == k * (p == 2) - pairs.get(X, 0), (cap, p, k)
+                    assert dx1 == k * (p == 3) - pairs.get(X1, 0), (cap, p, k)
 
     # (step, cap, degree of the primes): the exhaustive search's rows,
     # and the odd scan's at D = 40, whose head primes have degree <= 10.
@@ -1062,9 +1089,8 @@ class TestWalkCost:
     """Two carryless products per walked product, and a table of prime
     powers built once per call, at two products per further exponent
     and, for the odd scan, one square per head prime; the exhaustive
-    search's prunes factor sums that cost one product per further
-    exponent, and the odd scan settles its tail primes without a
-    product."""
+    search's prunes factor the table's own sums, at no product, and the
+    odd scan settles its tail primes without a product."""
 
     @staticmethod
     def count_products(monkeypatch):
@@ -1072,8 +1098,8 @@ class TestWalkCost:
         # perfect._spread: each product has a Lane operand, and Lane
         # results of *, & and ^ keep the count going down the walk.  A
         # lane straight from _spread times itself squares a prime.
-        # multfun._mul_bits is counted apart, as "sums", for the divisor
-        # sums the exhaustive search's prunes factor.
+        # multfun._mul_bits is counted apart, as "sums": a divisor sum
+        # grown by multfun's own step, which neither walk makes.
         calls = {"walk": 0, "square": 0, "sums": 0}
 
         class Lane(int):
@@ -1207,13 +1233,14 @@ class TestWalkCost:
                                for q in missing)
                        and lean(m, pairs, f)]
             # Its table of P^k and their divisor sums costs 2 products
-            # per k >= 2, and the sums the prunes factor, one row of
-            # multfun's step per prime, 1 more per k >= 2.
+            # per k >= 2.  The prunes factor the sums the table carries,
+            # so multfun's step multiplies nothing.
             half = max_deg // 2
             tops = [half // (p.bit_length() - 1)
                     for p in _irreducible_masks(half)]
-            assert sums == sum(top - 1 for top in tops)
-            assert 0 < spent <= 2 * len(entered) + 3 * sums
+            assert sums == 0
+            assert 0 < spent <= (2 * len(entered)
+                                 + 2 * sum(top - 1 for top in tops))
             # The unpruned walk over every smooth mask paid more than
             # twice as much, and so did the walk without the valuation
             # prune.  The one before that, which also took x^a (x+1)^b
