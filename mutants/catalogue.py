@@ -241,6 +241,24 @@ MUTANTS = (
            '"mid": (1, 1)',
            '"mid": (0, 1)',
            (COROLLARIES + "test_sigma_id_at_x_squared",)),
+    # One lattice per lemma point, shared by the point's specs.
+    Mutant("grid-lattice-once-per-prime", IDENTITIES,
+           "        for m in range(max_exp + 1):\n"
+           "            lattice = _Lattice(prime**m)\n",
+           "        lattice = _Lattice(prime)\n"
+           "        for m in range(max_exp + 1):\n",
+           (LEMMAS + "test_one_lattice_per_point",
+            LEMMAS + "test_full_grid_render_is_pinned")),
+    Mutant("grid-lattice-one-exponent-up", IDENTITIES,
+           "lattice = _Lattice(prime**m)",
+           "lattice = _Lattice(prime**(m + 1))",
+           (LEMMAS + "test_one_lattice_per_point",
+            LEMMAS + "test_full_grid_render_is_pinned")),
+    Mutant("lemma-default-lattice-at-the-prime", IDENTITIES,
+           "lattice = _Lattice(point)",
+           "lattice = _Lattice(prime)",
+           (LEMMAS + "test_one_lattice_per_point",
+            "tests/test_identities.py::TestCheckLemma::test_sigma_z_example")),
     # The corollary right sides' argument table and value memo.
     Mutant("root-argument-is-a", IDENTITIES,
            '"root": root',

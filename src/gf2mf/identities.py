@@ -7,11 +7,15 @@ its Bell series, the sum over m of h(P^m) T^m, is N(T) / D(T) (Apostol,
 Introduction to Analytic Number Theory, 1976, 2.16), and closed_form(P,
 m) is coefficient m.  The tests prove every row exactly from the
 builtins' series: N_f N_g D_h = N_h D_f D_g in F2[P][T].  check_lemma
-evaluates a pair's convolution through the brute-force divisor-sum
-oracle at P**m and compares it with the closed form exactly.  The four
-single-function specs (id_inv, phi_inv, sigma_inv, sigmastar_inv) are
-evaluated by the inverse's own recursion; their defining law
-f * inv(f) = delta is checked through the oracle in the tests.
+evaluates a pair's convolution as the brute-force divisor-sum oracle's
+one xor_sum, read off the lattice of P**m, and compares it with the
+closed form exactly.  check_all shares one lattice per point (P, m)
+across its specs, so each function is walked once per point, its table
+keyed by the function, and a corrupted function fails only the specs
+that read it.  The four single-function specs (id_inv, phi_inv,
+sigma_inv, sigmastar_inv) are evaluated by the inverse's own recursion;
+their defining law f * inv(f) = delta is checked through the oracle in
+the tests.
 
 Each CorollarySpec states a divisor-lattice identity at a whole
 polynomial A.  The registered forms do not assume any fixed-point
@@ -55,7 +59,6 @@ from .multfun import (
     BUILTINS,
     MultiplicativeFunction,
     _Lattice,
-    convolve_bruteforce,
     ident,
     inverse,
     mu,
@@ -302,8 +305,13 @@ def registry(
             for spec_id, lhs, num, den in _LEMMAS]
 
 
-def check_lemma(spec: LemmaSpec, prime: Poly, m: int) -> IdentityReport:
-    """Check one spec at P**m: its left side vs its closed form."""
+def check_lemma(spec: LemmaSpec, prime: Poly, m: int, *,
+                lattice: "_Lattice | None" = None) -> IdentityReport:
+    """Check one spec at P**m: its left side vs its closed form.
+
+    A pair's left side is the oracle's one xor_sum, read off lattice,
+    which must be the lattice of P**m; the default is a fresh one.
+    """
     if not is_irreducible(prime):
         raise ValueError(f"test point requires an irreducible P, got {prime}")
     if m < 0:
@@ -312,7 +320,9 @@ def check_lemma(spec: LemmaSpec, prime: Poly, m: int) -> IdentityReport:
     if len(spec.parts) == 1:
         got = spec.parts[0](point)
     else:
-        got = convolve_bruteforce(spec.parts[0], spec.parts[1], point)
+        if lattice is None:
+            lattice = _Lattice(point)
+        got = Poly(lattice.xor_sum(*spec.parts))
     expected = spec.closed_form(prime, m)
     return IdentityReport(
         kind="lemma",
@@ -335,7 +345,9 @@ def check_all(
 ) -> CheckSummary:
     """Check every registered lemma on the full (P, m) grid.
 
-    Reports are sorted by (spec id, P, m).  jobs is accepted and
+    The grid runs point by point: one lattice of P**m per point, which
+    every spec at that point reads, so each function is walked once per
+    point.  Reports are sorted by (spec id, P, m).  jobs is accepted and
     ignored: the grid is checked serially.
     """
     if max_exp < 0:
@@ -348,8 +360,12 @@ def check_all(
             raise ValueError(f"unknown lemma id(s): {', '.join(unknown)}")
         specs = [by_id[i] for i in spec_ids]
     primes = irreducibles_up_to(max_prime_deg)
-    reports = [check_lemma(spec, prime, m) for spec in specs
-               for prime in primes for m in range(max_exp + 1)]
+    reports = []
+    for prime in primes:
+        for m in range(max_exp + 1):
+            lattice = _Lattice(prime**m)
+            reports += [check_lemma(spec, prime, m, lattice=lattice)
+                        for spec in specs]
     reports.sort(key=lambda r: (r.spec_id, r.prime.bits, r.exponent))
     return CheckSummary(reports)
 

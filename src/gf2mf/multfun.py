@@ -17,8 +17,8 @@ code that tabulates a function over the divisors of a: one walk of the
 divisor walker of gf2mf.divisors per function, in counting order, where
 a/d sits at the complement index size - 1 - n of d (the involution
 d <-> a/d), so g(a/d) is the same table read from the other end.  The
-oracle and the corollary checks of gf2mf.identities both read it, and
-both sum through its one xor_sum; it holds nothing else.  A table and
+oracle and the lemma and corollary checks of gf2mf.identities read it,
+and all sum through its one xor_sum; it holds nothing else.  A table and
 its sums run on lane values (gf2poly._spread) while the table's entry
 bound, the sum over the primes of the largest degree in the function's
 row, is at most gf2poly._LANE_MAX_DEG; then no lane of a product counts

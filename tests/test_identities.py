@@ -9,7 +9,7 @@ import pytest
 
 from gf2mf import identities, multfun
 from gf2mf.divisors import divisors
-from gf2mf.factorize import factor
+from gf2mf.factorize import factor, irreducibles_up_to
 from gf2mf.gf2poly import (ONE, Poly, ZERO, _mul_bits, _sqrt_bits,
                            _unspread, sqrt_if_square)
 from gf2mf.identities import (
@@ -378,6 +378,37 @@ class TestCheckAll:
         # Lemmas not touching sigma_star keep passing.
         assert "sigma_mu" not in failing
         assert "sigma_z" not in failing
+
+        # Every point's lattice is shared by all its specs, yet exactly
+        # the specs whose lhs names sigma_star, alone or under inv(...),
+        # fail: the tables are keyed by function.
+        def names(lhs):
+            terms = [lhs[3:-1]] if lhs.startswith("sq(") else lhs.split("*")
+            return {t[4:-1] if t.startswith("inv(") else t for t in terms}
+
+        readers = {s.id for s in registry() if "sigma_star" in names(s.lhs)}
+        assert len(readers) == 13
+        assert failing == readers
+
+    def test_one_lattice_per_point(self, monkeypatch):
+        # Patched in both modules, so a grid that ran the oracle once per
+        # pair check (5082 lattices for check_all(5, 10)) is counted too.
+        built = []
+
+        class Counted(multfun._Lattice):
+            def __init__(self, a):
+                built.append(a)
+                super().__init__(a)
+
+        monkeypatch.setattr(identities, "_Lattice", Counted)
+        monkeypatch.setattr(multfun, "_Lattice", Counted)
+        primes = irreducibles_up_to(5)
+        assert check_all(5, 10).all_passed()
+        assert len(primes) == 14 and len(built) == 14 * 11 == 154
+        assert built == [p**m for p in primes for m in range(11)]
+        built.clear()
+        assert check_lemma(spec_by_id("sigma_z"), P2, 3).passed
+        assert built == [P2**3]
 
 
 class TestReports:
