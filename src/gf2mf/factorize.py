@@ -7,22 +7,16 @@ squarefree part f / gcd(f, f') is split into irreducibles, which are
 divided out, and the square left over is factored through its root.
 The split is distinct-degree splitting by Frobenius powers, then a
 trace-map equal-degree splitter that sweeps c = x, x^2, x^3, ..., so
-no step is random and factoring reads no table.
+no step is random and factoring reads no table.  The fixed-point
+searches factor through the same route and its cache.
 
-The package's one sieve, _spf_table, is a smallest-prime table: two
-bytes per mask up to a degree, holding the smallest irreducible of each
-mask with no linear factor, or a mark if that mask is itself
-irreducible.  The primes are read off it: enumeration takes them from
-the cached irreducible list.  The exhaustive fixed-point search lists
-them off a table of its own, built per call, and factors its rows'
-divisor sums off the same table (_table_factor), which factor() never
-reads.  The odd-square scan lists only its low odd irreducibles off a
-small table of its own and places the others by their count per
-degree, which Gauss's identity gives without a sieve.
+The package's one sieve, _prime_flags, is a byte of prime flag per mask
+up to a degree, and only _irreducible_masks reads it: the cached
+irreducible lists are the flagged masks.  Enumeration and both
+fixed-point searches take their primes from those lists.
 """
 
 import functools
-import sys
 from itertools import compress, count
 from typing import Iterator, NamedTuple
 
@@ -49,19 +43,12 @@ __all__ = [
     "parity",
 ]
 
-# Bound of the cached prime lists, which irreducibles_up_to reads; the
-# searches list their primes off tables of their own.
+# Bound of the cached prime lists, which irreducibles_up_to and both
+# fixed-point searches read.
 _TABLE_MAX_DEG = 16
 
-# The smallest-prime table's mark of an odd irreducible.  Every other
-# nonzero entry is an odd prime, whose low byte is odd.
-_PRIME = 2
-# Swaps the bytes 0 and _PRIME: doubling the weight-parity marks.
-_FLIP = bytes.maketrans(b"\0\2", b"\2\0")
-# Maps a low byte of _PRIME to 1 and every other byte to 0.
-_IS_PRIME = bytes(b == _PRIME for b in range(256))
-# Where an entry's low byte sits in the table's bytes.
-_LOW = int(sys.byteorder == "big")
+# Swaps the bytes 0 and 1: doubling the weight-parity flags.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class Factorization:
@@ -131,36 +118,25 @@ def _prime_factors_int(n: int) -> list[int]:
     return out
 
 
-def _spf_table(max_deg: int) -> memoryview:
-    """The smallest-prime table of every mask of degree <= max_deg.
+def _prime_flags(max_deg: int) -> bytearray:
+    """flags[m] is 1 when the mask m of degree <= max_deg is an odd
+    irreducible, one with no factor x or x+1, and 0 otherwise.
 
-    spf[m] is 0 when x or x+1 divides m, and for m = 0 and 1; it is
-    _PRIME when m is an odd irreducible, and otherwise m's smallest
-    irreducible, which is odd.  So the odd primes are the entries whose
-    low byte is _PRIME (_odd_primes), and _table_factor factors m off
-    the table.  The marks start on the masks of odd weight, built by
-    doubling the weight parity m(1), which leaves out every multiple of
-    x+1; one slice clears the multiples of x.  What is left to write are
-    the composites m with m(0) = m(1) = 1, and each is p * q with p an
-    irreducible of degree 2..max_deg // 2 and q(0) = q(1) = 1.  The
-    primes go in ascending order, and the first p to reach m writes it.
-    The entries are unsigned 16-bit ('H'), two bytes per mask, and an
-    entry holds a prime of degree <= max_deg // 2, so they hold the
-    table to degree 31.
+    The flags start on the masks of odd weight, built by doubling the
+    weight parity m(1), which leaves out every multiple of x+1; one
+    slice clears the multiples of x.  What is left to clear are the
+    composites m with m(0) = m(1) = 1, and each is p * q with p an
+    irreducible of degree 2..max_deg // 2 and q(0) = q(1) = 1.
     """
     limit = 1 << (max_deg + 1)
-    marks = bytearray(1)
-    while len(marks) < limit:
-        marks += marks.translate(_FLIP)
-    marks[::2] = bytes(limit >> 1)
-    marks[1] = 0  # 1 is a unit
-    entries = bytearray(2 * limit)
-    entries[_LOW::2] = marks
-    spf = memoryview(entries).cast("H")
-    mark = _PRIME  # a local, read once per product
-    # A p still marked is irreducible: its factors are all below it.
+    flags = bytearray(1)
+    while len(flags) < limit:
+        flags += flags.translate(_FLIP)
+    flags[::2] = bytes(limit >> 1)
+    flags[1] = 0  # 1 is a unit
+    # A p still flagged is irreducible: its factors are all below it.
     for p in range(7, 1 << (max_deg // 2 + 1), 2):
-        if spf[p] != mark:
+        if not flags[p]:
             continue
         prod = p
         p2 = p << 1
@@ -169,51 +145,8 @@ def _spf_table(max_deg: int) -> memoryview:
             # order: an even i gives t(1) = 0, and from i - 2 to i, t flips
             # bit 0 and bit i & -i, so p * q changes by two shifted p.
             prod ^= p2 ^ p2 * (i & -i)
-            if spf[prod] == mark:
-                spf[prod] = p
-    return spf
-
-
-def _odd_primes(spf: memoryview) -> Iterator[int]:
-    """The odd irreducibles of an _spf_table, ascending: one compress
-    over the entries' low bytes, at C speed."""
-    return compress(count(), spf.tobytes()[_LOW::2].translate(_IS_PRIME))
-
-
-def _table_factor(spf: memoryview, m: int) -> "list[tuple[int, int]]":
-    """factor()'s (irreducible, multiplicity) pairs of a nonzero mask m,
-    on masks, read off spf = _spf_table(d) with d >= deg m.
-
-    x is stripped by the trailing zeros and x+1 while the weight is even,
-    by suffix XORs; then m is divided by its entry, its smallest prime,
-    until 1 is left, so the primes come in ascending order.
-    """
-    pairs = []
-    e = (m & -m).bit_length() - 1
-    if e:
-        pairs.append((2, e))
-        m >>= e
-    e = 0
-    while not m.bit_count() & 1:  # m(1) = 0
-        # m / (x+1): bit k of the quotient is the XOR of m's bits above k.
-        m >>= 1
-        s = 1
-        while s < m.bit_length():
-            m ^= m >> s
-            s <<= 1
-        e += 1
-    if e:
-        pairs.append((3, e))
-    while m != 1:
-        p = spf[m]
-        if p <= _PRIME:  # m is prime
-            p = m
-        m = _divmod_bits(m, p)[0]
-        if pairs and pairs[-1][0] == p:
-            pairs[-1] = p, pairs[-1][1] + 1
-        else:
-            pairs.append((p, 1))
-    return pairs
+            flags[prod] = 0
+    return flags
 
 
 def _irreducible_counts(max_deg: int) -> list[int]:
@@ -231,17 +164,16 @@ def _irreducible_counts(max_deg: int) -> list[int]:
 
 
 # One entry per degree bound, so the cache holds at most the prime lists
-# up to degree _TABLE_MAX_DEG; no smallest-prime table is cached: each is
-# its caller's own and transient.
+# up to degree _TABLE_MAX_DEG; the flags themselves are not kept.
 @functools.lru_cache(maxsize=_TABLE_MAX_DEG)
 def _irreducible_masks(max_deg: int) -> tuple[int, ...]:
-    """All irreducible masks of degree 1..max_deg, ascending, read off
-    one smallest-prime table."""
+    """All irreducible masks of degree 1..max_deg, ascending: x, x+1 and
+    the masks _prime_flags flags."""
     if max_deg > _TABLE_MAX_DEG:
         raise ValueError(f"irreducible table is bounded at degree {_TABLE_MAX_DEG}")
     if max_deg < 1:
         return ()
-    return (2, 3, *_odd_primes(_spf_table(max_deg)))
+    return (2, 3, *compress(count(), _prime_flags(max_deg)))
 
 
 def irreducibles_up_to(d: int) -> list[Poly]:

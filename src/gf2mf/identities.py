@@ -310,13 +310,14 @@ def check_lemma(spec: LemmaSpec, prime: Poly, m: int, *,
     """Check one spec at P**m: its left side vs its closed form.
 
     A pair's left side is the oracle's one xor_sum, read off lattice,
-    which must be the lattice of P**m; the default is a fresh one.
+    which must be the lattice of P**m; the default is a fresh one.  The
+    point P**m is read off the lattice when one is given.
     """
     if not is_irreducible(prime):
         raise ValueError(f"test point requires an irreducible P, got {prime}")
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    point = prime**m
+    point = prime**m if lattice is None else lattice.poly
     if len(spec.parts) == 1:
         got = spec.parts[0](point)
     else:

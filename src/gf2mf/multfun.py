@@ -267,6 +267,7 @@ class _Lattice:
     """
 
     def __init__(self, a: Poly):
+        self.poly = a
         self.fact = factor(a)
         self.exps = [e for _, e in self.fact]
         self._sizes = [e + 1 for e in self.exps]

@@ -6,10 +6,9 @@ primes in ascending order with their exponents, and extend A and its
 divisor sum by one prime power per step, so no candidate is ever
 factored and a walked product costs two carryless products.  The
 divisor sum of a prime power comes from the affine rule that
-gf2mf.multfun._divsum_affine gives.  The exhaustive search's prunes
-factor the sums the walk carries, and one smallest-prime table
-(factorize._spf_table) per call lists its primes and factors those
-sums, not factor().
+gf2mf.multfun._divsum_affine gives.  Both searches list their small
+primes off factorize's cached irreducible list, and the exhaustive
+search's prunes factor the sums the walk carries by factor()'s route.
 
 Both walks read P^(k*step) and its divisor sum off one row table,
 _prime_power_rows, built once per call: at step 1 for the exhaustive
@@ -22,9 +21,10 @@ candidates compared whole are converted back.  Both caps lie far inside
 the lane bound of degree 254.
 
 Exhaustive mode walks prime powers of degree <= max_deg // 2, the
-bound search_fixed_points derives, and only the products that can still
-be closed.  Its four prunes, the closure, bucket, conjugate and
-valuation rules, are stated once, in _closed_hits, which applies them.
+bound search_fixed_points derives, over the live primes of
+_search_rows only, and only the products that can still be closed.
+Its four prunes, the closure, bucket, conjugate and valuation rules,
+are stated once, in _closed_hits, which applies them.
 
 Odd mode rests on one fact: a fixed point of sigma with no linear
 factor is a square (E. F. Canaday, "The sum of the divisors of a
@@ -56,8 +56,8 @@ from types import MappingProxyType
 
 from .divisors import divisors, unitary_divisors
 from .divisors import ResourceLimitError
-from .factorize import (_irreducible_counts, _is_irreducible_bits,
-                        _odd_primes, _spf_table, _table_factor, factor,
+from .factorize import (_factor_bits, _irreducible_counts,
+                        _irreducible_masks, _is_irreducible_bits, factor,
                         parity)
 from .gf2poly import (Poly, X, X1, _compose_bits, _spread, _sqr_bits,
                       _unspread)
@@ -250,11 +250,11 @@ def _walk(max_deg, unitary):
     0, so F(P)(0) = P(0) = 1.  At the root A = acc = 1, and F(P) =
     P^2 + P + 1 or 1 has no prime solution.
 
-    Only the primes of degree <= max_deg // 4 + 1 are listed, off a
-    transient smallest-prime table: every head prime and the prime
-    after it.  An odd solution at or above the tail's first prime is
-    tested by factorize's irreducibility test, uncached, so no tail
-    prime need be listed.
+    Only the primes of degree <= max_deg // 4 + 1 are listed, off the
+    cached irreducible list: every head prime and the prime after it.
+    An odd solution at or above the tail's first prime is tested by
+    factorize's irreducibility test, uncached, so no tail prime need be
+    listed.
 
     The walk runs on lane values (gf2poly._spread), so each product is
     one integer multiply masked by keep.  The rows of the head primes,
@@ -267,7 +267,7 @@ def _walk(max_deg, unitary):
     counts = _irreducible_counts(max_deg // 2)
     counts[1] = 0  # x and x+1 are not odd
     start = list(accumulate(counts))  # start[d]: odd primes of degree <= d
-    primes = list(_odd_primes(_spf_table(max_deg // 4 + 1)))
+    primes = _irreducible_masks(max_deg // 4 + 1)[2:]
     rows = _prime_power_rows(primes[:start[max_deg // 4]], max_deg, 2,
                              unitary)
     weights = [2 * p.bit_length() - 2 for p in primes]
@@ -343,40 +343,86 @@ def _prime_power_rows(primes, cap, step, unitary):
     return rows
 
 
+def _seed_closure(cap, unitary):
+    """The seed closure C at cap = max_deg // 2: every prime that a fixed
+    point of sigma, or sigma_star if unitary, of degree <= max_deg can
+    have (Lemma 2), ascending, each with its rows of _prime_power_rows
+    at step 1, which a prime of degree <= cap // 2 shares with the
+    seeds.  C is the closure of x, x+1 and the primes of the sums
+    s(Q^k), deg Q <= cap // 2, k >= 2, k deg Q <= cap, under P -> the
+    primes of P + 1.
+
+    Proof, by descending degree over the primes M of such an A: s(M^e)
+    is 1 mod M, so M divides s(Q^k) for a Q^k exactly dividing A, Q !=
+    M, with 2 deg Q^k <= deg A (search_fixed_points).  If k >= 2, M is
+    a seed prime.  If k = 1 the sum is Q + 1: for Q = x or x+1, M is the
+    other; else x(x+1) divides Q + 1, so deg Q > deg M, Q is in C by the
+    descent, and M is a prime of Q + 1.
+    """
+    small = _irreducible_masks(cap // 2)
+    rows = dict(zip(small, _prime_power_rows(small, cap, 1, unitary)))
+    work = [2, 3]  # x and x+1
+    for row in rows.values():
+        for _, _, sig in row[1:]:
+            work += [q for q, _ in _factor_bits(_unspread(sig))]
+    closure = set()
+    while work:
+        p = work.pop()
+        if p not in closure:
+            closure.add(p)
+            work += [q for q, _ in _factor_bits(p ^ 1)]
+    rest = [p for p in closure if p not in rows]
+    rows.update(zip(rest, _prime_power_rows(rest, cap, 1, unitary)))
+    return {p: rows[p] for p in sorted(closure)}
+
+
 def _search_rows(cap, unitary):
-    """The step-1 rows of _prime_power_rows over the irreducibles of
-    degree <= cap, each with req, dx and dx1 appended, all read off one
-    factoring of the divisor sum s_k that the row carries for the walk.
-    s_k has degree k deg P <= cap, so the row's reduction to degree cap
-    leaves it whole.  One smallest-prime table of degree cap
-    (factorize._spf_table), built per call, lists the primes, x and x+1
-    first, and factors each s_k, never by factor().
-    req is the index mask of the irreducibles of s_k; each has degree
-    <= cap, so it is in the list.  dx is the exponent of x in P^k less
-    that in s_k, and dx1 likewise for x+1: summed down a walk they are
-    the exponent of x (or x+1) in A less that in its divisor sum, since
-    exponents add over a product."""
-    spf = _spf_table(cap)
-    primes = [2, 3, *_odd_primes(spf)] if cap else []
-    index = {p: i for i, p in enumerate(primes)}
-    rows = _prime_power_rows(primes, cap, 1, unitary)
-    for p, row in zip(primes, rows):
+    """The live primes of _seed_closure, ascending, and their live rows
+    of _prime_power_rows at step 1, each with req, dx and dx1 appended,
+    all read off the one factoring of the sum s_k the row carries for
+    the walk.  s_k has degree k deg P <= cap, so the row's reduction to
+    degree cap leaves it whole.  req is the index mask of the primes of
+    s_k.  dx is the exponent of x in P^k less that in s_k, and dx1
+    likewise for x+1: summed down a walk they are the exponent of x (or
+    x+1) in A less that in its divisor sum.
+
+    Liveness is a fixpoint (Lemma 1).  A fixed point A is the product
+    of the s(Q^k) over the Q^k exactly dividing A, and s(P^k) is 1 mod
+    P, so each prime of A divides the sum of a row of another prime of
+    A, and each row of A requires primes of A only.  So a row requiring
+    a dead prime dies, and so does a prime with no live row or, past x
+    and x+1, none requiring it.  x and x+1 stay at indexes 0 and 1, as
+    _closed_hits needs: s(x) = x+1 and s(x+1) = x.  A prime may lose
+    its row P and keep P^2, so the walk reads weights off degrees.
+    """
+    rows = _seed_closure(cap, unitary)
+    for p, row in rows.items():
         for k, (e, pw, sig) in enumerate(row, 1):
-            req = 0
+            qs = []
             # x and x+1 are the masks 2 and 3.
             dx, dx1 = (k, 0) if p == 2 else (0, k) if p == 3 else (0, 0)
-            for q, m in _table_factor(spf, _unspread(sig)):
-                req |= 1 << index[q]
+            for q, m in _factor_bits(_unspread(sig)):
+                qs.append(q)
                 dx -= m * (q == 2)
                 dx1 -= m * (q == 3)
-            row[k - 1] = e, pw, sig, req, dx, dx1
-    return rows
+            row[k - 1] = e, pw, sig, qs, dx, dx1
+    live, left = None, set(rows)
+    while left != live:
+        live = left
+        rows = {p: [r for r in rows[p] if live.issuperset(r[3])]
+                for p in live}
+        needed = {q for row in rows.values() for r in row for q in r[3]}
+        left = {p for p in live if rows[p] and (p < 4 or p in needed)}
+    primes = sorted(live)
+    index = {p: i for i, p in enumerate(primes)}
+    return primes, [[(e, pw, sig, sum(1 << index[q] for q in qs), dx, dx1)
+                     for e, pw, sig, qs, dx, dx1 in rows[p]] for p in primes]
 
 
-def _closed_hits(rows, max_deg) -> "list[int]":
+def _closed_hits(primes, rows, max_deg) -> "list[int]":
     """The fixed points among the products of the rows' prime powers of
     degree <= max_deg that the four rules below leave, and their
-    conjugates, as masks.
+    conjugates, as masks.  rows[i] lists the powers of primes[i].
 
     A node carries A and its divisor sum acc as lane values, the index
     mask have of the primes taken and the mask need of the primes that a
@@ -424,7 +470,8 @@ def _closed_hits(rows, max_deg) -> "list[int]":
     at least 1, and on sx1 when nxt > 1.
     """
     n = len(rows)
-    weights = [row[0][0] for row in rows]
+    # deg P, not the degree of P's first row, which need not be P.
+    weights = [p.bit_length() - 1 for p in primes]
     keep = _spread((1 << (max_deg + 1)) - 1)
     # upto[r]: the count of primes of weight <= r, which fit in room r.
     upto = [bisect_right(weights, r) for r in range(max_deg + 1)]
@@ -515,14 +562,15 @@ def search_fixed_points(
     If P^e exactly divides a fixed point A then P^e divides the divisor
     sum of A / P^e, because that of P^e is 1 modulo P; so 2 deg P^e <=
     deg A, and the search walks products of prime powers of degree
-    <= max_deg // 2.  It walks only those that can still be closed, by
-    the closure, bucket, conjugate and valuation rules that _closed_hits
-    states, and adds the conjugate of a hit the walk does not take.
-    Tables: one smallest-prime table of degree max_deg // 2, built per
-    call, lists the primes and factors the divisor sums that the rules
-    read (_search_rows).  Every hit and each added conjugate is
-    re-verified through factor() and the literal divisor sum.  max_deg
-    must be an int.
+    <= max_deg // 2, over the live primes of _search_rows (Lemmas 1 and
+    2).  It walks only those that can still be closed, by the closure,
+    bucket, conjugate and valuation rules that _closed_hits states, and
+    adds the conjugate of a hit the walk does not take.  Every hit and
+    each added conjugate is re-verified through factor() and the literal
+    divisor sum, but a missed fixed point would be caught only by the
+    table oracle (degree <= 20) and the pinned listings: the listing
+    rests on the exponent bound and the two lemmas.  max_deg must be an
+    int.
     """
     if type(max_deg) is not int:
         raise ValueError("max_deg must be an int")
@@ -530,8 +578,8 @@ def search_fixed_points(
         raise ResourceLimitError(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
         )
-    rows = _search_rows(max_deg // 2, unitary)
-    masks = sorted(_closed_hits(rows, max_deg))
+    masks = sorted(_closed_hits(*_search_rows(max_deg // 2, unitary),
+                                max_deg))
     return [_result(m, unitary) for m in masks]
 
 

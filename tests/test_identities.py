@@ -393,19 +393,29 @@ class TestCheckAll:
     def test_one_lattice_per_point(self, monkeypatch):
         # Patched in both modules, so a grid that ran the oracle once per
         # pair check (5082 lattices for check_all(5, 10)) is counted too.
+        # Each spec reads its point off the lattice, so the grid raises
+        # each P to each m once; a check_lemma that raised it again made
+        # 5852 powers here.
         built = []
+        powers = []
 
         class Counted(multfun._Lattice):
             def __init__(self, a):
                 built.append(a)
                 super().__init__(a)
 
+        def power(a, k, power=Poly.__pow__):
+            powers.append((a, k))
+            return power(a, k)
+
         monkeypatch.setattr(identities, "_Lattice", Counted)
         monkeypatch.setattr(multfun, "_Lattice", Counted)
+        monkeypatch.setattr(Poly, "__pow__", power)
         primes = irreducibles_up_to(5)
         assert check_all(5, 10).all_passed()
         assert len(primes) == 14 and len(built) == 14 * 11 == 154
         assert built == [p**m for p in primes for m in range(11)]
+        assert len(powers) == 154 + 154  # the grid's, and the line above
         built.clear()
         assert check_lemma(spec_by_id("sigma_z"), P2, 3).passed
         assert built == [P2**3]

@@ -20,17 +20,16 @@ import gf2mf.perfect as perfect
 import table_oracle
 from gf2mf.divisors import ResourceLimitError, divisors, unitary_divisors
 from gf2mf.factorize import (
-    _PRIME,
     _TABLE_MAX_DEG,
     _irreducible_counts,
     _irreducible_masks,
     _is_irreducible_bits,
-    _odd_primes,
-    _spf_table,
-    _table_factor,
+    _prime_flags,
     factor,
+    irreducibles_up_to,
+    is_irreducible,
 )
-from gf2mf.gf2poly import (ONE, Poly, ZERO, _mod_bits, _mul_bits, _spread,
+from gf2mf.gf2poly import (ONE, Poly, ZERO, _mul_bits, _spread,
                            _unspread, conjugate)
 from gf2mf.multfun import sigma, sigma_star
 from gf2mf.perfect import (
@@ -129,6 +128,24 @@ def closed_walk(rows, max_deg):
     return [perfect._unspread(x) for x in hits]
 
 
+def reference_rows(cap, unitary):
+    """perfect._search_rows as it was before the seed closure and the
+    live-prime fixpoint: (primes, rows) over every irreducible of degree
+    <= cap, x and x+1 first, each P^k's req, dx and dx1 read off
+    factor() of its divisor sum.  Reads perfect._prime_power_rows at
+    call time."""
+    primes = [p.bits for p in irreducibles_up_to(cap)] if cap else []
+    index = {p: i for i, p in enumerate(primes)}
+    rows = perfect._prime_power_rows(primes, cap, 1, unitary)
+    for p, row in zip(primes, rows):
+        for k, (e, pw, sig) in enumerate(row, 1):
+            pairs = {q.bits: m for q, m in factor(Poly(_unspread(sig)))}
+            row[k - 1] = (e, pw, sig, sum(1 << index[q] for q in pairs),
+                          k * (p == 2) - pairs.get(2, 0),
+                          k * (p == 3) - pairs.get(3, 0))
+    return primes, rows
+
+
 class TestVerifyPerfect:
     def test_known_perfect(self):
         assert verify_perfect(B)
@@ -197,33 +214,19 @@ def gray_code_sieve(max_deg):
 
 def table_flags(max_deg):
     """Prime flags of every mask of degree <= max_deg, read off the
-    smallest-prime table: x and x+1, and the odd primes it marks."""
-    flags = bytearray(1 << (max_deg + 1))
-    for m in (2, 3, *_odd_primes(_spf_table(max_deg))):
+    package's sieve: x and x+1, and the odd primes it flags."""
+    flags = _prime_flags(max_deg)
+    for m in (2, 3):
         if m < len(flags):
             flags[m] = 1
     return flags
 
 
-def plain_spf_table(max_deg):
-    """The smallest-prime table the plain way: each mask with no linear
-    factor divided by the irreducibles of gray_code_sieve in ascending
-    order, _PRIME for a prime and 0 for the masks x or x+1 divide."""
-    flags = gray_code_sieve(max_deg)
-    primes = list(compress(count(4), flags[4:]))
-    entries = [0] * len(flags)
-    for m in range(7, len(flags), 2):
-        if not m.bit_count() & 1:
-            continue
-        entries[m] = _PRIME if flags[m] else next(
-            p for p in primes if not _mod_bits(m, p))
-    return entries
-
-
 def scan_primes(max_deg):
-    """Every odd irreducible of degree <= max_deg // 2, off one table: the
-    primes the scan walks, which it lists only to degree max_deg // 4 + 1."""
-    return list(_odd_primes(_spf_table(max_deg // 2)))
+    """Every odd irreducible of degree <= max_deg // 2, off the cached
+    list: the primes the scan walks, which it lists only to degree
+    max_deg // 4 + 1."""
+    return list(_irreducible_masks(max_deg // 2)[2:])
 
 
 def flat_tail_walk(primes, max_deg, unitary, sample_rejected):
@@ -312,10 +315,8 @@ def mobius(n):
 
 
 class TestFactorSieve:
-    """The smallest-prime table's prime listing against a plain Gray-code
-    sieve, factor(), the Frobenius test and Gauss's count; its entries
-    against plain trial division, and its factorizations against
-    factor()."""
+    """The package's one sieve, _prime_flags, against a plain Gray-code
+    sieve, factor(), the Frobenius test and Gauss's count."""
 
     def test_flags_equal_the_plain_sieve(self):
         for d in range(0, 17):
@@ -327,14 +328,14 @@ class TestFactorSieve:
         expected = bytes(_is_irreducible_bits(m) if m > 1 else 0
                          for m in range(1 << 14))
         for d in range(0, 14):
-            assert len(_spf_table(d)) == 1 << (d + 1)
+            assert len(_prime_flags(d)) == 1 << (d + 1)
             assert table_flags(d) == expected[:1 << (d + 1)], d
 
     @pytest.mark.parametrize("max_deg", [18, 20])
     def test_counts_per_degree_are_gauss_counts(self, max_deg):
         # By Mobius inversion, and by the recurrence the odd scan reads.
-        degrees = [m.bit_length() - 1
-                   for m in (2, 3, *_odd_primes(_spf_table(max_deg)))]
+        flags = table_flags(max_deg)
+        degrees = [m.bit_length() - 1 for m in compress(count(), flags)]
         counts = _irreducible_counts(max_deg)
         assert len(counts) == max_deg + 1 and counts[0] == 0
         for d in range(1, max_deg + 1):
@@ -348,24 +349,6 @@ class TestFactorSieve:
         for m in random.Random(1).sample(range(2, 1 << (deg + 1)), 500):
             prime = [e for _, e in factor(Poly(m))] == [1]
             assert flags[m] == prime, m
-
-    def test_entries_are_the_smallest_primes(self):
-        for d in range(0, 13):
-            assert _spf_table(d).tolist() == plain_spf_table(d), d
-
-    def test_factorization_equals_factor(self):
-        def pairs(m):
-            return [(p.bits, e) for p, e in factor(Poly(m))]
-
-        spf = _spf_table(12)
-        for m in range(1, 1 << 13):
-            assert _table_factor(spf, m) == pairs(m), m
-        rng = random.Random(0x5F7)
-        spf = _spf_table(20)
-        for d in range(13, 21):
-            for _ in range(500):
-                m = 1 << d | rng.getrandbits(d)
-                assert _table_factor(spf, m) == pairs(m), m
 
     def test_irreducibles_match_the_frobenius_test(self):
         for d in range(1, 11):
@@ -446,13 +429,15 @@ class TestSearch:
         # read sigma's factors, so the hits are exactly the closed masks
         # whose sigma has no more x and no more x+1 than they have: each
         # prime power has degree <= 6 and each irreducible of its multfun
-        # sigma divides the mask, each mask once.
-        search_rows = perfect._search_rows
-
+        # sigma divides the mask, each mask once.  The rows are every
+        # prime's (reference_rows), not only the live ones: most closed
+        # masks are no fixed point, and their primes need not be live.
         def resummed(sum_of):
-            return lambda cap, unitary: [
-                [(e, pw, sum_of(pw), *prune) for e, pw, _, *prune in row]
-                for row in search_rows(cap, unitary)]
+            def rows(cap, unitary):
+                primes, rows = reference_rows(cap, unitary)
+                return primes, [[(e, pw, sum_of(pw), *prune)
+                                 for e, pw, _, *prune in row] for row in rows]
+            return rows
 
         monkeypatch.setattr(perfect, "_search_rows", resummed(lambda pw: pw))
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
@@ -479,36 +464,60 @@ class TestSearch:
     @pytest.mark.parametrize("unitary", [False, True])
     def test_walk_equals_the_unbucketed_walk(self, unitary):
         # The same fixed points, each once: the walked ones and their
-        # conjugates against every closable product in index order.
+        # conjugates over every prime's rows, against every closable
+        # product in index order, and against the walk over the live
+        # rows alone.
         for max_deg in range(1, 25):
-            rows = perfect._search_rows(max_deg // 2, unitary)
-            got = sorted(perfect._closed_hits(rows, max_deg))
+            primes, rows = reference_rows(max_deg // 2, unitary)
+            got = sorted(perfect._closed_hits(primes, rows, max_deg))
             assert got == sorted(closed_walk(rows, max_deg)), max_deg
+            live = perfect._search_rows(max_deg // 2, unitary)
+            assert sorted(perfect._closed_hits(*live, max_deg)) == got, (
+                max_deg)
 
-    def test_rows_are_factored_off_the_table(self, monkeypatch):
-        # One smallest-prime table per call, of degree cap, factors every
-        # row's divisor sum; factor() is left to the re-verification.
-        factored, tables = [], []
+    def test_walk_reads_a_prime_weight_off_its_degree(self):
+        # The fixpoint may drop a live prime's row P and keep its P^2.
+        # Here x^2+x+1, its own conjugate, loses its row P, so the walk
+        # lists exactly the fixed points in which its exponent is not 1.
+        # A walk that took P^2's degree for the prime's weight would
+        # misorder the weights, and at sigma's D = 15 skip x^3+x+1.
+        p = Poly("x^2+x+1")
+        for unitary in (False, True):
+            for max_deg in range(4, 25):
+                primes, rows = reference_rows(max_deg // 2, unitary)
+                full = perfect._closed_hits(primes, rows, max_deg)
+                assert primes[2] == p.bits
+                del rows[2][0]
+                expected = [m for m in full
+                            if dict(factor(Poly(m))).get(p) != 1]
+                got = perfect._closed_hits(primes, rows, max_deg)
+                assert sorted(got) == sorted(expected), (unitary, max_deg)
+
+    def test_rows_are_factored_through_factor_bits(self, monkeypatch):
+        # The seed sums, the closure's P + 1 and every row's divisor sum
+        # are factored by factor()'s cached route, and nothing else in
+        # the search factors but the re-verification.
+        factored = []
 
         def counted(bits, factor_bits=factorize._factor_bits):
             factored.append(bits)
             return factor_bits(bits)
 
-        def table(max_deg, spf_table=perfect._spf_table):
-            tables.append(max_deg)
-            return spf_table(max_deg)
-
-        monkeypatch.setattr(factorize, "_factor_bits", counted)
+        monkeypatch.setattr(perfect, "_factor_bits", counted)
         monkeypatch.setattr(perfect, "factor", None)
-        monkeypatch.setattr(perfect, "_spf_table", table)
         for unitary in (False, True):
-            rows = perfect._search_rows(12, unitary)
+            closure = perfect._seed_closure(12, unitary)
+            primes, rows = perfect._search_rows(12, unitary)
             assert sum(map(len, rows)) > len(rows) > 0
-        assert factored == [] and tables == [12, 12]
+            sums = {_unspread(sig) for row in closure.values()
+                    for _, _, sig in row}
+            assert sums | {p ^ 1 for p in closure} <= set(factored)
+            del factored[:]
         # A search factors only its hits, each in _result.
+        monkeypatch.setattr(perfect, "_factor_bits", factorize._factor_bits)
+        monkeypatch.setattr(factorize, "_factor_bits", counted)
         monkeypatch.setattr(perfect, "factor", factor)
         hits = search_fixed_points(12)
-        assert tables == [12, 12, 6]
         assert set(factored) == {r.polynomial.bits for r in hits}
         del factored[:]
         _result(B.bits, True)
@@ -519,31 +528,38 @@ class TestSearch:
                              ids=["sigma", "sigma_star"])
     def test_a_cold_search_builds_one_table(self, monkeypatch, max_deg,
                                             unitary):
-        # The search lists its primes off the table it factors its rows
-        # with, so even with no prime list cached it builds one table,
-        # of degree max_deg // 2, and caches no list.
+        # The search lists its small primes off the cached irreducible
+        # list, so with no list cached it sieves one flag table, of
+        # degree max_deg // 4, and caches that list alone.
         tables = []
 
-        def table(deg, spf_table=_spf_table):
+        def flags(deg, prime_flags=_prime_flags):
             tables.append(deg)
-            return spf_table(deg)
+            return prime_flags(deg)
 
-        monkeypatch.setattr(factorize, "_spf_table", table)
-        monkeypatch.setattr(perfect, "_spf_table", table)
+        monkeypatch.setattr(factorize, "_prime_flags", flags)
         _irreducible_masks.cache_clear()
-        before = _irreducible_masks.cache_info()
         assert search_fixed_points(max_deg, unitary)
-        assert tables == [max_deg // 2]
-        assert _irreducible_masks.cache_info() == before
+        assert tables == [max_deg // 4]
+        assert _irreducible_masks.cache_info().currsize == 1
 
     def test_rows_list_the_cached_primes(self):
-        # One row per prime, its first power P itself: the primes the
-        # rows index are the cached irreducible list's, x and x+1 first,
-        # none at cap 0.
+        # The primes the rows index are irreducibles of the cached list,
+        # ascending, x and x+1 first, none at cap 0, and each prime's rows
+        # are some of its powers P^k with k deg P <= cap, ascending.
         for cap in range(17):
-            rows = perfect._search_rows(cap, False)
-            primes = [_unspread(row[0][1]) for row in rows]
-            assert primes == list(_irreducible_masks(cap)), cap
+            for unitary in (False, True):
+                primes, rows = perfect._search_rows(cap, unitary)
+                assert len(rows) == len(primes)
+                assert primes == sorted(primes)
+                assert set(primes) <= set(_irreducible_masks(cap)), cap
+                assert primes[:2] == ([2, 3] if cap else [])
+                for p, row in zip(primes, rows):
+                    d = p.bit_length() - 1
+                    ks = [e // d for e, *_ in row]
+                    assert ks == sorted(set(ks)) and ks[-1] * d <= cap
+                    assert [pw for _, pw, *_ in row] == [
+                        _spread((Poly(p) ** k).bits) for k in ks]
 
     @pytest.mark.parametrize("unitary, f", [(False, sigma),
                                             (True, sigma_star)],
@@ -554,11 +570,11 @@ class TestSearch:
         # primes of factor() of multfun's own f(P^k), and dx and dx1 are
         # the exponents of x and x+1 in P^k less those in f(P^k).
         for cap in range(17):
-            rows = perfect._search_rows(cap, unitary)
-            primes = [_unspread(row[0][1]) for row in rows]
+            primes, rows = perfect._search_rows(cap, unitary)
             index = {p: i for i, p in enumerate(primes)}
             for p, row in zip(primes, rows):
-                for k, (_, _, _, req, dx, dx1) in enumerate(row, 1):
+                for e, _, _, req, dx, dx1 in row:
+                    k = e // (p.bit_length() - 1)
                     pairs = dict(factor(f.at_prime_power(Poly(p), k)))
                     assert req == sum(1 << index[q.bits] for q in pairs), (
                         cap, p, k)
@@ -684,6 +700,89 @@ class TestSearch:
             _result(hit.bits, False)
         # The unitary search has no convolution check.
         assert _result(hit.bits, True).polynomial == hit
+
+
+def primes_of(a):
+    """The set of irreducible masks of a, by factor()."""
+    return {p.bits for p, _ in factor(a)}
+
+
+class TestSeedClosure:
+    """The exhaustive search's seed closure and live-prime fixpoint
+    (perfect._seed_closure and _search_rows), held to their defining
+    properties at every D <= 32, for both kinds, with factor() and
+    is_irreducible only.  The listings alone would miss a closure
+    without its P -> P + 1 step, seeds from k >= 3 only, or small
+    primes listed a degree short."""
+
+    KINDS = pytest.mark.parametrize("unitary, f", [(False, sigma),
+                                                   (True, sigma_star)],
+                                    ids=["sigma", "sigma_star"])
+
+    @KINDS
+    def test_closure_holds_x_x1_and_every_seed_prime(self, unitary, f):
+        # The seeds: the primes of f(Q^k) for every Q of degree <= D // 4
+        # and k >= 2 with k deg Q <= D // 2, Q listed by is_irreducible.
+        for max_deg in range(1, 33):
+            cap = max_deg // 2
+            closure = list(perfect._seed_closure(cap, unitary))
+            assert closure == sorted(set(closure)), max_deg
+            assert {2, 3} <= set(closure), max_deg
+            small = [q for q in map(Poly, range(2, 2 << cap // 2))
+                     if is_irreducible(q)]
+            for q in small:
+                for k in range(2, cap // q.degree + 1):
+                    seeds = primes_of(f.at_prime_power(q, k))
+                    assert seeds <= set(closure), (max_deg, q, k)
+
+    @KINDS
+    def test_closure_is_closed_under_p_plus_1(self, unitary, f):
+        for max_deg in range(1, 33):
+            cap = max_deg // 2
+            closure = set(perfect._seed_closure(cap, unitary))
+            for p in map(Poly, closure):
+                assert is_irreducible(p) and p.degree <= max(cap, 1), p
+                assert primes_of(p + ONE) <= closure, (max_deg, p)
+
+    @KINDS
+    def test_live_primes_and_rows_are_a_fixpoint(self, unitary, f):
+        # Every live row's primes are live, every live prime past x and
+        # x+1 is required by a live row of another prime, and a live
+        # prime keeps each of its powers whose sum requires live primes
+        # only.
+        for max_deg in range(1, 33):
+            cap = max_deg // 2
+            primes, rows = perfect._search_rows(cap, unitary)
+            live = set(primes)
+            assert live <= set(perfect._seed_closure(cap, unitary))
+            required = set()
+            for p, row in zip(primes, rows):
+                d = p.bit_length() - 1
+                kept = {k: primes_of(f.at_prime_power(Poly(p), k))
+                        for k in range(1, cap // d + 1)}
+                kept = [k for k, qs in kept.items() if qs <= live]
+                assert [e // d for e, *_ in row] == kept, (max_deg, p)
+                for k in kept:
+                    qs = primes_of(f.at_prime_power(Poly(p), k))
+                    assert p not in qs
+                    required |= qs
+            assert live - {2, 3} <= required, max_deg
+
+    @KINDS
+    def test_oracle_fixed_points_are_live(self, unitary, f):
+        # Each prime power P^e exactly dividing a fixed point of degree
+        # <= D, off the table oracle to D = 16, is a live row.
+        sums = table_oracle.divisor_sums(16)[unitary]
+        fixed = [m for m in range(2, len(sums)) if sums[m] == m]
+        assert len(fixed) == 12
+        for max_deg in range(1, 17):
+            primes, rows = perfect._search_rows(max_deg // 2, unitary)
+            powers = {(p, e) for p, row in zip(primes, rows)
+                      for e, *_ in row}
+            for m in fixed:
+                if m.bit_length() - 1 <= max_deg:
+                    for p, e in factor(Poly(m)):
+                        assert (p.bits, e * p.degree) in powers, (max_deg, m)
 
 
 class TestOddScan:
@@ -864,12 +963,14 @@ class TestOddScan:
             "c58794628a03a8ba818754991078d002"
             "8c8172451b0b7fd63e9f4a41ec7cc06b")
 
-    def test_scan_leaves_no_irreducible_table_cached(self, monkeypatch):
-        # The scan lists its low primes off small sieves of its own and
-        # tests a filter solution above them without the test's cache; the
-        # shared caches are untouched, and the table's refuses bounds
-        # above 16.  To degree 44 no solution reaches that test; at 48
-        # sigma's one, of degree 18, does, and is not a prime.
+    def test_scan_leaves_the_irreducibility_cache_untouched(self,
+                                                            monkeypatch):
+        # The scan lists its low primes off the cached irreducible list,
+        # whose bound of degree 16 it stays under, and tests a filter
+        # solution above them without the irreducibility test's cache,
+        # which it leaves as it is.  To degree 44 no solution reaches
+        # that test; at 48 sigma's one, of degree 18, does, and is not a
+        # prime.
         tested = []
 
         def is_prime(p, test=_is_irreducible_bits.__wrapped__):
@@ -877,29 +978,27 @@ class TestOddScan:
             return tested[-1][1]
 
         monkeypatch.setattr(_is_irreducible_bits, "__wrapped__", is_prime)
-        before = (_irreducible_masks.cache_info(),
-                  _is_irreducible_bits.cache_info())
+        before = _is_irreducible_bits.cache_info()
         odd_square_scan(48)
         assert tested == [(18, False)]
-        after = (_irreducible_masks.cache_info(),
-                 _is_irreducible_bits.cache_info())
-        assert after == before
-        assert after[0].maxsize == _TABLE_MAX_DEG == 16
+        assert _is_irreducible_bits.cache_info() == before
+        assert _irreducible_masks.cache_info().maxsize == _TABLE_MAX_DEG == 16
         with pytest.raises(ValueError, match="bounded at degree 16"):
             _irreducible_masks(_TABLE_MAX_DEG + 1)
 
     @pytest.mark.parametrize("size, top", [(0, 10), (1000, 10)])
     def test_scan_sieves_only_its_low_primes(self, monkeypatch, size, top):
-        # The walk lists the primes of degree <= 36 // 4 + 1 off one table
-        # and places the others by their count per degree; the rejected
-        # sample is read off the candidate set and lists no prime.
+        # The walk lists the primes of degree <= 36 // 4 + 1 off the
+        # cached list and places the others by their count per degree;
+        # the rejected sample is read off the candidate set and lists no
+        # prime.
         asked = []
 
-        def sieve(max_deg, sieve=perfect._spf_table):
+        def listed(max_deg, masks=perfect._irreducible_masks):
             asked.append(max_deg)
-            return sieve(max_deg)
+            return masks(max_deg)
 
-        monkeypatch.setattr(perfect, "_spf_table", sieve)
+        monkeypatch.setattr(perfect, "_irreducible_masks", listed)
         odd_square_scan(36, sample_rejected=size)
         assert asked == [top]
 
