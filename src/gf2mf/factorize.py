@@ -183,9 +183,6 @@ def irreducibles_up_to(d: int) -> list[Poly]:
     return [Poly(m) for m in _irreducible_masks(d)]
 
 
-# The lemma grid tests each prime once per (spec, exponent) point; the
-# bound keeps the cache small for callers that test many masks.
-@functools.lru_cache(maxsize=1 << 12)
 def _is_irreducible_bits(f: int) -> bool:
     """Deterministic Frobenius-based irreducibility test on a mask."""
     n = f.bit_length() - 1

@@ -7,9 +7,10 @@ its Bell series, the sum over m of h(P^m) T^m, is N(T) / D(T) (Apostol,
 Introduction to Analytic Number Theory, 1976, 2.16), and closed_form(P,
 m) is coefficient m.  The tests prove every row exactly from the
 builtins' series: N_f N_g D_h = N_h D_f D_g in F2[P][T].  check_lemma
-evaluates a pair's convolution as the brute-force divisor-sum oracle's
-one xor_sum, read off the lattice of P**m, and compares it with the
-closed form exactly.  check_all shares one lattice per point (P, m)
+reads P**m off its lattice, the point's only source and its check, as
+a lattice that does not factor as P**m is refused; a pair's convolution
+is the oracle's one xor_sum off that lattice, compared with the closed
+form exactly.  check_all shares one lattice per point (P, m)
 across its specs, so each function is walked once per point, its table
 keyed by the function, and a corrupted function fails only the specs
 that read it.  The four single-function specs (id_inv, phi_inv,
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .divisors import radical
-from .factorize import factor, irreducibles_up_to, is_irreducible
+from .factorize import _factor_bits, factor, irreducibles_up_to
 from .gf2poly import ONE, Poly, ZERO, _compose_bits, _mul_bits, _sqrt_bits
 from .multfun import (
     BUILTINS,
@@ -309,20 +310,23 @@ def check_lemma(spec: LemmaSpec, prime: Poly, m: int, *,
                 lattice: "_Lattice | None" = None) -> IdentityReport:
     """Check one spec at P**m: its left side vs its closed form.
 
-    A pair's left side is the oracle's one xor_sum, read off lattice,
-    which must be the lattice of P**m; the default is a fresh one.  The
-    point P**m is read off the lattice when one is given.
+    The lattice, by default a fresh one of P**m, is the point's only
+    source and its check: a given one must factor exactly as P**m (as 1
+    at m = 0).  P is checked through factor()'s cache.  A pair's left
+    side is the oracle's one xor_sum, read off the lattice.
     """
-    if not is_irreducible(prime):
+    if prime.bits < 2 or _factor_bits(prime.bits) != ((prime.bits, 1),):
         raise ValueError(f"test point requires an irreducible P, got {prime}")
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    point = prime**m if lattice is None else lattice.poly
+    if lattice is None:
+        lattice = _Lattice(prime**m)
+    elif lattice._primes != ([(prime.bits, m)] if m else []):
+        raise ValueError(f"lattice {lattice.poly} is not at P={prime} m={m}")
+    point = lattice.poly
     if len(spec.parts) == 1:
         got = spec.parts[0](point)
     else:
-        if lattice is None:
-            lattice = _Lattice(point)
         got = Poly(lattice.xor_sum(*spec.parts))
     expected = spec.closed_form(prime, m)
     return IdentityReport(

@@ -52,7 +52,6 @@ point depends on the multiplicative evaluation path that found it.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from types import MappingProxyType
 
 from .divisors import divisors, unitary_divisors
 from .divisors import ResourceLimitError
@@ -146,10 +145,10 @@ def classify(a: Poly) -> str:
 
 # The searches keep no prime-power memo and run serially.  These names
 # stay, inert, because perfbench/tracer.py reads them: it reports the
-# size of the empty read-only views as the count of memo entries left
-# alive after a run, and it rebinds _run_shards and ThreadPoolExecutor,
-# which nothing here calls.
-_SIGMA_PP = _SIGMASTAR_PP = MappingProxyType({})
+# length of the empty tuples as the count of memo entries left alive
+# after a run, and it rebinds _run_shards and ThreadPoolExecutor, which
+# nothing here calls.
+_SIGMA_PP = _SIGMASTAR_PP = ()
 _run_shards = ThreadPoolExecutor = None
 
 
@@ -253,8 +252,7 @@ def _walk(max_deg, unitary):
     Only the primes of degree <= max_deg // 4 + 1 are listed, off the
     cached irreducible list: every head prime and the prime after it.
     An odd solution at or above the tail's first prime is tested by
-    factorize's irreducibility test, uncached, so no tail prime need be
-    listed.
+    factorize's irreducibility test, so no tail prime need be listed.
 
     The walk runs on lane values (gf2poly._spread), so each product is
     one integer multiply masked by keep.  The rows of the head primes,
@@ -271,7 +269,6 @@ def _walk(max_deg, unitary):
     rows = _prime_power_rows(primes[:start[max_deg // 4]], max_deg, 2,
                              unitary)
     weights = [2 * p.bit_length() - 2 for p in primes]
-    is_prime = _is_irreducible_bits.__wrapped__  # leaves its cache as it is
     keep = _spread((1 << (max_deg + 1)) - 1)
     low = _spread(_LOW_MASK)
     form = _divsum_form(max_deg // 2, unitary)
@@ -300,7 +297,7 @@ def _walk(max_deg, unitary):
         if mid == end:
             return rej
         passed = [p for p in _filter_solutions(a, acc, room // 2, form, low)
-                  if p >= primes[mid] and is_prime(p)]
+                  if p >= primes[mid] and _is_irreducible_bits(p)]
         if passed:  # room // 4 < deg P <= room // 2: one row at cap room
             for (_, pw, sig), in _prime_power_rows(passed, room, 2, unitary):
                 a2 = a * pw & keep

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from gf2mf import identities, multfun
+from gf2mf import factorize, identities, multfun
 from gf2mf.divisors import divisors
 from gf2mf.factorize import factor, irreducibles_up_to
 from gf2mf.gf2poly import (ONE, Poly, ZERO, _mul_bits, _sqrt_bits,
@@ -237,11 +237,35 @@ class TestBellSeries:
 
 class TestCheckLemma:
     def test_reducible_prime_rejected(self):
+        # The constants too, and at m = 0 too, where the point is 1
+        # whatever P is.
         spec = spec_by_id("sigma_mu")
-        with pytest.raises(ValueError):
-            check_lemma(spec, Poly("x^2"), 1)
-        with pytest.raises(ValueError):
-            check_lemma(spec, Poly("x^2+1"), 1)
+        for prime in (Poly("x^2"), Poly("x^2+1"), ZERO, ONE):
+            for m in (1, 0):
+                with pytest.raises(ValueError, match="irreducible P"):
+                    check_lemma(spec, prime, m)
+        for m in (1, 0):
+            with pytest.raises(ValueError, match="irreducible P"):
+                check_lemma(spec, Poly("x^2+1"), m,
+                            lattice=multfun._Lattice(Poly("x^2+1") ** m))
+
+    def test_lattice_of_another_point_rejected(self):
+        # The point is read off the lattice, so a lattice of another
+        # point would be checked and labelled with the wrong P and m:
+        # id_inv at x^2+1 reported as P=x m=2.  At m = 0 only the unit's
+        # lattice is the point's.
+        cases = [("id_inv", X, 2, X1**2), ("sigma_z", X, 2, X**3),
+                 ("sigma_z", X, 3, X**2), ("sigma_mu", X, 1, X * X1),
+                 ("sigma_phi", P2, 2, P2**2 * X), ("sigma_z", X, 1, ONE),
+                 ("id_inv", X, 0, X), ("sigma_z", X, 0, X1),
+                 ("sigma_mu", P2, 0, P2)]
+        for spec_id, prime, m, other in cases:
+            with pytest.raises(ValueError, match="is not at P="):
+                check_lemma(spec_by_id(spec_id), prime, m,
+                            lattice=multfun._Lattice(other))
+            report = check_lemma(spec_by_id(spec_id), prime, m,
+                                 lattice=multfun._Lattice(prime**m))
+            assert report.passed and report.point == prime**m
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -419,6 +443,22 @@ class TestCheckAll:
         built.clear()
         assert check_lemma(spec_by_id("sigma_z"), P2, 3).passed
         assert built == [P2**3]
+
+    def test_grid_tests_each_prime_at_most_once(self, monkeypatch):
+        # P is checked through factor()'s cache and each point by its
+        # lattice, so the grid runs the Frobenius test at most once per
+        # prime, not once per spec and point (5698 calls).
+        tested = []
+
+        def counted(f, test=factorize._is_irreducible_bits):
+            tested.append(f)
+            return test(f)
+
+        monkeypatch.setattr(factorize, "_is_irreducible_bits", counted)
+        primes = {p.bits for p in irreducibles_up_to(5)}
+        assert check_all(5, 10).all_passed()
+        assert set(tested) <= primes
+        assert len(tested) == len(set(tested))
 
 
 class TestReports:

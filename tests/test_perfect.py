@@ -963,25 +963,22 @@ class TestOddScan:
             "c58794628a03a8ba818754991078d002"
             "8c8172451b0b7fd63e9f4a41ec7cc06b")
 
-    def test_scan_leaves_the_irreducibility_cache_untouched(self,
-                                                            monkeypatch):
+    def test_scan_tests_only_the_solutions_above_its_list(self,
+                                                          monkeypatch):
         # The scan lists its low primes off the cached irreducible list,
-        # whose bound of degree 16 it stays under, and tests a filter
-        # solution above them without the irreducibility test's cache,
-        # which it leaves as it is.  To degree 44 no solution reaches
-        # that test; at 48 sigma's one, of degree 18, does, and is not a
-        # prime.
+        # whose bound of degree 16 it stays under, and runs the
+        # irreducibility test on a filter solution above them only.  To
+        # degree 44 no solution reaches that test; at 48 sigma's one, of
+        # degree 18, does, and is not a prime.
         tested = []
 
-        def is_prime(p, test=_is_irreducible_bits.__wrapped__):
+        def is_prime(p, test=_is_irreducible_bits):
             tested.append((p.bit_length() - 1, test(p)))
             return tested[-1][1]
 
-        monkeypatch.setattr(_is_irreducible_bits, "__wrapped__", is_prime)
-        before = _is_irreducible_bits.cache_info()
+        monkeypatch.setattr(perfect, "_is_irreducible_bits", is_prime)
         odd_square_scan(48)
         assert tested == [(18, False)]
-        assert _is_irreducible_bits.cache_info() == before
         assert _irreducible_masks.cache_info().maxsize == _TABLE_MAX_DEG == 16
         with pytest.raises(ValueError, match="bounded at degree 16"):
             _irreducible_masks(_TABLE_MAX_DEG + 1)
@@ -1074,11 +1071,11 @@ class TestTailSolve:
         monkeypatch.setattr(perfect, "_LOW_MASK", (1 << bits) - 1)
         tested = []
 
-        def is_prime(p, test=_is_irreducible_bits.__wrapped__):
+        def is_prime(p, test=_is_irreducible_bits):
             tested.append(test(p))
             return tested[-1]
 
-        monkeypatch.setattr(_is_irreducible_bits, "__wrapped__", is_prime)
+        monkeypatch.setattr(perfect, "_is_irreducible_bits", is_prime)
         full = 0
         for max_deg in range(2, 25):
             for size in (0, 7, 1000):
