@@ -184,10 +184,11 @@ def irreducibles_up_to(d: int) -> list[Poly]:
 
 
 def _is_irreducible_bits(f: int) -> bool:
-    """Deterministic Frobenius-based irreducibility test on a mask."""
+    """Deterministic Frobenius-based irreducibility test on a mask; the
+    constants 0 and 1 are not irreducible."""
     n = f.bit_length() - 1
-    if n == 1:
-        return True
+    if n < 2:
+        return n == 1
     x_mod = _mod_bits(2, f)
     subfield_checks = {n // q for q in _prime_factors_int(n)}
     h = x_mod

@@ -232,27 +232,28 @@ def _walk(max_deg, unitary):
     factorize._irreducible_counts gives without a sieve.  A node with
     room R left splits its primes, whose weights 2 deg P ascend, at
     those indexes.  The head, of weight <= R // 2, runs each row of
-    degree <= R and recurses; each candidate costs the two products
-    a * P^(2k) and acc * s_k.  Each prime of the tail, of weight above
-    R // 2, admits P^2 only and nothing after it, so the tail is settled
-    at once.  Its candidate A * P^2 has divisor sum acc * s(P), and
-    F(P) = acc * s(P) + A * P^2 is affine in the coefficients of P,
-    since squaring is additive in characteristic 2; the filter passes
-    exactly when the low coefficients of F(P) vanish.  _filter_solutions
-    solves that over GF(2) on the node's own lane values, for odd P of
-    degree <= R // 2; a solution at or above the tail's first prime is a
-    tail prime when it is irreducible.  A prime found gets the full
-    comparison, on its one row of the table, and every other tail prime
-    is rejected.  For sigma at most one P solves: acc(0) = 1 and
+    degree <= R and recurses while the next prime fits in the room left;
+    each candidate costs the two products a * P^(2k) and acc * s_k.
+    Each prime of the tail, of weight above R // 2, admits P^2 only and
+    nothing after it, so the tail is settled at once.  Its candidate
+    A * P^2 has divisor sum acc * s(P), and F(P) = acc * s(P) + A * P^2
+    is affine in the coefficients of P, since squaring is additive in
+    characteristic 2; the filter passes exactly when the low
+    coefficients of F(P) vanish.  _filter_solutions solves that over
+    GF(2) on the node's own lane values, for odd P of degree <= R // 2;
+    a solution above the last prime before the tail (above x+1 at index
+    0) is a tail prime when it is irreducible.  A prime found gets the
+    full comparison, on its one row of the table, and every other tail
+    prime is rejected.  For sigma at most one P solves: acc(0) = 1 and
     (A + acc)(0) = 0, so F(P) + F(0) = (A + acc) P^2 + acc P has the
     lowest term of P.  For sigma_star no P solves when A != 1: acc(0) =
     0, so F(P)(0) = P(0) = 1.  At the root A = acc = 1, and F(P) =
-    P^2 + P + 1 or 1 has no prime solution.
+    P + 1 or 1 has no prime solution.
 
-    Only the primes of degree <= max_deg // 4 + 1 are listed, off the
-    cached irreducible list: every head prime and the prime after it.
-    An odd solution at or above the tail's first prime is tested by
-    factorize's irreducibility test, so no tail prime need be listed.
+    Only the primes of degree <= max_deg // 4 are listed, off the cached
+    irreducible list: the root's head primes, which hold every node's.
+    A tail prime is found by the solve and the irreducibility test, so
+    none need be listed.
 
     The walk runs on lane values (gf2poly._spread), so each product is
     one integer multiply masked by keep.  The rows of the head primes,
@@ -265,10 +266,8 @@ def _walk(max_deg, unitary):
     counts = _irreducible_counts(max_deg // 2)
     counts[1] = 0  # x and x+1 are not odd
     start = list(accumulate(counts))  # start[d]: odd primes of degree <= d
-    primes = _irreducible_masks(max_deg // 4 + 1)[2:]
-    rows = _prime_power_rows(primes[:start[max_deg // 4]], max_deg, 2,
-                             unitary)
-    weights = [2 * p.bit_length() - 2 for p in primes]
+    primes = _irreducible_masks(max_deg // 4)[2:]
+    rows = _prime_power_rows(primes, max_deg, 2, unitary)
     keep = _spread((1 << (max_deg + 1)) - 1)
     low = _spread(_LOW_MASK)
     form = _divsum_form(max_deg // 2, unitary)
@@ -292,12 +291,13 @@ def _walk(max_deg, unitary):
                     if acc2 == a2:
                         hits.append(a2)
                 rest = room - e
-                if weights[i + 1] <= rest:
+                if i + 1 < start[rest // 2]:
                     rej += walk(i + 1, rest, a2, acc2)
         if mid == end:
             return rej
+        below = primes[mid - 1] if mid else 3  # x+1 and 1 are not odd primes
         passed = [p for p in _filter_solutions(a, acc, room // 2, form, low)
-                  if p >= primes[mid] and _is_irreducible_bits(p)]
+                  if p > below and _is_irreducible_bits(p)]
         if passed:  # room // 4 < deg P <= room // 2: one row at cap room
             for (_, pw, sig), in _prime_power_rows(passed, room, 2, unitary):
                 a2 = a * pw & keep
@@ -467,22 +467,20 @@ def _closed_hits(primes, rows, max_deg) -> "list[int]":
     at least 1, and on sx1 when nxt > 1.
     """
     n = len(rows)
-    # deg P, not the degree of P's first row, which need not be P.
-    weights = [p.bit_length() - 1 for p in primes]
     keep = _spread((1 << (max_deg + 1)) - 1)
-    # upto[r]: the count of primes of weight <= r, which fit in room r.
-    upto = [bisect_right(weights, r) for r in range(max_deg + 1)]
+    # upto[r]: the count of primes of degree <= r, which fit in room r,
+    # read off the masks: deg P, not the degree of P's first row, which
+    # need not be P.  P_j fits in room r exactly when j < upto[r].
+    upto = [bisect_right(primes, (2 << r) - 1) for r in range(max_deg + 1)]
     opens = [[] for _ in rows]  # the buckets a row of P_i opens, set below
 
     def entry(i, row, opened):
         # The child's first, e, P^k, s_k, req below and above P_i, the
-        # mask that clears P_i, e plus the weight of P_(i+1), opened,
-        # dx, dx1.
+        # mask that clears P_i, opened, dx, dx1.
         e, pw, sig, req, dx, dx1 = row
         bit = 1 << i
-        after = weights[i + 1] if i + 1 < n else max_deg + 1
         return (i + 1, e, pw, sig, req & bit - 1, req >> i << i, ~bit,
-                e + after, opened, dx, dx1)
+                opened, dx, dx1)
 
     def indexed(bucket):  # a bucket with its prime indexes, for bisect
         return [nxt - 1 for nxt, *_ in bucket], bucket
@@ -508,7 +506,7 @@ def _closed_hits(primes, rows, max_deg) -> "list[int]":
             top = min(top, (need & -need).bit_length())
         skipped = ~have
         for index, bucket in scan:
-            for (nxt, e, pw, sig, low, high, clear, reach, opened, dx,
+            for (nxt, e, pw, sig, low, high, clear, opened, dx,
                  dx1) in islice(bucket, bisect_left(index, first), None):
                 if nxt > top:
                     break
@@ -519,9 +517,9 @@ def _closed_hits(primes, rows, max_deg) -> "list[int]":
                 if sx2 < 0 or sx12 < 0 and nxt > 1:
                     continue  # acc has more x, or more x+1, than A can get
                 need2 = (need | high) & clear
+                rest = room - e
                 if need2:
-                    rest = room - e
-                    if weights[need2.bit_length() - 1] <= rest:
+                    if need2.bit_length() <= upto[rest]:
                         walk(nxt, rest, a * pw & keep, acc * sig & keep,
                              have | ~clear, need2, sx2, sx12, scan + opened)
                     continue
@@ -529,8 +527,8 @@ def _closed_hits(primes, rows, max_deg) -> "list[int]":
                 acc2 = acc * sig & keep
                 if acc2 == a2:
                     hits.append(a2)
-                if reach <= room:
-                    walk(nxt, room - e, a2, acc2, have | ~clear, 0, sx2, sx12,
+                if nxt < upto[rest]:
+                    walk(nxt, rest, a2, acc2, have | ~clear, 0, sx2, sx12,
                          scan + opened)
 
     walk(0, max_deg, 1, 1, 0, 0, 0, 0, [indexed(buckets[-1])])

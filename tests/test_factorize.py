@@ -103,6 +103,12 @@ class TestIsIrreducible:
         with pytest.raises(ValueError):
             is_irreducible(ONE)
 
+    def test_mask_test_refuses_constants(self):
+        # Mask 1 first: without the guard, mask 0 never returns, since
+        # x mod 0 cannot be reduced.
+        assert _is_irreducible_bits(1) is False
+        assert _is_irreducible_bits(0) is False
+
     def test_agrees_with_table_membership(self):
         table = {p.bits for p in irreducibles_up_to(10)}
         for m in range(2, 1 << 11):

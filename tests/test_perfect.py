@@ -225,7 +225,7 @@ def table_flags(max_deg):
 def scan_primes(max_deg):
     """Every odd irreducible of degree <= max_deg // 2, off the cached
     list: the primes the scan walks, which it lists only to degree
-    max_deg // 4 + 1."""
+    max_deg // 4."""
     return list(_irreducible_masks(max_deg // 2)[2:])
 
 
@@ -983,21 +983,31 @@ class TestOddScan:
         with pytest.raises(ValueError, match="bounded at degree 16"):
             _irreducible_masks(_TABLE_MAX_DEG + 1)
 
-    @pytest.mark.parametrize("size, top", [(0, 10), (1000, 10)])
-    def test_scan_sieves_only_its_low_primes(self, monkeypatch, size, top):
-        # The walk lists the primes of degree <= 36 // 4 + 1 off the
-        # cached list and places the others by their count per degree;
-        # the rejected sample is read off the candidate set and lists no
-        # prime.
-        asked = []
+    @pytest.mark.parametrize("size", [0, 1000])
+    def test_scan_sieves_only_its_low_primes(self, monkeypatch, size):
+        # At every degree the walk lists the primes of degree
+        # <= max_deg // 4 off the cached list, its head primes, builds the
+        # root's rows for every odd one of them and places the others by
+        # their count per degree; the rejected sample is read off the
+        # candidate set and lists no prime.
+        asked, tables = [], []
 
         def listed(max_deg, masks=perfect._irreducible_masks):
             asked.append(max_deg)
             return masks(max_deg)
 
+        def rows(primes, cap, step, unitary, table=perfect._prime_power_rows):
+            tables.append((list(primes), cap))
+            return table(primes, cap, step, unitary)
+
         monkeypatch.setattr(perfect, "_irreducible_masks", listed)
-        odd_square_scan(36, sample_rejected=size)
-        assert asked == [top]
+        monkeypatch.setattr(perfect, "_prime_power_rows", rows)
+        for max_deg in range(2, 49, 2):
+            del asked[:], tables[:]
+            odd_square_scan(max_deg, sample_rejected=size)
+            assert asked == [max_deg // 4], max_deg
+            heads = list(_irreducible_masks(max_deg // 4)[2:])
+            assert tables[0] == (heads, max_deg), max_deg
 
     def test_unitary_scan_is_empty_too(self):
         assert odd_square_scan(20, unitary=True).hits == []
