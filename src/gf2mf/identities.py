@@ -37,10 +37,13 @@ off g's table at the complement index.  A left side is the lattice's
 xor_sum over the span, the oracle's one sum, on lane values within the
 lattice's lane bound.  Every spec at A shares the tables, and its
 precondition (shape and nontrivial) reads the lattice's exponent
-vector and the root.  check_corollaries takes the root and radical of
-A once per input, and a right side evaluates each f(b) itself, once per
-input, never off a lattice table, so it stays independent of the tables
-the left sides XOR.  A right side of None means the left side must
+vector and the root.  check_corollaries reads the root and radical of
+A off A's exponent vector, each exponent halved for the root and set
+to 1 for the radical, so nothing past A is factored.  A right side
+evaluates each f(b) itself, once per input, through f's own rows over
+b's factorization (MultiplicativeFunction.at_factors), never off a
+lattice table, so it stays independent of the tables the left sides
+XOR.  A right side of None means the left side must
 differ from A: a square convolution equals A exactly when f fixes the
 square root of A.  The catalogue is built once, at import.
 
@@ -54,8 +57,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .divisors import radical
-from .factorize import _factor_bits, factor, irreducibles_up_to
-from .gf2poly import ONE, Poly, ZERO, _compose_bits, _mul_bits, _sqrt_bits
+from .factorize import _derivative_bits, _factor_bits, irreducibles_up_to
+from .gf2poly import (ONE, Poly, ZERO, _compose_bits, _gcd_bits, _mul_bits,
+                      _sqrt_bits)
 from .multfun import (
     BUILTINS,
     MultiplicativeFunction,
@@ -87,6 +91,9 @@ _SIGMA_INV = inverse(sigma)
 _SIGMASTAR_INV = inverse(sigma_star)
 _PHI_INV = inverse(phi)
 _ID_INV = inverse(ident)
+
+# A factorization as (prime mask, exponent) pairs, primes distinct.
+_Pairs = list[tuple[int, int]]
 
 # Every check runs serially.  This name stays, unused, because
 # perfbench/tracer.py rebinds it when it installs.
@@ -424,32 +431,46 @@ _COROLLARIES: "tuple[CorollarySpec, ...]" = tuple(CorollarySpec(*r) for r in (
 ))
 
 
-def _applies(spec: CorollarySpec, exps: "list[int]",
-             root: "Poly | None") -> bool:
-    """Whether the exponent vector of A meets the spec's precondition;
-    root is the square root of A, or None when A is not a square."""
+def _applies(spec: CorollarySpec, exps: "list[int]", square: bool) -> bool:
+    """Whether the exponent vector of A, a square or not, meets the
+    spec's precondition."""
     if spec.nontrivial and not exps:
         return False
     if spec.shape == "square":
-        return root is not None
+        return square
     return spec.shape == "any" or all(e == 2 for e in exps)
 
 
-def _right_side(spec: CorollarySpec, args: "dict[str, Poly | None]",
+def _arguments(lat: _Lattice) -> "dict[str, tuple[Poly, _Pairs] | None]":
+    """Each right-side argument of A by name ("A", "root", "rad", "1"):
+    the polynomial and its factorization as (prime mask, exponent)
+    pairs, both read off A's lattice with nothing factored.  The root
+    halves A's exponents and the radical sets them to 1; "root" is None
+    when A is not a square."""
+    a, primes = lat.poly, lat._primes
+    root = None
+    if not any(e % 2 for e in lat.exps):
+        root = Poly(_sqrt_bits(a.bits)), [(p, e // 2) for p, e in primes]
+    return {"A": (a, primes), "root": root,
+            "rad": (radical(lat.fact), [(p, 1) for p, _ in primes]),
+            "1": (ONE, [])}
+
+
+def _right_side(spec: CorollarySpec,
+                args: "dict[str, tuple[Poly, _Pairs] | None]",
                 value: Callable) -> "Poly | None":
     """The XOR of the spec's terms, each argument read off args by name
-    and each f(b) off value.  A square convolution (rhs None) expects A
-    when f fixes the root of A, and otherwise None."""
+    and each f(b) off value(f, name).  A square convolution (rhs None)
+    expects A when f fixes the root of A, and otherwise None."""
     if spec.rhs is None:
         root = args["root"]
-        if root is not None and value(spec.f, root) == root:
-            return args["A"]
+        if root is not None and value(spec.f, "root") == root[0]:
+            return args["A"][0]
         return None
     total = 0
     for term in spec.rhs:
-        h, arg = term[0], args[term[1]]
-        if h is not None:
-            arg = value(h, arg)
+        h, name = term[0], term[1]
+        arg = args[name][0] if h is None else value(h, name)
         if len(term) > 2:
             arg = arg * arg
         total ^= arg.bits
@@ -467,18 +488,18 @@ def check_corollaries(a: Poly) -> list[IdentityReport]:
         raise ValueError("corollaries are undefined at 0")
     reports = []
     lat = _Lattice(a)  # every input has some lattice corollary that applies
-    root = None if any(e % 2 for e in lat.exps) else Poly(_sqrt_bits(a.bits))
-    args = {"A": a, "root": root, "rad": radical(lat.fact), "1": ONE}
+    args = _arguments(lat)
     values: "dict[tuple[MultiplicativeFunction, int], Poly]" = {}
 
-    def value(f: MultiplicativeFunction, b: Poly) -> Poly:
+    def value(f: MultiplicativeFunction, name: str) -> Poly:
+        b, pairs = args[name]
         key = f, b.bits
         if key not in values:
-            values[key] = f(b)
+            values[key] = Poly(f.at_factors(pairs))
         return values[key]
 
     for spec in _COROLLARIES:
-        if not _applies(spec, lat.exps, root):
+        if not _applies(spec, lat.exps, args["root"] is not None):
             reports.append(IdentityReport(
                 kind="corollary", spec_id=spec.id, point=a, skipped=True,
             ))
@@ -500,7 +521,13 @@ def suite_inputs(
     seed: int = 20260817,
 ) -> list[Poly]:
     """Deterministic corollary-suite inputs: random squares plus all
-    special polynomials up to the degree bound."""
+    special polynomials up to the degree bound.  Both degree bounds
+    must be nonnegative integers."""
+    for name, bound in (("square_max_deg", square_max_deg),
+                        ("special_max_deg", special_max_deg)):
+        if not isinstance(bound, int) or bound < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, "
+                             f"got {bound!r}")
     half = square_max_deg // 2
     # The roots are the masks of degree 1..half; drawing more than there
     # are would never end.
@@ -514,7 +541,8 @@ def suite_inputs(
         roots.add(rng.randrange(2, 1 << (half + 1)))
     masks = {(Poly(s) ** 2).bits for s in roots}
     for s in range(2, 1 << (special_max_deg // 2 + 1)):
-        if all(e == 1 for _, e in factor(Poly(s))):
+        # s is squarefree exactly when it is prime to its derivative.
+        if _gcd_bits(s, _derivative_bits(s)) == 1:
             masks.add((Poly(s) ** 2).bits)
     return [Poly(m) for m in sorted(masks)]
 

@@ -5,9 +5,11 @@ and the row f(P^0) = 1, ..., f(P^(r-1)) it returns f(P^r), as the Bell
 series at P recurs in the exponent.  Each function keeps one row per
 prime and grows it a step at a time; rows only grow and their values are
 deterministic, so they are invisible to the function's behavior.
-Evaluation factors the argument and multiplies row entries.  Dirichlet
-convolution, Dirichlet inverse, square convolution and the pointwise
-product yield functions whose steps read their operands' rows.
+Evaluation factors the argument and multiplies row entries through
+at_factors, which callers that already hold a factorization call
+directly.  Dirichlet convolution, Dirichlet inverse, square convolution
+and the pointwise product yield functions whose steps read their
+operands' rows.
 
 convolve_bruteforce is the deliberately independent oracle: it computes
 (f*g)(a) as the literal sum over all divisors d of f(d) g(a/d) instead
@@ -38,10 +40,10 @@ from functools import reduce
 from itertools import product
 from math import prod
 from operator import mul, xor
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .divisors import ResourceLimitError, _products
-from .factorize import factor
+from .factorize import _factor_bits, factor
 from .gf2poly import _LANE_MAX_DEG, Poly, _mul_bits, _spread, _unspread
 
 __all__ = [
@@ -140,14 +142,20 @@ class MultiplicativeFunction:
             raise ValueError("negative prime-power exponent")
         return Poly(self.row(prime.bits, r)[r])
 
+    def at_factors(self, pairs: "Iterable[tuple[int, int]]") -> int:
+        """The mask of f at the product of P^e over the (prime mask,
+        exponent) pairs, whose primes are distinct irreducibles: the
+        product of f's row entries f(P^e)."""
+        acc = 1
+        for p, e in pairs:
+            acc = _mul_bits(acc, self.row(p, e)[e])
+        return acc
+
     def __call__(self, a: Poly) -> Poly:
         """Evaluate at a nonzero polynomial via its factorization."""
         if a.bits == 0:
             raise ValueError("multiplicative functions are undefined at 0")
-        acc = 1
-        for prime, e in factor(a):
-            acc = _mul_bits(acc, self.row(prime.bits, e)[e])
-        return Poly(acc)
+        return Poly(self.at_factors(_factor_bits(a.bits)))
 
     def __repr__(self) -> str:
         return f"MultiplicativeFunction({self.name!r})"
@@ -253,8 +261,8 @@ class _Lattice:
     counting order, of size entries: table(f) holds f(D) and cotable(g)
     holds g(A/D).  A/D has the complementary exponent vector, at index
     size - 1 - n, so cotable(g) is g's table reversed.  Each function is
-    walked once, over its own prime rows, and its table kept with the
-    lattice.
+    walked once, over its own prime rows, and its table, and its
+    reversal once read, kept with the lattice.
 
     A table is kept in lane form (gf2poly._spread) while its entry
     bound, the sum over the primes of the largest degree in f's row up
@@ -274,6 +282,7 @@ class _Lattice:
         self.size = prod(self._sizes)
         self._primes = [(p.bits, e) for p, e in self.fact]
         self._tables: "dict[MultiplicativeFunction, tuple[list[int], int]]" = {}
+        self._cotables: "dict[MultiplicativeFunction, list[int]]" = {}
 
     def vectors(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Yield (exponents, divisor mask, codivisor mask) in counting order."""
@@ -315,9 +324,12 @@ class _Lattice:
 
     def cotable(self, g: MultiplicativeFunction) -> list[int]:
         """g(A/D) for every divisor D, in counting order, in the form of
-        table(g)."""
-        # Not self.table(g): each side can be replaced without the other.
-        return self._walk(g)[0][::-1]
+        table(g); the reversal is made once per function."""
+        cotable = self._cotables.get(g)
+        if cotable is None:
+            # Not self.table(g): each side can be replaced without the other.
+            cotable = self._cotables[g] = self._walk(g)[0][::-1]
+        return cotable
 
     def masks(self, f: MultiplicativeFunction) -> list[int]:
         """f(D) for every divisor D, in counting order, as masks."""
@@ -338,11 +350,13 @@ class _Lattice:
         and the terms are _mul_bits products of masks.
         """
         span = slice(first, self.size - last)
-        fs, lanes = self.table(f)[span], self.lanes(f)
+        # table() and cotable() walk each operand; its lane flag is read
+        # off that walk.
+        fs, lanes = self.table(f)[span], self._tables[f][1]
         if g is z:
             terms = fs
         else:
-            gs, g_lanes = self.cotable(g)[span], self.lanes(g)
+            gs, g_lanes = self.cotable(g)[span], self._tables[g][1]
             if lanes and g_lanes:
                 terms = map(mul, fs, gs)
             else:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 import tracemalloc
+from math import prod
 
 import pytest
 
@@ -755,14 +756,18 @@ class TestLatticeTables:
     def test_right_sides_evaluate_each_value_once(self, monkeypatch):
         # Counted at class level, so every function object a right side
         # holds is seen, whichever module global it came from.
+        # The right sides evaluate off factorizations, each b rebuilt here
+        # from its pairs.
         calls = []
-        call = MultiplicativeFunction.__call__
+        at_factors = MultiplicativeFunction.at_factors
 
-        def counted(f, b):
+        def counted(f, pairs):
+            pairs = list(pairs)
+            b = prod((Poly(p) ** e for p, e in pairs), start=ONE)
             calls.append((f.name, b.bits))
-            return call(f, b)
+            return at_factors(f, pairs)
 
-        monkeypatch.setattr(MultiplicativeFunction, "__call__", counted)
+        monkeypatch.setattr(MultiplicativeFunction, "at_factors", counted)
         root = X * X1 * P2
         a = root**2  # special: every corollary applies
         assert all(r.passed for r in check_corollaries(a))
@@ -773,6 +778,35 @@ class TestLatticeTables:
             ("sigma", a.bits), ("sigma_star", a.bits), ("phi", a.bits),
             ("inv(sigma)", a.bits), ("sigma", root.bits),
             ("sigma_star", root.bits), ("id", root.bits)}
+
+    def test_right_side_arguments_match_factor(self):
+        # The root and radical pairs are derived from A's exponent vector,
+        # with nothing factored: each must be what factor() gives.
+        # (x^2 (x^2+x+1))^2 is a square that is not special.
+        extra = [ONE, Poly("x^3"), (X**2 * P2) ** 2]
+        for a in suite_inputs(seed=1001) + extra:
+            args = identities._arguments(identities._Lattice(a))
+            root = sqrt_if_square(a)
+            assert (args["root"] is None) == (root is None), a
+            primes = [p.bits for p, _ in factor(a)]
+            expected = {"A": a, "root": root, "1": ONE,
+                        "rad": prod(map(Poly, primes), start=ONE)}
+            for name, arg in args.items():
+                if arg is None:
+                    continue
+                b, pairs = arg
+                assert b == expected[name], (a, name)
+                assert tuple(pairs) == factorize._factor_bits(b.bits), (
+                    a, name)
+
+    def test_a_fresh_square_is_factored_once(self):
+        # Its root x^3 (x^2+x+1)(x^3+x+1) is not squarefree, so the root
+        # and the radical differ: a checker that factored them would miss
+        # twice more.
+        a = (X**3 * P2 * Poly("x^3+x+1")) ** 2
+        factorize._factor_bits.cache_clear()
+        assert all(r.passed or r.skipped for r in check_corollaries(a))
+        assert factorize._factor_bits.cache_info().misses == 1
 
     def test_preconditions_read_the_exponents(self):
         # Written from factor(a) here, independently of the registry:
@@ -840,6 +874,19 @@ class TestSuite:
             "number of roots of degree 1..square_max_deg // 2"] * 2
         assert len(suite_inputs(square_count=2, square_max_deg=2,
                                 special_max_deg=0)) == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(special_max_deg=-3), dict(special_max_deg=-1),
+        dict(square_max_deg=-2), dict(special_max_deg=2.5),
+    ], ids=["special-3", "special-1", "square-2", "special-float"])
+    def test_a_bad_degree_bound_is_refused_by_name(self, kwargs):
+        # -3 once raised a bare shift error, -1 dropped every special
+        # input, and a negative square bound blamed square_count.
+        (name, bound), = kwargs.items()
+        with pytest.raises(ValueError) as exc:
+            suite_inputs(**kwargs)
+        assert str(exc.value) == (
+            f"{name} must be a nonnegative integer, got {bound!r}")
 
     def test_small_suite_green(self):
         summary = corollary_suite(square_count=25, square_max_deg=12,
