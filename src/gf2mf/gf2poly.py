@@ -165,12 +165,13 @@ class Poly:
     __slots__ = ("bits",)
 
     def __init__(self, value: "int | str | Poly" = 0):
-        if isinstance(value, Poly):
-            self.bits = value.bits
-        elif isinstance(value, int):
+        # An int first: every internal Poly(mask) takes this path.
+        if isinstance(value, int):
             if value < 0:
                 raise ValueError("polynomial mask must be nonnegative")
             self.bits = value
+        elif isinstance(value, Poly):
+            self.bits = value.bits
         elif isinstance(value, str):
             self.bits = parse(value).bits
         else:

@@ -36,10 +36,10 @@ entry evaluated multiplicatively at its own divisor, and reads g(A/D)
 off g's table at the complement index.  A left side is the lattice's
 xor_sum over the span, the oracle's one sum, on lane values within the
 lattice's lane bound.  Every spec at A shares the tables, and its
-precondition (shape and nontrivial) reads the lattice's exponent
-vector and the root.  check_corollaries reads the root and radical of
-A off A's exponent vector, each exponent halved for the root and set
-to 1 for the radical, so nothing past A is factored.  A right side
+precondition (shape and nontrivial) looks up A's shape flags, read
+once off the exponent vector.  check_corollaries reads the root and
+radical of A off that vector, each exponent halved for the root and
+set to 1 for the radical, so nothing past A is factored.  A right side
 evaluates each f(b) itself, once per input, through f's own rows over
 b's factorization (MultiplicativeFunction.at_factors), never off a
 lattice table, so it stays independent of the tables the left sides
@@ -54,6 +54,7 @@ fail; closed forms read no table.
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Mapping
 
 from .divisors import radical
@@ -336,16 +337,8 @@ def check_lemma(spec: LemmaSpec, prime: Poly, m: int, *,
     else:
         got = Poly(lattice.xor_sum(*spec.parts))
     expected = spec.closed_form(prime, m)
-    return IdentityReport(
-        kind="lemma",
-        spec_id=spec.id,
-        point=point,
-        prime=prime,
-        exponent=m,
-        expected=expected,
-        got=got,
-        passed=expected == got,
-    )
+    return IdentityReport("lemma", spec.id, point, prime, m, expected, got,
+                          expected == got)
 
 
 def check_all(
@@ -359,8 +352,9 @@ def check_all(
 
     The grid runs point by point: one lattice of P**m per point, which
     every spec at that point reads, so each function is walked once per
-    point.  Reports are sorted by (spec id, P, m).  jobs is accepted and
-    ignored: the grid is checked serially.
+    point.  Reports are ordered by (spec id, P, m): the grid yields them
+    with P and m ascending, so one stable sort on spec id alone orders
+    them.  jobs is accepted and ignored: the grid is checked serially.
     """
     if max_exp < 0:
         raise ValueError("max_exp must be nonnegative")
@@ -378,7 +372,7 @@ def check_all(
             lattice = _Lattice(prime**m)
             reports += [check_lemma(spec, prime, m, lattice=lattice)
                         for spec in specs]
-    reports.sort(key=lambda r: (r.spec_id, r.prime.bits, r.exponent))
+    reports.sort(key=attrgetter("spec_id"))
     return CheckSummary(reports)
 
 
@@ -431,16 +425,6 @@ _COROLLARIES: "tuple[CorollarySpec, ...]" = tuple(CorollarySpec(*r) for r in (
 ))
 
 
-def _applies(spec: CorollarySpec, exps: "list[int]", square: bool) -> bool:
-    """Whether the exponent vector of A, a square or not, meets the
-    spec's precondition."""
-    if spec.nontrivial and not exps:
-        return False
-    if spec.shape == "square":
-        return square
-    return spec.shape == "any" or all(e == 2 for e in exps)
-
-
 def _arguments(lat: _Lattice) -> "dict[str, tuple[Poly, _Pairs] | None]":
     """Each right-side argument of A by name ("A", "root", "rad", "1"):
     the polynomial and its factorization as (prime mask, exponent)
@@ -460,20 +444,20 @@ def _right_side(spec: CorollarySpec,
                 args: "dict[str, tuple[Poly, _Pairs] | None]",
                 value: Callable) -> "Poly | None":
     """The XOR of the spec's terms, each argument read off args by name
-    and each f(b) off value(f, name).  A square convolution (rhs None)
-    expects A when f fixes the root of A, and otherwise None."""
+    and the mask of each f(b) off value(f, name).  A square convolution
+    (rhs None) expects A when f fixes the root of A, and otherwise None."""
     if spec.rhs is None:
         root = args["root"]
-        if root is not None and value(spec.f, "root") == root[0]:
+        if root is not None and value(spec.f, "root") == root[0].bits:
             return args["A"][0]
         return None
     total = 0
     for term in spec.rhs:
         h, name = term[0], term[1]
-        arg = args[name][0] if h is None else value(h, name)
+        arg = args[name][0].bits if h is None else value(h, name)
         if len(term) > 2:
-            arg = arg * arg
-        total ^= arg.bits
+            arg = _mul_bits(arg, arg)
+        total ^= arg
     return Poly(total)
 
 
@@ -483,34 +467,36 @@ def corollary_registry() -> list[CorollarySpec]:
 
 
 def check_corollaries(a: Poly) -> list[IdentityReport]:
-    """Check every corollary at one input; inapplicable ones are skipped."""
+    """Check every corollary at one input; inapplicable ones are skipped.
+    A's shape flags are read once off its exponent vector, and each
+    precondition looks its shape up in them."""
     if a.bits == 0:
         raise ValueError("corollaries are undefined at 0")
     reports = []
     lat = _Lattice(a)  # every input has some lattice corollary that applies
     args = _arguments(lat)
-    values: "dict[tuple[MultiplicativeFunction, int], Poly]" = {}
+    exps = lat.exps
+    shapes = {"any": True, "square": args["root"] is not None,
+              "special": all(e == 2 for e in exps)}
+    values: "dict[tuple[MultiplicativeFunction, int], int]" = {}
 
-    def value(f: MultiplicativeFunction, name: str) -> Poly:
+    def value(f: MultiplicativeFunction, name: str) -> int:
         b, pairs = args[name]
         key = f, b.bits
         if key not in values:
-            values[key] = Poly(f.at_factors(pairs))
+            values[key] = f.at_factors(pairs)
         return values[key]
 
     for spec in _COROLLARIES:
-        if not _applies(spec, lat.exps, args["root"] is not None):
-            reports.append(IdentityReport(
-                kind="corollary", spec_id=spec.id, point=a, skipped=True,
-            ))
+        if not shapes[spec.shape] or spec.nontrivial and not exps:
+            reports.append(IdentityReport("corollary", spec.id, a,
+                                          skipped=True))
             continue
         got = Poly(lat.xor_sum(spec.f, spec.g, *_SPANS[spec.span]))
         expected = _right_side(spec, args, value)
         passed = got != a if expected is None else got == expected
-        reports.append(IdentityReport(
-            kind="corollary", spec_id=spec.id, point=a,
-            expected=expected, got=got, passed=passed,
-        ))
+        reports.append(IdentityReport("corollary", spec.id, a, None, None,
+                                      expected, got, passed))
     return reports
 
 
@@ -521,13 +507,14 @@ def suite_inputs(
     seed: int = 20260817,
 ) -> list[Poly]:
     """Deterministic corollary-suite inputs: random squares plus all
-    special polynomials up to the degree bound.  Both degree bounds
-    must be nonnegative integers."""
-    for name, bound in (("square_max_deg", square_max_deg),
+    special polynomials up to the degree bound.  The square count and
+    both degree bounds must be nonnegative integers."""
+    for name, value in (("square_count", square_count),
+                        ("square_max_deg", square_max_deg),
                         ("special_max_deg", special_max_deg)):
-        if not isinstance(bound, int) or bound < 0:
+        if not isinstance(value, int) or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, "
-                             f"got {bound!r}")
+                             f"got {value!r}")
     half = square_max_deg // 2
     # The roots are the masks of degree 1..half; drawing more than there
     # are would never end.
@@ -556,9 +543,11 @@ def corollary_suite(
 ) -> CheckSummary:
     """Run every corollary over the deterministic input set.
 
-    jobs is accepted and ignored: the inputs are checked serially.
+    Reports are ordered by (spec id, A): the inputs ascend, so one stable
+    sort on spec id alone orders them.  jobs is accepted and ignored: the
+    inputs are checked serially.
     """
     inputs = suite_inputs(square_count, square_max_deg, special_max_deg, seed)
     reports = [r for a in inputs for r in check_corollaries(a)]
-    reports.sort(key=lambda r: (r.spec_id, r.point.bits))
+    reports.sort(key=attrgetter("spec_id"))
     return CheckSummary(reports)

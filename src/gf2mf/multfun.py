@@ -340,7 +340,9 @@ class _Lattice:
                 first: int = 0, last: int = 0) -> int:
         """The mask of the XOR of f(D) g(A/D) over the divisors D at the
         indices first .. size - 1 - last, read off table(f) and
-        cotable(g); g = z reads no cotable, as z(A/D) = 1.
+        cotable(g); g = z reads no cotable, as z(A/D) = 1.  The tables
+        are sliced only for a span short of every divisor; the full span
+        reads them in place.
 
         When both tables are lane values, each term is one integer
         product and the terms are XORed raw: no lane of a term passes
@@ -349,14 +351,16 @@ class _Lattice:
         then keeps those bits.  Otherwise the lane table is read back
         and the terms are _mul_bits products of masks.
         """
-        span = slice(first, self.size - last)
+        cut = slice(first, self.size - last) if first or last else None
         # table() and cotable() walk each operand; its lane flag is read
         # off that walk.
-        fs, lanes = self.table(f)[span], self._tables[f][1]
+        fs, lanes = self.table(f), self._tables[f][1]
         if g is z:
-            terms = fs
+            terms = fs if cut is None else fs[cut]
         else:
-            gs, g_lanes = self.cotable(g)[span], self._tables[g][1]
+            gs, g_lanes = self.cotable(g), self._tables[g][1]
+            if cut is not None:
+                fs, gs = fs[cut], gs[cut]
             if lanes and g_lanes:
                 terms = map(mul, fs, gs)
             else:

@@ -66,7 +66,9 @@ class TestConstruction:
 
     def test_from_poly_is_same_value(self):
         a = Poly(6)
-        assert Poly(a) == a
+        b = Poly(a)
+        assert b == a and b.bits == 6
+        assert type(b) is Poly and b is not a
 
     def test_negative_mask_rejected(self):
         with pytest.raises(ValueError):
@@ -75,6 +77,21 @@ class TestConstruction:
     def test_other_types_rejected(self):
         with pytest.raises(TypeError, match="float"):
             Poly(1.5)
+
+    @pytest.mark.parametrize("value, error, message", [
+        (-3, ValueError, "polynomial mask must be nonnegative"),
+        (1.5, TypeError, "cannot build a polynomial from float"),
+        (None, TypeError, "cannot build a polynomial from NoneType"),
+        ("x^2+y", PolyParseError, "unexpected character 'y' (position 4)"),
+    ], ids=["negative-int", "float", "none", "bad-string"])
+    def test_each_refusal_keeps_its_type_and_message(self, value, error,
+                                                     message):
+        # The int test runs first in __init__; every other argument
+        # still reaches its own check.
+        with pytest.raises(error) as info:
+            Poly(value)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_degree_of_zero_is_none(self):
         assert ZERO.degree is None

@@ -361,6 +361,15 @@ class TestCheckAll:
         keys = [(r.spec_id, r.prime.bits, r.exponent) for r in summary.reports]
         assert keys == sorted(keys)
 
+    def test_reports_sorted_for_spec_ids_out_of_order(self):
+        # The grid yields each point's reports in the order of spec_ids;
+        # the sort on spec id alone still orders them by (id, P, m).
+        summary = check_all(2, 3, spec_ids=["sigma_z", "conv_z_mu"])
+        keys = [(r.spec_id, r.prime.bits, r.exponent) for r in summary.reports]
+        assert keys == sorted(keys)
+        assert len(keys) == 2 * 3 * 4
+        assert keys[0] == ("conv_z_mu", 0b10, 0)
+
     def test_jobs_do_not_change_output(self):
         # jobs is accepted and ignored: the grid is checked serially.
         serial = check_all(2, 4)
@@ -878,15 +887,28 @@ class TestSuite:
     @pytest.mark.parametrize("kwargs", [
         dict(special_max_deg=-3), dict(special_max_deg=-1),
         dict(square_max_deg=-2), dict(special_max_deg=2.5),
-    ], ids=["special-3", "special-1", "square-2", "special-float"])
+        dict(square_count=2.5), dict(square_count=-4),
+    ], ids=["special-3", "special-1", "square-2", "special-float",
+            "count-float", "count-4"])
     def test_a_bad_degree_bound_is_refused_by_name(self, kwargs):
         # -3 once raised a bare shift error, -1 dropped every special
-        # input, and a negative square bound blamed square_count.
+        # input, and a negative square bound blamed square_count; a
+        # square count of 2.5 drew 3 roots and -4 silently drew none.
         (name, bound), = kwargs.items()
         with pytest.raises(ValueError) as exc:
             suite_inputs(**kwargs)
         assert str(exc.value) == (
             f"{name} must be a nonnegative integer, got {bound!r}")
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(seed=1001)],
+                             ids=["default", "seed1001"])
+    def test_reports_sorted(self, kwargs):
+        # The inputs ascend, so the sort on spec id alone orders the
+        # reports by (id, A).
+        keys = [(r.spec_id, r.point.bits)
+                for r in corollary_suite(**kwargs).reports]
+        assert keys == sorted(keys)
+        assert len(keys) == len(set(keys))
 
     def test_small_suite_green(self):
         summary = corollary_suite(square_count=25, square_max_deg=12,

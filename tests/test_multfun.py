@@ -170,6 +170,19 @@ class TestConvolve:
                     acc = acc + f(d) * g(a // d)
                 assert convolve_bruteforce(f, g, a) == acc
 
+    @pytest.mark.parametrize("first, last", [(0, 0), (1, 1), (0, 1), (1, 0)])
+    def test_xor_sum_over_a_span_is_the_literal_sum(self, first, last):
+        # Divisor n of the walk sits at index n, and A/D at the other end.
+        for f, g in [(sigma, mu), (sigma_star, z), (phi, ident), (mu, mu)]:
+            for m in range(1, 1 << 7):
+                a = Poly(m)
+                lat = multfun._Lattice(a)
+                ds = [Poly(d) for _, d, _ in lat.vectors()]
+                acc = ZERO
+                for d in ds[first:len(ds) - last]:
+                    acc = acc + f(d) * g(a // d)
+                assert lat.xor_sum(f, g, first, last) == acc.bits, (a, f, g)
+
     def test_symbolic_equals_bruteforce_exhaustive(self):
         # Every builtin pair, every polynomial of degree <= 8.
         pts = [Poly(m) for m in range(1, 1 << 9)]
