@@ -355,15 +355,22 @@ def check_all(
     point.  Reports are ordered by (spec id, P, m): the grid yields them
     with P and m ascending, so one stable sort on spec id alone orders
     them.  jobs is accepted and ignored: the grid is checked serially.
+    max_prime_deg must be an int >= 1, max_exp an int >= 0 and spec_ids,
+    if given, must name at least one lemma and none twice, so that no
+    summary counts an empty grid or a point twice.
     """
-    if max_exp < 0:
-        raise ValueError("max_exp must be nonnegative")
+    for name, n, least in (("max_prime_deg", max_prime_deg, 1),
+                           ("max_exp", max_exp, 0)):
+        if type(n) is not int or n < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
     specs = registry(functions)
     if spec_ids is not None:
         by_id = {s.id: s for s in specs}
         unknown = [i for i in spec_ids if i not in by_id]
         if unknown:
             raise ValueError(f"unknown lemma id(s): {', '.join(unknown)}")
+        if not spec_ids or len(set(spec_ids)) < len(spec_ids):
+            raise ValueError("spec_ids must be nonempty and distinct")
         specs = [by_id[i] for i in spec_ids]
     primes = irreducibles_up_to(max_prime_deg)
     reports = []

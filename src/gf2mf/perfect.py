@@ -43,6 +43,8 @@ settles them together: the prefilter on A * P^2 is affine in the
 coefficients of P, since squaring is additive in characteristic 2, so
 one solve over GF(2) per node, over the P with P(0) = 1, names the few
 last primes that pass it, and the rest are rejected without being made.
+The system is triangular for sigma and unsolvable for sigma_star, so the
+solve substitutes back, making a column only when its lane is reached.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -154,65 +156,54 @@ _run_shards = ThreadPoolExecutor = None
 
 def _divsum_form(h, unitary):
     """The divisor sum s(P) of P^2, sigma or sigma_star if unitary, for
-    deg P <= h, in affine form on lane values (gf2poly._spread):
-    (s(1), diffs) with diffs[i] = s(1 + x^i) + s(1).
+    deg P <= h, in affine form on lane values (gf2poly._spread): the
+    list of s(1) and, at each i >= 1, s(1 + x^i) + s(1).
 
     s(P) is the s_1 of multfun._divsum_affine at step 2, which only
-    XORs, so for odd P, s(P) is s(1) plus the diffs[i] of the terms x^i
+    XORs, so for odd P, s(P) is s(1) plus the form[i] of the terms x^i
     of P + 1: squaring is additive in characteristic 2.  In lanes x^i
     is 1 << 8i and x^(2i) is 1 << 16i.
     """
     origin = _divsum_affine(1, 1, 2, unitary)[0]
-    return origin, [_divsum_affine(1 ^ 1 << 8 * i, 1 ^ 1 << 16 * i, 2,
-                                   unitary)[0] ^ origin
-                    for i in range(h + 1)]
+    return [origin] + [_divsum_affine(1 ^ 1 << 8 * i, 1 ^ 1 << 16 * i, 2,
+                                      unitary)[0] ^ origin
+                       for i in range(1, h + 1)]
 
 
 def _filter_solutions(a, acc, h, form, mask):
     """Every odd P of degree <= h, as masks, for which A * P^2 and
     acc * s(P) agree on the lanes in mask, where a, acc and mask are
-    lane values and form is the affine form (s(1), diffs) of s from
-    _divsum_form.
+    lane values, form is s's from _divsum_form, A(0) = 1 and, for
+    sigma, acc(0) = 1, as at every node of _walk.
 
     F(P) = acc * s(P) + A * P^2 is affine in the coefficients of P, so
     for P(0) = 1, F(P) = F(1) + the sum of the columns F(1 + x^i) + F(1)
-    = A x^(2i) + acc * diffs[i] over the terms x^i, i >= 1, of P + 1.
+    = A x^(2i) + acc * form[i] over the terms x^i, i >= 1, of P + 1.
     Each column is one shift and one lane product of the masked
     operands, exact while mask has at most 255 lanes: no lane under it
-    sums more terms.  The columns are eliminated over GF(2) with each
-    pivot at its vector's lowest bit.  Those that vanish give the
-    kernel, and if F(1) is in the pivots' span it gives one solution;
-    the others are that one plus sums of kernel vectors.
+    sums more terms.  For sigma column i is (A + acc) x^(2i) + acc x^i,
+    whose lowest term is x^i, so F(1) is cleared by back substitution
+    from its lowest lane up, each column made when that lane reaches
+    it; a lowest lane of 0 or above h leaves no solution.  The lanes
+    cleared rise, and p's highest bit is the last, so the loop ends
+    even where the precondition fails.  For sigma_star s(1) = 0, so
+    F(1) = A has lane 0 and no P solves.  A column of a lane at or
+    above mask's lane count vanishes under mask and doubles the
+    solutions: only masks narrower than h + 1 lanes have one.
     """
     a &= mask
     acc &= mask
-    origin, diffs = form
-    pivots = {}  # lowest bit -> (vector, the P + 1 whose column it is)
-    kernel = []
-    for i in range(1, h + 1):
-        v = (a << 16 * i ^ acc * diffs[i]) & mask
-        p = 1 << i
-        while v:
-            bit = v & -v
-            pivot = pivots.get(bit)
-            if pivot is None:
-                pivots[bit] = v, p
-                break
-            v ^= pivot[0]
-            p ^= pivot[1]
-        else:
-            kernel.append(p)
-    v = (a ^ acc * origin) & mask  # F(1)
+    v = (a ^ acc * form[0]) & mask  # F(1)
     p = 1
     while v:
-        pivot = pivots.get(v & -v)
-        if pivot is None:
+        i = (v & -v).bit_length() - 1 >> 3  # the lane of v's lowest bit
+        if p >> i or i > h:  # i must rise past p's top lane, 0 at first
             return []
-        v ^= pivot[0]
-        p ^= pivot[1]
+        v ^= (a << 16 * i ^ acc * form[i]) & mask
+        p |= 1 << i
     solutions = [p]
-    for k in kernel:
-        solutions += [q ^ k for q in solutions]
+    for i in range(mask.bit_length() + 7 >> 3, h + 1):
+        solutions += [q | 1 << i for q in solutions]
     return solutions
 
 
@@ -244,11 +235,11 @@ def _walk(max_deg, unitary):
     a solution above the last prime before the tail (above x+1 at index
     0) is a tail prime when it is irreducible.  A prime found gets the
     full comparison, on its one row of the table, and every other tail
-    prime is rejected.  For sigma at most one P solves: acc(0) = 1 and
-    (A + acc)(0) = 0, so F(P) + F(0) = (A + acc) P^2 + acc P has the
-    lowest term of P.  For sigma_star no P solves when A != 1: acc(0) =
-    0, so F(P)(0) = P(0) = 1.  At the root A = acc = 1, and F(P) =
-    P + 1 or 1 has no prime solution.
+    prime is rejected.  Each node has A(0) = 1 and, for sigma, acc(0) =
+    1, as the solve requires.  For sigma F(P) + F(0) = (A + acc) P^2 +
+    acc P has the lowest term of P, so at most one P solves; for
+    sigma_star F(P)(0) = A(0) = 1, so none does.  At the root A = acc =
+    1, and F(P) = P + 1 or 1 has no prime solution.
 
     Only the primes of degree <= max_deg // 4 are listed, off the cached
     irreducible list: the root's head primes, which hold every node's.

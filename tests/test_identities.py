@@ -356,6 +356,29 @@ class TestCheckAll:
         with pytest.raises(ValueError, match="max_exp"):
             check_all(1, -1)
 
+    # Unrefused, sigma_z listed twice read PASS 12/12 for its 6 points,
+    # no lemma PASS 0/0 and max_exp=True PASS 148/148; max_exp=2.5 raised
+    # TypeError, and max_prime_deg=0 a ValueError that did not name it.
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((1, 2), {"spec_ids": ["sigma_z", "sigma_z"]}, "spec_ids"),
+        ((1, 2), {"spec_ids": ["sigma_z", "sigma_mu", "sigma_z"]}, "spec_ids"),
+        ((2, 2), {"spec_ids": []}, "spec_ids"),
+        ((0, 2), {}, "max_prime_deg"),
+        ((-1, 2), {}, "max_prime_deg"),
+        ((True, 2), {}, "max_prime_deg"),
+        ((1.0, 2), {}, "max_prime_deg"),
+        (("1", 2), {}, "max_prime_deg"),
+        ((1, True), {}, "max_exp"),
+        ((1, False), {}, "max_exp"),
+        ((1, 2.5), {}, "max_exp"),
+        ((1, 2.0), {}, "max_exp"),
+    ], ids=["spec-twice", "spec-twice-apart", "no-spec", "deg-0", "deg-neg",
+            "deg-bool", "deg-float", "deg-str", "exp-true", "exp-false",
+            "exp-float", "exp-whole-float"])
+    def test_bad_arguments_are_refused_by_name(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            check_all(*args, **kwargs)
+
     def test_reports_sorted(self):
         summary = check_all(2, 3)
         keys = [(r.spec_id, r.prime.bits, r.exponent) for r in summary.reports]

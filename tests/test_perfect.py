@@ -858,7 +858,10 @@ class TestOddScan:
         # notice a wrong divisor-sum product.  With id's rule, the affine
         # pair (P^2, 0), in place of sigma's, that product must be S^2
         # itself, which makes every candidate a hit.
+        # Under id's rule every P solves, so the system is not triangular
+        # and the tail takes the general elimination.
         monkeypatch.setattr(perfect, "_divsum_affine", id_affine)
+        monkeypatch.setattr(perfect, "_filter_solutions", eliminate)
         monkeypatch.setattr(perfect, "_result", lambda m, unitary: m)
         report = odd_square_scan(24)
         assert report.filter_rejected == 0
@@ -1055,6 +1058,43 @@ def scan_result(report):
             [a.bits for a in report.rejected_sample])
 
 
+def eliminate(a, acc, h, form, mask):
+    """perfect._filter_solutions as a general elimination over GF(2),
+    which assumes nothing of A or acc: every column x^i, 1 <= i <= h, is
+    made and reduced against pivots kept at their lowest bit; those that
+    vanish give the kernel, F(1) in the pivots' span gives one solution,
+    and each kernel vector doubles the solutions."""
+    a &= mask
+    acc &= mask
+    pivots = {}  # lowest bit -> (vector, the P + 1 whose column it is)
+    kernel = []
+    for i in range(1, h + 1):
+        v = (a << 16 * i ^ acc * form[i]) & mask
+        p = 1 << i
+        while v:
+            bit = v & -v
+            pivot = pivots.get(bit)
+            if pivot is None:
+                pivots[bit] = v, p
+                break
+            v ^= pivot[0]
+            p ^= pivot[1]
+        else:
+            kernel.append(p)
+    v = (a ^ acc * form[0]) & mask  # F(1)
+    p = 1
+    while v:
+        pivot = pivots.get(v & -v)
+        if pivot is None:
+            return []
+        v ^= pivot[0]
+        p ^= pivot[1]
+    solutions = [p]
+    for k in kernel:
+        solutions += [q ^ k for q in solutions]
+    return solutions
+
+
 class TestTailSolve:
     """The odd walk's tail, settled by one affine solve per node and
     placed by the count of primes per degree, against the flat loop over
@@ -1148,6 +1188,31 @@ class TestTailSolve:
             if _mul_bits(s, inv) >> i & 1:
                 inv ^= 1 << i
         return Poly(_mul_bits((a * p * p).bits, inv) & _LOW_MASK)
+
+    def test_back_substitution_equals_the_elimination_at_walk_nodes(self):
+        # Walk-shaped nodes under the walk's mask and its form for D = 48,
+        # whatever h is: A = S^2 with S(0) = S(1) = 1, so A(0) = 1, and
+        # acc its divisor sum or, for sigma, any acc with acc(0) = 1: a
+        # planted one, whose P may lie above h, or a random one.
+        low = _spread(_LOW_MASK)
+        forms = {u: perfect._divsum_form(24, u) for u in (False, True)}
+        rng = random.Random(20261021)
+        solved = 0
+        for _ in range(300):
+            s = rng.randrange(1, 1 << 13, 2)
+            a = Poly(s ^ 2 if s.bit_count() % 2 == 0 else s) ** 2
+            h = rng.randint(1, 24)
+            p = rng.randrange(1, 1 << rng.randint(1, 25), 2)
+            for unitary, total in ((False, sigma(a)),
+                                   (False, self.planted(a, Poly(p))),
+                                   (False, Poly(rng.randrange(1, 1 << 32, 2))),
+                                   (True, sigma_star(a))):
+                args = (_spread(a.bits), _spread(total.bits), h,
+                        forms[unitary], low)
+                got = perfect._filter_solutions(*args)
+                assert got == eliminate(*args), (a, total, h)
+                solved += len(got)
+        assert solved > 100
 
     def test_solution_set_sizes(self):
         # sigma's map is injective: one solution at most.  sigma_star's
@@ -1293,11 +1358,14 @@ class TestWalkCost:
             solved = sum(n for _, n, _ in solves)
             assert 0 < calls["walk"] - solved <= 2 * head + rows == 296
             # The tail candidates, 1931 of the 2047, are settled by one
-            # solve per node, of one lane product per column x^i,
-            # 1 <= i <= h, and one for the origin; a walk that makes each
-            # of them pays at least two products per candidate.
-            assert [n for _, n, _ in solves] == [h + 1 for h, _, _ in solves]
-            assert len(solves) == 55 and solved == 380
+            # solve per node: one lane product for the origin and one per
+            # column x^i it substitutes back, 1 <= i <= h, where the
+            # elimination made every column, 380 products here for each
+            # kind; a walk that makes each candidate pays at least two
+            # products per candidate.  sigma_star's stops at the origin.
+            assert all(1 <= n <= h + 1 for h, n, _ in solves)
+            assert len(solves) == 55
+            assert solved == (55 if unitary else 218)
             assert head == 116 and calls["walk"] < report.candidates / 2
             # Each solution is odd.  sigma_star's divisor sum vanishes at
             # 0 below the root, so no odd P solves; the solve over every P
