@@ -177,8 +177,9 @@ def _irreducible_masks(max_deg: int) -> tuple[int, ...]:
 
 
 def irreducibles_up_to(d: int) -> list[Poly]:
-    """All irreducibles of degree 1..d in (degree, mask) order; d <= 16."""
-    if not isinstance(d, int) or d < 1:
+    """All irreducibles of degree 1..d in (degree, mask) order; d is an
+    int, not a bool, and 1 <= d <= 16."""
+    if type(d) is not int or d < 1:
         raise ValueError("degree bound must be a positive integer")
     return [Poly(m) for m in _irreducible_masks(d)]
 

@@ -515,13 +515,18 @@ def suite_inputs(
 ) -> list[Poly]:
     """Deterministic corollary-suite inputs: random squares plus all
     special polynomials up to the degree bound.  The square count and
-    both degree bounds must be nonnegative integers."""
+    both degree bounds must be nonnegative ints, not bools, and must
+    select at least one input: a square, or special_max_deg >= 2, the
+    degree of x^2, so that no summary reads PASS over no check."""
     for name, value in (("square_count", square_count),
                         ("square_max_deg", square_max_deg),
                         ("special_max_deg", special_max_deg)):
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, "
                              f"got {value!r}")
+    if not square_count and special_max_deg < 2:
+        raise ValueError("square_count 0 and special_max_deg below 2 "
+                         "select no input")
     half = square_max_deg // 2
     # The roots are the masks of degree 1..half; drawing more than there
     # are would never end.
@@ -552,7 +557,8 @@ def corollary_suite(
 
     Reports are ordered by (spec id, A): the inputs ascend, so one stable
     sort on spec id alone orders them.  jobs is accepted and ignored: the
-    inputs are checked serially.
+    inputs are checked serially.  The other arguments are suite_inputs',
+    which refuses an input set that checks nothing.
     """
     inputs = suite_inputs(square_count, square_max_deg, special_max_deg, seed)
     reports = [r for a in inputs for r in check_corollaries(a)]

@@ -34,8 +34,8 @@ and x divides sigma(A) but not A when an exponent e is odd.  So the
 scan walks A = S*S over the S with constant term 1 and S(1) = 1, the
 products of odd irreducibles, taking even exponents only.  It keeps
 an unpruned walk of its own, _walk, because its report counts every
-candidate.  That walk compares and tallies each candidate at its own
-node, so no candidate is handed up through the recursion.  At a node,
+candidate.  That walk compares and tallies each candidate where it is
+made, so no candidate is handed up through the recursion.  At a node,
 a prime whose square has more than half the degree left admits P^2
 alone and nothing after it; those are the node's last primes.  They
 make most candidates, 129071 of the 131071 at degree 36, and the walk
@@ -45,6 +45,10 @@ one solve over GF(2) per node, over the P with P(0) = 1, names the few
 last primes that pass it, and the rest are rejected without being made.
 The system is triangular for sigma and unsolvable for sigma_star, so the
 solve substitutes back, making a column only when its lane is reached.
+A node's parent settles its last primes as it makes the node, and the
+root's are settled once, at the top, so the walk calls itself only for
+a node with primes other than last primes: a node with last primes only
+costs one solve and no call.
 
 Every hit is re-verified through the literal divisor-sum (and, for
 sigma, the brute-force convolution of id with z), so no reported fixed
@@ -189,7 +193,8 @@ def _filter_solutions(a, acc, h, form, mask):
     even where the precondition fails.  For sigma_star s(1) = 0, so
     F(1) = A has lane 0 and no P solves.  A column of a lane at or
     above mask's lane count vanishes under mask and doubles the
-    solutions: only masks narrower than h + 1 lanes have one.
+    solutions: only masks narrower than h + 1 lanes have one, never the
+    walk's, of 32 lanes for h <= 24.
     """
     a &= mask
     acc &= mask
@@ -202,8 +207,10 @@ def _filter_solutions(a, acc, h, form, mask):
         v ^= (a << 16 * i ^ acc * form[i]) & mask
         p |= 1 << i
     solutions = [p]
-    for i in range(mask.bit_length() + 7 >> 3, h + 1):
-        solutions += [q | 1 << i for q in solutions]
+    lanes = mask.bit_length() + 7 >> 3
+    if lanes <= h:
+        for i in range(lanes, h + 1):
+            solutions += [q | 1 << i for q in solutions]
     return solutions
 
 
@@ -221,25 +228,35 @@ def _walk(max_deg, unitary):
     The primes are indexed in ascending order, so the first index above
     degree d is the count of odd primes of degree <= d, which
     factorize._irreducible_counts gives without a sieve.  A node with
-    room R left splits its primes, whose weights 2 deg P ascend, at
-    those indexes.  The head, of weight <= R // 2, runs each row of
-    degree <= R and recurses while the next prime fits in the room left;
-    each candidate costs the two products a * P^(2k) and acc * s_k.
-    Each prime of the tail, of weight above R // 2, admits P^2 only and
-    nothing after it, so the tail is settled at once.  Its candidate
-    A * P^2 has divisor sum acc * s(P), and F(P) = acc * s(P) + A * P^2
-    is affine in the coefficients of P, since squaring is additive in
-    characteristic 2; the filter passes exactly when the low
-    coefficients of F(P) vanish.  _filter_solutions solves that over
-    GF(2) on the node's own lane values, for odd P of degree <= R // 2;
-    a solution above the last prime before the tail (above x+1 at index
-    0) is a tail prime when it is irreducible.  A prime found gets the
-    full comparison, on its one row of the table, and every other tail
-    prime is rejected.  Each node has A(0) = 1 and, for sigma, acc(0) =
-    1, as the solve requires.  For sigma F(P) + F(0) = (A + acc) P^2 +
-    acc P has the lowest term of P, so at most one P solves; for
-    sigma_star F(P)(0) = A(0) = 1, so none does.  At the root A = acc =
-    1, and F(P) = P + 1 or 1 has no prime solution.
+    room R left, whose primes start at index first, splits them, whose
+    weights 2 deg P ascend, at those indexes: the head, of weight
+    <= R // 2, runs from first up to mid = start[R // 4], and the tail,
+    of weight above R // 2, from mid, raised to first, up to end =
+    start[R // 2].  walk(first, R, a, acc) runs the head: each row of
+    degree <= R, each candidate at the two products a * P^(2k) and
+    acc * s_k, and each candidate is a child node with the room left.
+
+    Each prime of the tail admits P^2 only and nothing after it, so the
+    tail is settled at once, and by the parent: the head loop settles
+    each child's tail as it makes the child, and the root's is settled
+    once, at the top.  The loop recurses only into a child whose head is
+    not empty, so a leaf costs one solve and no frame of its own.  The
+    tail's candidate A * P^2 has divisor sum acc * s(P), and F(P) =
+    acc * s(P) + A * P^2 is affine in the coefficients of P, since
+    squaring is additive in characteristic 2; the filter passes exactly
+    when the low coefficients of F(P) vanish.  _filter_solutions solves
+    that over GF(2) on the node's own lane values, for odd P of degree
+    <= R // 2, once per node whose tail is not empty.  When it finds
+    none, almost always, the end - mid tail primes are counted as
+    rejected with no list built.  Otherwise tail takes a solution above
+    the last prime before the tail (above x+1 at index 0) as a tail
+    prime when it is irreducible; a prime found gets the full
+    comparison, on its one row of the table, and every other tail prime
+    is rejected.  Each node has A(0) = 1 and, for sigma, acc(0) = 1, as
+    the solve requires.  For sigma F(P) + F(0) = (A + acc) P^2 + acc P
+    has the lowest term of P, so at most one P solves; for sigma_star
+    F(P)(0) = A(0) = 1, so none does.  At the root A = acc = 1, and
+    F(P) = P + 1 or 1 has no prime solution.
 
     Only the primes of degree <= max_deg // 4 are listed, off the cached
     irreducible list: the root's head primes, which hold every node's.
@@ -265,11 +282,22 @@ def _walk(max_deg, unitary):
     checked: "list[int]" = []
     hits: "list[int]" = []
 
+    def tail(mid, end, room, a, acc, solved):
+        # The rejected count of a node's tail, indexes mid..end-1, whose
+        # filter solutions are solved; a prime found is compared whole.
+        below = primes[mid - 1] if mid else 3  # x+1 and 1 are not odd primes
+        passed = [p for p in solved if p > below and _is_irreducible_bits(p)]
+        for (_, pw, sig), in _prime_power_rows(passed, room, 2, unitary):
+            a2 = a * pw & keep
+            checked.append(a2)
+            if acc * sig & keep == a2:
+                hits.append(a2)
+        return end - mid - len(passed)
+
     def walk(first: int, room: int, a: int, acc: int) -> int:
         rej = 0
-        mid = max(first, start[room // 4])
-        end = start[room // 2]
-        for i in range(first, mid):
+        for i in range(first, start[room // 4]):
+            nxt = i + 1
             for e, pw, sig in rows[i]:
                 if e > room:
                     break
@@ -282,22 +310,22 @@ def _walk(max_deg, unitary):
                     if acc2 == a2:
                         hits.append(a2)
                 rest = room - e
-                if i + 1 < start[rest // 2]:
-                    rej += walk(i + 1, rest, a2, acc2)
-        if mid == end:
-            return rej
-        below = primes[mid - 1] if mid else 3  # x+1 and 1 are not odd primes
-        passed = [p for p in _filter_solutions(a, acc, room // 2, form, low)
-                  if p > below and _is_irreducible_bits(p)]
-        if passed:  # room // 4 < deg P <= room // 2: one row at cap room
-            for (_, pw, sig), in _prime_power_rows(passed, room, 2, unitary):
-                a2 = a * pw & keep
-                checked.append(a2)
-                if acc * sig & keep == a2:
-                    hits.append(a2)
-        return rej + end - mid - len(passed)
+                mid = start[rest // 4]
+                if mid > nxt:  # the child's head is not empty
+                    rej += walk(nxt, rest, a2, acc2)
+                else:
+                    mid = nxt
+                end = start[rest // 2]
+                if mid < end:  # settle the child's tail here
+                    solved = _filter_solutions(a2, acc2, rest // 2, form, low)
+                    rej += (tail(mid, end, rest, a2, acc2, solved) if solved
+                            else end - mid)
+        return rej
 
-    rej = walk(0, max_deg, 1, 1)
+    mid, end = start[max_deg // 4], start[max_deg // 2]  # the root's tail
+    solved = (_filter_solutions(1, 1, max_deg // 2, form, low)
+              if mid < end else [])
+    rej = walk(0, max_deg, 1, 1) + tail(mid, end, max_deg, 1, 1, solved)
     return rej, [_unspread(x) for x in checked], [_unspread(x) for x in hits]
 
 

@@ -90,6 +90,14 @@ class TestIrreducibleTable:
         with pytest.raises(ValueError):
             irreducibles_up_to(17)
 
+    # Unrefused, True read as 1 and listed the two degree-1 primes.
+    @pytest.mark.parametrize("d", [True, False, 2.0, "2", None],
+                             ids=["true", "false", "float", "str", "none"])
+    def test_a_bool_or_non_int_bound_is_refused(self, d):
+        with pytest.raises(ValueError, match="degree bound must be a "
+                                             "positive integer"):
+            irreducibles_up_to(d)
+
 
 class TestIsIrreducible:
     def test_examples(self):

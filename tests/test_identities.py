@@ -923,6 +923,27 @@ class TestSuite:
         assert str(exc.value) == (
             f"{name} must be a nonnegative integer, got {bound!r}")
 
+    # Unrefused, a bool counted as 1 (or 0) for each of the three ints,
+    # and corollary_suite(0, 20, 0) read PASS 0/0 over no input.
+    @pytest.mark.parametrize("run, kwargs, match", [
+        (suite_inputs, dict(square_count=True), "square_count"),
+        (suite_inputs, dict(square_max_deg=True, square_count=1),
+         "square_max_deg"),
+        (suite_inputs, dict(special_max_deg=False), "special_max_deg"),
+        (suite_inputs, dict(square_count=0, special_max_deg=1),
+         "square_count 0 and special_max_deg"),
+        (corollary_suite, dict(square_count=0, square_max_deg=20,
+                               special_max_deg=0),
+         "square_count 0 and special_max_deg"),
+    ], ids=["count-bool", "square-bool", "special-bool", "no-input",
+            "suite-no-input"])
+    def test_bools_and_empty_input_sets_are_refused_by_name(self, run, kwargs,
+                                                            match):
+        with pytest.raises(ValueError, match=match):
+            run(**kwargs)
+        # The least input set that checks something is x^2 and x^2 + 1.
+        assert len(suite_inputs(square_count=0, special_max_deg=2)) == 2
+
     @pytest.mark.parametrize("kwargs", [dict(), dict(seed=1001)],
                              ids=["default", "seed1001"])
     def test_reports_sorted(self, kwargs):

@@ -1379,6 +1379,32 @@ class TestWalkCost:
             assert len(converted) == (report.full_checked
                                       + len(report.hits)) == 0
 
+    # Nodes with a nonempty tail per degree, and sigma's nonempty solves,
+    # the root's among them; sigma_star's are all empty.
+    @pytest.mark.parametrize("max_deg, nodes, solved", [
+        (24, 55, 1), (36, 982, 1), (48, 18564, 2)])
+    def test_odd_scan_solves_each_tail_once(self, monkeypatch, max_deg, nodes,
+                                            solved):
+        # Each node's A is its own, so a repeated A is a node solved
+        # twice; the root, A = acc = 1 at h = max_deg // 2, is solved too.
+        # Each solve bounds deg P by half the room that A leaves.
+        calls = []
+
+        def solve(a, acc, h, form, mask, solve=perfect._filter_solutions):
+            calls.append((a, acc, h, solve(a, acc, h, form, mask)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(perfect, "_filter_solutions", solve)
+        for unitary in (False, True):
+            del calls[:]
+            perfect._walk(max_deg, unitary)
+            assert len(calls) == len({a for a, *_ in calls}) == nodes
+            assert (1, 1, max_deg // 2) in [c[:3] for c in calls]
+            assert all(h == (max_deg + 1 - perfect._unspread(a).bit_length())
+                       // 2 for a, _, h, _ in calls)
+            assert sum(1 for *_, got in calls if got) == (
+                0 if unitary else solved)
+
     @pytest.mark.parametrize("unitary", [False, True])
     def test_exhaustive_search(self, monkeypatch, unitary):
         calls = self.count_products(monkeypatch)
