@@ -8,16 +8,18 @@ first listed factor is the fastest digit), so output order is
 reproducible.  In that order the complement A/D of the n-th divisor D of
 A is the (size - 1 - n)-th, so a table of g(D) read backwards is a table
 of g(A/D).  It multiplies masks, or lane values (gf2poly._spread) where
-multfun._Lattice keeps a table in lane form.  Enumerations larger than
-DIVISOR_LIMIT entries are refused there, before any value is computed,
-rather than silently truncated.
+multfun._Lattice keeps a table in lane form.  The divisor lists, and
+perfect.verify_perfect's divisor sum, read it through _power_products,
+whose prime-power rows are masks taken by running products.
+Enumerations larger than DIVISOR_LIMIT entries are refused there,
+before any value is computed, rather than silently truncated.
 """
 
 from math import prod
 from typing import Callable, Sequence
 
 from .factorize import Factorization, factor
-from .gf2poly import Poly, _mul_bits
+from .gf2poly import Poly, _mul_bits, _pow_bits
 
 __all__ = [
     "DIVISOR_LIMIT",
@@ -68,21 +70,35 @@ def _products(sizes: "Sequence[int]",
     return out, keep
 
 
-def _power_products(rows: "list[tuple[Poly, Sequence[int]]]") -> list[int]:
-    """Every product of one P^j per row (P, exponents j), as masks."""
-    return _products([len(exps) for _, exps in rows], lambda: (
-        [[(p**j).bits for j in exps] for p, exps in rows], 0))[0]
+def _power_products(f: Factorization, unitary: bool = False) -> list[int]:
+    """The masks of every divisor of f, or of every unitary divisor if
+    unitary, in mixed-radix counting order.
+
+    A prime P of exponent e gives the row P^0..P^e, one running product
+    and so one _mul_bits per step, or for a unitary divisor the row
+    (1, P^e), its power taken by square and multiply (_pow_bits), so a
+    lone high power costs O(log e) products, not e.  No Poly is built.
+    """
+    def power_row(p: int, e: int) -> list[int]:
+        if unitary:
+            return [1, _pow_bits(p, e)]
+        row = [1, p]
+        for _ in range(e - 1):
+            row.append(_mul_bits(row[-1], p))
+        return row
+
+    return _products([2 if unitary else e + 1 for _, e in f], lambda: (
+        [power_row(p.bits, e) for p, e in f], 0))[0]
 
 
 def divisors(f: Factorization) -> list[Poly]:
     """All divisors in mixed-radix order over the exponent vectors."""
-    return [Poly(m) for m in _power_products([(p, range(e + 1))
-                                              for p, e in f])]
+    return [Poly(m) for m in _power_products(f)]
 
 
 def unitary_divisors(f: Factorization) -> list[Poly]:
     """Divisors D with gcd(D, A/D) = 1: one subset of full prime powers each."""
-    return [Poly(m) for m in _power_products([(p, (0, e)) for p, e in f])]
+    return [Poly(m) for m in _power_products(f, True)]
 
 
 def radical(f: Factorization) -> Poly:

@@ -147,6 +147,19 @@ def _gcd_bits(a: int, b: int) -> int:
     return a
 
 
+def _pow_bits(base: int, k: int) -> int:
+    """The mask base**k for an int k >= 0, by square and multiply: one
+    _mul_bits per set bit of k, so O(log k) products."""
+    r = 1
+    while k:
+        if k & 1:
+            r = _mul_bits(r, base)
+        k >>= 1
+        if k:
+            base = _sqr_bits(base)
+    return r
+
+
 def _compose_bits(c: int, p: int) -> int:
     """The mask c with x replaced by the mask p, i.e. c(p) (Horner)."""
     r = 0
@@ -165,8 +178,9 @@ class Poly:
     __slots__ = ("bits",)
 
     def __init__(self, value: "int | str | Poly" = 0):
-        # An int first: every internal Poly(mask) takes this path.
-        if isinstance(value, int):
+        # An int first: every internal Poly(mask) takes this path.  A bool
+        # is not a mask, so the test is on the exact type.
+        if type(value) is int:
             if value < 0:
                 raise ValueError("polynomial mask must be nonnegative")
             self.bits = value
@@ -219,23 +233,15 @@ class Poly:
         return Poly(_mod_bits(self.bits, other.bits))
 
     def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int):
-            return NotImplemented
+        if type(k) is not int:
+            raise ValueError(f"exponent must be an int, got {k!r}")
         if k < 0:
             raise ValueError("negative polynomial power")
         if k == 0:
             if self.bits == 0:
                 raise ValueError("0**0 is undefined")
             return ONE
-        base = self.bits
-        r = 1
-        while k:
-            if k & 1:
-                r = _mul_bits(r, base)
-            k >>= 1
-            if k:
-                base = _sqr_bits(base)
-        return Poly(r)
+        return Poly(_pow_bits(self.bits, k))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.bits == other.bits
@@ -405,7 +411,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
 
 
 def power(a: Poly, k: int) -> Poly:
-    """a**k by square and multiply; 0**0 is an error."""
+    """a**k by square and multiply; 0**0 is an error, and k must be an
+    int >= 0 (not a bool)."""
     return a**k
 
 

@@ -320,13 +320,14 @@ def check_lemma(spec: LemmaSpec, prime: Poly, m: int, *,
 
     The lattice, by default a fresh one of P**m, is the point's only
     source and its check: a given one must factor exactly as P**m (as 1
-    at m = 0).  P is checked through factor()'s cache.  A pair's left
-    side is the oracle's one xor_sum, read off the lattice.
+    at m = 0).  P is checked through factor()'s cache, and m must be an
+    int >= 0, not a bool.  A pair's left side is the oracle's one
+    xor_sum, read off the lattice.
     """
     if prime.bits < 2 or _factor_bits(prime.bits) != ((prime.bits, 1),):
         raise ValueError(f"test point requires an irreducible P, got {prime}")
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be an int >= 0, got {m!r}")
     if lattice is None:
         lattice = _Lattice(prime**m)
     elif lattice._primes != ([(prime.bits, m)] if m else []):

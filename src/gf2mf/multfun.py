@@ -137,7 +137,10 @@ class MultiplicativeFunction:
         return vals, top
 
     def at_prime_power(self, prime: Poly, r: int) -> Poly:
-        """Value at prime**r; r = 0 yields the unit value 1."""
+        """Value at prime**r; r = 0 yields the unit value 1.  r must be an
+        int >= 0, not a bool."""
+        if type(r) is not int:
+            raise ValueError(f"r must be an int, got {r!r}")
         if r < 0:
             raise ValueError("negative prime-power exponent")
         return Poly(self.row(prime.bits, r)[r])

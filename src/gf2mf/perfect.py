@@ -57,10 +57,11 @@ point depends on the multiplicative evaluation path that found it.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, islice
+from operator import xor
 
-from .divisors import divisors, unitary_divisors
-from .divisors import ResourceLimitError
+from .divisors import ResourceLimitError, _power_products
 from .factorize import (_factor_bits, _irreducible_counts,
                         _irreducible_masks, _is_irreducible_bits, factor,
                         parity)
@@ -120,14 +121,14 @@ class ScanReport:
 
 
 def verify_perfect(a: Poly, unitary: bool = False) -> bool:
-    """Exact fixed-point test by XOR over the (unitary) divisor list."""
+    """Exact fixed-point test: the XOR of the masks of every (unitary)
+    divisor of factor(a), as divisors() or unitary_divisors() lists them
+    (divisors._power_products), equals a.  A literal sum over the
+    lattice, independent of the rows and closed forms the searches use;
+    no Poly is built per divisor."""
     if a.bits == 0:
         raise ValueError("perfection is undefined for the zero polynomial")
-    fact = factor(a)
-    acc = 0
-    for d in (unitary_divisors(fact) if unitary else divisors(fact)):
-        acc ^= d.bits
-    return acc == a.bits
+    return reduce(xor, _power_products(factor(a), unitary), 0) == a.bits
 
 
 def trivial_form(a: Poly) -> "int | None":

@@ -1,10 +1,14 @@
 """Tests for divisor-lattice queries."""
 
 import random
+from functools import reduce
+from importlib import import_module
 from math import prod
+from operator import xor
 
 import pytest
 
+import gf2mf.gf2poly as gf2poly
 from gf2mf.divisors import (
     DIVISOR_LIMIT,
     ResourceLimitError,
@@ -19,6 +23,7 @@ from gf2mf.factorize import factor, irreducibles_up_to
 from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _mul_bits, gcd
 from gf2mf.identities import _Lattice, check_corollaries
 from gf2mf.multfun import convolve_bruteforce, sigma, z
+from gf2mf.perfect import verify_perfect
 
 
 class TestDivisors:
@@ -132,6 +137,70 @@ def _product_of_primes(count):
     for p in irreducibles_up_to(10)[:count]:
         a = a * p
     return a
+
+
+def lattice_inputs():
+    """Seeded inputs of degree <= 14 and four shapes: the unit, a lone
+    high power, an odd power of a product and five distinct primes."""
+    rng = random.Random(43)
+    return [ONE, X**20, Poly("x^2+x") ** 15, _product_of_primes(5)] + [
+        Poly(rng.randrange(2, 1 << 15)) for _ in range(150)]
+
+
+def power_reference(fact, unitary=False):
+    """The (unitary) divisors in counting order, each a product of
+    Poly.__pow__ values."""
+    pairs = list(fact)
+    return [prod((p ** (d * e if unitary else d)
+                  for (p, e), d in zip(pairs, t)), start=ONE)
+            for t in counting_order([1 if unitary else e for _, e in pairs])]
+
+
+class TestPowerProducts:
+    """The one walker's prime-power rows: running products for every
+    divisor, a square-and-multiply power for a unitary one, no Poly."""
+
+    def test_divisors_equal_a_power_reference(self):
+        for a in lattice_inputs():
+            fact = factor(a)
+            assert divisors(fact) == power_reference(fact), a
+            assert unitary_divisors(fact) == power_reference(fact, True), a
+
+    def test_verify_perfect_is_the_xor_of_the_listed_divisors(self):
+        seen = set()
+        for a in lattice_inputs():
+            fact = factor(a)
+            for unitary, listed in ((False, divisors(fact)),
+                                    (True, unitary_divisors(fact))):
+                total = reduce(xor, (d.bits for d in listed), 0)
+                assert verify_perfect(a, unitary) == (total == a.bits), a
+                seen.add((unitary, total == a.bits))
+        # Both kinds hold at some input and fail at another.
+        assert seen == {(False, False), (False, True), (True, False),
+                        (True, True)}
+
+    def test_a_row_costs_one_product_per_step_and_a_unitary_one_log_e(
+            self, monkeypatch):
+        e = 4096
+        top = X**e
+        fact = factor(top)
+        calls = [0]
+
+        def counted(a, b):
+            calls[0] += 1
+            return _mul_bits(a, b)
+
+        # gf2mf.divisors the attribute is the function; the module is
+        # reached by name.
+        monkeypatch.setattr(import_module("gf2mf.divisors"), "_mul_bits",
+                            counted)
+        monkeypatch.setattr(gf2poly, "_mul_bits", counted)
+        assert unitary_divisors(fact) == [ONE, top]
+        assert 0 < calls[0] <= e.bit_length()
+        calls[0] = 0
+        listed = divisors(fact)
+        assert calls[0] == e - 1
+        assert listed[1] == X and listed[-1] == top and len(listed) == e + 1
 
 
 class TestDivisorLimit:

@@ -93,6 +93,28 @@ class TestConstruction:
         assert type(info.value) is error
         assert str(info.value) == message
 
+    # Unrefused, Poly(True) was Poly('1') and X ** True and power(X, True)
+    # were x; X ** 2.0 failed with a TypeError that named no exponent.
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Poly(True), TypeError, "cannot build a polynomial from bool"),
+        (lambda: Poly(False), TypeError,
+         "cannot build a polynomial from bool"),
+        (lambda: X**True, ValueError, "exponent must be an int, got True"),
+        (lambda: X1**False, ValueError, "exponent must be an int, got False"),
+        (lambda: power(X, True), ValueError,
+         "exponent must be an int, got True"),
+        (lambda: X**2.0, ValueError, "exponent must be an int, got 2.0"),
+        (lambda: power(X, 2.5), ValueError, "exponent must be an int, got 2.5"),
+        (lambda: X ** "2", ValueError, "exponent must be an int, got '2'"),
+    ], ids=["poly-true", "poly-false", "pow-true", "pow-false", "power-true",
+            "pow-whole-float", "power-float", "pow-str"])
+    def test_bools_and_non_int_exponents_are_refused_by_name(self, build,
+                                                             error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_degree_of_zero_is_none(self):
         assert ZERO.degree is None
 

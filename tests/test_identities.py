@@ -272,6 +272,19 @@ class TestCheckLemma:
         with pytest.raises(ValueError):
             check_lemma(spec_by_id("sigma_mu"), X, -1)
 
+    # Unrefused, m = True checked the point x as m = True, and m = 2.0
+    # failed with a TypeError from Poly.__pow__.
+    @pytest.mark.parametrize("m, lattice", [
+        (True, None), (False, None), (2.0, None), (-1, None), ("2", None),
+        (True, X), (2.0, X**2),
+    ], ids=["true", "false", "whole-float", "negative", "str",
+            "true-given-lattice", "whole-float-given-lattice"])
+    def test_a_bool_or_non_int_exponent_is_refused_by_name(self, m, lattice):
+        kwargs = {} if lattice is None else {"lattice": multfun._Lattice(lattice)}
+        with pytest.raises(ValueError) as info:
+            check_lemma(spec_by_id("sigma_z"), X, m, **kwargs)
+        assert str(info.value) == f"m must be an int >= 0, got {m!r}"
+
     def test_sigma_z_example(self):
         report = check_lemma(spec_by_id("sigma_z"), X, 2)
         assert report.expected == Poly("x^2+1")

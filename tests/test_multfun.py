@@ -69,6 +69,17 @@ class TestBuiltins:
             with pytest.raises(ValueError, match="negative"):
                 f.at_prime_power(X, -1)
 
+    # Unrefused, sigma.at_prime_power(X, True) was sigma(x) = x+1, and r =
+    # 2.0 failed with a TypeError from a list index.
+    @pytest.mark.parametrize("r", [True, False, 2.0, 1.5, "2", None],
+                             ids=["true", "false", "whole-float", "float",
+                                  "str", "none"])
+    def test_a_bool_or_non_int_exponent_is_refused_by_name(self, r):
+        for f in ALL_BUILTINS:
+            with pytest.raises(ValueError) as info:
+                f.at_prime_power(X, r)
+            assert str(info.value) == f"r must be an int, got {r!r}"
+
     def test_examples(self):
         assert phi(Poly("x^2")) == Poly("x^2+x")
         assert sigma(Poly("x^2+x")) == Poly("x^2+x")

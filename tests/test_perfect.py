@@ -691,6 +691,20 @@ class TestSearch:
         with pytest.raises(RuntimeError):
             _result(Poly("x^2").bits, False)
 
+    def test_result_guard_catches_a_dropped_divisor(self, monkeypatch):
+        # The divisor-sum check reads the walker's masks; one divisor
+        # left out changes the XOR by a nonzero mask.
+        walk = perfect._power_products
+
+        def drop_the_second(f, unitary):
+            masks = walk(f, unitary)
+            return masks[:1] + masks[2:]
+
+        monkeypatch.setattr(perfect, "_power_products", drop_the_second)
+        for unitary in (False, True):
+            with pytest.raises(RuntimeError, match="divisor-sum"):
+                _result(B.bits, unitary)
+
     def test_result_guard_rejects_a_convolution_mismatch(self, monkeypatch):
         hit = Poly("x^2+x")  # sigma(x (x+1)) = (x+1) x
         assert _result(hit.bits, False).polynomial == hit
