@@ -357,8 +357,9 @@ def check_all(
     with P and m ascending, so one stable sort on spec id alone orders
     them.  jobs is accepted and ignored: the grid is checked serially.
     max_prime_deg must be an int >= 1, max_exp an int >= 0 and spec_ids,
-    if given, must name at least one lemma and none twice, so that no
-    summary counts an empty grid or a point twice.
+    if given, a list of ids, not a str, that names at least one lemma
+    and none twice, so that no summary counts an empty grid or a point
+    twice.
     """
     for name, n, least in (("max_prime_deg", max_prime_deg, 1),
                            ("max_exp", max_exp, 0)):
@@ -366,6 +367,9 @@ def check_all(
             raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
     specs = registry(functions)
     if spec_ids is not None:
+        if isinstance(spec_ids, str):
+            raise ValueError(f"spec_ids must be a list of lemma ids, "
+                             f"not the str {spec_ids!r}")
         by_id = {s.id: s for s in specs}
         unknown = [i for i in spec_ids if i not in by_id]
         if unknown:
@@ -518,13 +522,16 @@ def suite_inputs(
     special polynomials up to the degree bound.  The square count and
     both degree bounds must be nonnegative ints, not bools, and must
     select at least one input: a square, or special_max_deg >= 2, the
-    degree of x^2, so that no summary reads PASS over no check."""
+    degree of x^2, so that no summary reads PASS over no check.  The
+    seed must be an int, not a bool."""
     for name, value in (("square_count", square_count),
                         ("square_max_deg", square_max_deg),
                         ("special_max_deg", special_max_deg)):
         if type(value) is not int or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, "
                              f"got {value!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if not square_count and special_max_deg < 2:
         raise ValueError("square_count 0 and special_max_deg below 2 "
                          "select no input")

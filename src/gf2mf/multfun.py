@@ -25,9 +25,10 @@ its sums run on lane values (gf2poly._spread) while the table's entry
 bound, the sum over the primes of the largest degree in the function's
 row, is at most gf2poly._LANE_MAX_DEG; then no lane of a product counts
 past 255, so integer products are exact.  The bound is read off the
-rows, never off deg a, as a pointwise product's rows can outgrow their
-exponents.  Larger lattices keep masks and _mul_bits, which the symbolic
-route uses throughout, so the two routes share no carryless kernel.
+function's lane values (lane_row), never off deg a, as a pointwise
+product's rows can outgrow their exponents.  Larger lattices keep masks
+and _mul_bits, which the symbolic route uses throughout, so the two
+routes share no carryless kernel.
 
 _divsum_affine is the one home of the sigma and sigma_star rules: a
 start s_1 and an affine recurrence in P^step with constant c.  Their
@@ -91,7 +92,7 @@ class MultiplicativeFunction:
         self.name = name
         self._step = step
         self._cache: dict[int, list[int]] = {}
-        self._lanes: dict[int, tuple[list[int], list[int]]] = {}
+        self._lanes: dict[int, list[int]] = {}
 
     def row(self, p: int, e: int) -> list[int]:
         """The stored row at the prime mask p, grown to hold f(P^0..P^e);
@@ -110,40 +111,32 @@ class MultiplicativeFunction:
                 row.append(self._step(p, row))
         return row
 
-    def lane_row(self, p: int, e: int) -> "tuple[list[int], int]":
-        """The stored lane row at p, holding f(P^0..P^e) as lane values
-        (gf2poly._spread), and the largest degree among those e + 1.
-
-        Each entry is spread once, with the running maximum of the
-        degrees so far.  No entry of a degree past _LANE_MAX_DEG is
-        spread: when the degree returned exceeds it, the row ends short
-        of e, and callers must read the masks of row() instead.
-        """
-        lanes = self._lanes.get(p)
-        if lanes is None:
-            lanes = self._lanes[p] = [], []
-        vals, tops = lanes
-        if len(vals) > e:
-            return vals, tops[e]
-        row = self.row(p, e)
-        top = tops[-1] if tops else 0
-        while len(vals) <= e:
-            m = row[len(vals)]
-            top = max(top, m.bit_length() - 1)
-            if top > _LANE_MAX_DEG:
-                break
-            vals.append(_spread(m))
-            tops.append(top)
-        return vals, top
+    def lane_row(self, p: int, e: int) -> list[int]:
+        """The stored lane row at p: f(P^0..P^e) as lane values
+        (gf2poly._spread), as row() holds them, up to the first entry of
+        degree past _LANE_MAX_DEG, which is never spread; callers of a
+        row short of e + 1 entries read the masks of row() instead."""
+        vals = self._lanes.setdefault(p, [])
+        if len(vals) <= e:
+            row = self.row(p, e)
+            while len(vals) <= e:
+                m = row[len(vals)]
+                if m.bit_length() - 1 > _LANE_MAX_DEG:
+                    break
+                vals.append(_spread(m))
+        return vals
 
     def at_prime_power(self, prime: Poly, r: int) -> Poly:
-        """Value at prime**r; r = 0 yields the unit value 1.  r must be an
-        int >= 0, not a bool."""
+        """Value at prime**r; r = 0 yields the unit value 1.  prime must
+        be irreducible by factor(), and r an int >= 0, not a bool."""
         if type(r) is not int:
             raise ValueError(f"r must be an int, got {r!r}")
         if r < 0:
             raise ValueError("negative prime-power exponent")
-        return Poly(self.row(prime.bits, r)[r])
+        p = prime.bits
+        if p < 2 or _factor_bits(p) != ((p, 1),):
+            raise ValueError(f"prime must be irreducible, got {prime}")
+        return Poly(self.row(p, r)[r])
 
     def at_factors(self, pairs: "Iterable[tuple[int, int]]") -> int:
         """The mask of f at the product of P^e over the (prime mask,
@@ -270,11 +263,14 @@ class _Lattice:
     A table is kept in lane form (gf2poly._spread) while its entry
     bound, the sum over the primes of the largest degree in f's row up
     to the exponent, is at most _LANE_MAX_DEG (254); past it the table
-    holds masks.  The bound is read off the rows, never off deg A, since
-    a row's degrees need not follow its exponents.  Every entry, and so
-    every partial product of the walk, has degree <= the bound, so each
-    lane of a product counts at most 255 pairs, and masking to each
-    lane's low bit gives the lane value of the carryless product.
+    holds masks.  The bound is read off f's lane rows, never off deg A,
+    since a row's degrees need not follow its exponents: a lane value of
+    degree d has bit length 8 d + 1, and the largest value has the
+    largest degree; a lane row short of the exponent means masks.  Every
+    entry, and so every partial product of the walk, has degree <= the
+    bound, so each lane of a product counts at most 255 pairs, and
+    masking to each lane's low bit gives the lane value of the carryless
+    product.
     """
 
     def __init__(self, a: Poly):
@@ -300,11 +296,14 @@ class _Lattice:
         entry bound, else mask rows and 0."""
         rows, bound = [], 0
         for p, e in self._primes:
-            vals, top = f.lane_row(p, e)
-            rows.append(vals[:e + 1])
-            bound += top
-        if bound <= _LANE_MAX_DEG:
-            return rows, _TABLE_KEEP
+            vals = f.lane_row(p, e)[:e + 1]
+            if len(vals) <= e:
+                break
+            rows.append(vals)
+            bound += max(vals).bit_length() - 1 >> 3
+        else:
+            if bound <= _LANE_MAX_DEG:
+                return rows, _TABLE_KEEP
         return [f.row(p, e)[:e + 1] for p, e in self._primes], 0
 
     def _walk(self, f: MultiplicativeFunction) -> "tuple[list[int], int]":

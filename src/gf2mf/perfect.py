@@ -120,12 +120,20 @@ class ScanReport:
     rejected_sample: "list[Poly]" = field(default_factory=list)
 
 
+def _check_unitary(unitary: bool) -> None:
+    """Refuse a unitary flag that is not a bool: "False" or 2 would read
+    as True."""
+    if type(unitary) is not bool:
+        raise ValueError(f"unitary must be a bool, got {unitary!r}")
+
+
 def verify_perfect(a: Poly, unitary: bool = False) -> bool:
     """Exact fixed-point test: the XOR of the masks of every (unitary)
     divisor of factor(a), as divisors() or unitary_divisors() lists them
     (divisors._power_products), equals a.  A literal sum over the
     lattice, independent of the rows and closed forms the searches use;
-    no Poly is built per divisor."""
+    no Poly is built per divisor.  unitary must be a bool."""
+    _check_unitary(unitary)
     if a.bits == 0:
         raise ValueError("perfection is undefined for the zero polynomial")
     return reduce(xor, _power_products(factor(a), unitary), 0) == a.bits
@@ -585,10 +593,11 @@ def search_fixed_points(
     divisor sum, but a missed fixed point would be caught only by the
     table oracle (degree <= 20) and the pinned listings: the listing
     rests on the exponent bound and the two lemmas.  max_deg must be an
-    int.
+    int and unitary a bool.
     """
     if type(max_deg) is not int:
         raise ValueError("max_deg must be an int")
+    _check_unitary(unitary)
     if not 1 <= max_deg <= EXHAUSTIVE_MAX_DEG:
         raise ResourceLimitError(
             f"exhaustive search degree must be 1..{EXHAUSTIVE_MAX_DEG}"
@@ -612,7 +621,7 @@ def odd_square_scan(
     The low coefficients of the divisor sum are compared first; survivors
     get the full comparison.  Counters and the sample_rejected smallest
     filter-rejected candidates are recorded for conservativeness checks;
-    max_deg must be an int and sample_rejected an int >= 0.
+    max_deg must be an int, unitary a bool and sample_rejected an int >= 0.
 
     The sample is read off the candidate set, not out of the walk: the
     candidates are the squares of the S with S(0) = 1, an odd number of
@@ -631,6 +640,7 @@ def odd_square_scan(
         raise ResourceLimitError(
             f"odd-square scan degree must be 2..{ODD_SCAN_MAX_DEG}"
         )
+    _check_unitary(unitary)
     if type(sample_rejected) is not int or sample_rejected < 0:
         raise ValueError("sample_rejected must be an int >= 0")
     rej, checked, hits = _walk(max_deg, unitary)

@@ -371,8 +371,10 @@ class TestCheckAll:
 
     # Unrefused, sigma_z listed twice read PASS 12/12 for its 6 points,
     # no lemma PASS 0/0 and max_exp=True PASS 148/148; max_exp=2.5 raised
-    # TypeError, and max_prime_deg=0 a ValueError that did not name it.
+    # TypeError, max_prime_deg=0 a ValueError that did not name it, and
+    # the str "sigma_z" was read as seven one-letter ids.
     @pytest.mark.parametrize("args, kwargs, name", [
+        ((1, 1), {"spec_ids": "sigma_z"}, "spec_ids"),
         ((1, 2), {"spec_ids": ["sigma_z", "sigma_z"]}, "spec_ids"),
         ((1, 2), {"spec_ids": ["sigma_z", "sigma_mu", "sigma_z"]}, "spec_ids"),
         ((2, 2), {"spec_ids": []}, "spec_ids"),
@@ -385,9 +387,9 @@ class TestCheckAll:
         ((1, False), {}, "max_exp"),
         ((1, 2.5), {}, "max_exp"),
         ((1, 2.0), {}, "max_exp"),
-    ], ids=["spec-twice", "spec-twice-apart", "no-spec", "deg-0", "deg-neg",
-            "deg-bool", "deg-float", "deg-str", "exp-true", "exp-false",
-            "exp-float", "exp-whole-float"])
+    ], ids=["spec-str", "spec-twice", "spec-twice-apart", "no-spec", "deg-0",
+            "deg-neg", "deg-bool", "deg-float", "deg-str", "exp-true",
+            "exp-false", "exp-float", "exp-whole-float"])
     def test_bad_arguments_are_refused_by_name(self, args, kwargs, name):
         with pytest.raises(ValueError, match=name):
             check_all(*args, **kwargs)
@@ -956,6 +958,18 @@ class TestSuite:
             run(**kwargs)
         # The least input set that checks something is x^2 and x^2 + 1.
         assert len(suite_inputs(square_count=0, special_max_deg=2)) == 2
+
+    # Unrefused, corollary_suite(seed=True) ran seed 1, and a str, a
+    # float or None seeded the draw by its own rules, None from the clock.
+    @pytest.mark.parametrize("run, seed", [
+        (suite_inputs, True), (suite_inputs, False), (suite_inputs, "1001"),
+        (suite_inputs, 1001.0), (corollary_suite, True),
+        (corollary_suite, None),
+    ], ids=["true", "false", "str", "float", "suite-true", "suite-none"])
+    def test_a_bool_or_non_int_seed_is_refused_by_name(self, run, seed):
+        with pytest.raises(ValueError) as info:
+            run(seed=seed)
+        assert str(info.value) == f"seed must be an int, got {seed!r}"
 
     @pytest.mark.parametrize("kwargs", [dict(), dict(seed=1001)],
                              ids=["default", "seed1001"])

@@ -13,7 +13,8 @@ from gf2mf.divisors import (
     unitary_divisors,
 )
 from gf2mf.factorize import factor, irreducibles_up_to
-from gf2mf.gf2poly import ONE, Poly, X, X1, ZERO, _mul_bits, conjugate
+from gf2mf.gf2poly import (ONE, Poly, X, X1, ZERO, _mul_bits, _spread,
+                            conjugate)
 from gf2mf.multfun import (
     BUILTINS,
     MAX_EXPRESSION_TERMS,
@@ -79,6 +80,21 @@ class TestBuiltins:
             with pytest.raises(ValueError) as info:
                 f.at_prime_power(X, r)
             assert str(info.value) == f"r must be an int, got {r!r}"
+
+    # Unrefused, sigma.at_prime_power(x^2+1, 2) read x^4+x^2+1, though
+    # x^2+1 = (x+1)^2 and sigma((x+1)^4) = x^4+x^3+1, and each call, the
+    # constants' too, stored a row under a mask that is not a prime.
+    @pytest.mark.parametrize("prime", [Poly("x^2+1"), X**3, X * X1, ONE,
+                                       ZERO],
+                             ids=["square", "cube", "product", "one", "zero"])
+    def test_a_constant_or_reducible_prime_is_refused_by_name(self, prime):
+        for f in ALL_BUILTINS:
+            for r in (0, 2):
+                with pytest.raises(ValueError) as info:
+                    f.at_prime_power(prime, r)
+                assert str(info.value) == (
+                    f"prime must be irreducible, got {prime}")
+            assert prime.bits not in f._cache
 
     def test_examples(self):
         assert phi(Poly("x^2")) == Poly("x^2+x")
@@ -288,8 +304,7 @@ class TestConvolve:
         lane_row = multfun.MultiplicativeFunction.lane_row
 
         def counted(f, p, e):
-            vals, top = lane_row(f, p, e)
-            return [Counted(v) for v in vals], top
+            return [Counted(v) for v in lane_row(f, p, e)]
 
         expected = [sigma(d).bits for d in divisors(factor(a))]
         monkeypatch.setattr(multfun.MultiplicativeFunction, "lane_row",
@@ -336,6 +351,42 @@ class TestLatticeLanes:
         assert got == [masks.xor_sum(f, g, first, last) for f, g in pairs
                        for first, last in ((0, 0), (1, 1))]
         assert got[::2] == [convolve(f, g)(a).bits for f, g in pairs]
+
+    # inv(id)'s row at P is (1, P, 0, ...): its largest entry is not its
+    # last.  At 127 + 128 = 255 a bound read off the last entries, or at
+    # half their degrees, would take lanes whose products lose their top.
+    P = Poly("x^127+x+1")
+
+    @pytest.mark.parametrize("q, lanes", [
+        (Poly("x^127+x^126+1"), True), (Poly("x^128+x^7+x^2+x+1"), False),
+    ], ids=["bound-254", "bound-255"])
+    def test_the_bound_reads_a_rows_largest_entry(self, q, lanes):
+        f = inverse(ident)
+        a = self.P**2 * q**2
+        lat = multfun._Lattice(a)
+        assert lat.lanes(f) is lanes
+        assert f.row(self.P.bits, 2)[:3] == [1, self.P.bits, 0]
+        for g in (z, ident, mu, sigma):
+            assert lat.xor_sum(f, g) == convolve(f, g)(a).bits
+        assert lat.masks(f) == [f(d).bits for d in divisors(factor(a))]
+
+    def test_a_lane_row_stops_short_and_stays_short(self, monkeypatch):
+        # Entry k of id's row at x is x^k: the lane row stops before
+        # x^255, spreads nothing past it however far it is asked, and a
+        # lattice reading it keeps masks.
+        spread = []
+        monkeypatch.setattr(multfun, "_spread",
+                            lambda m: spread.append(m) or _spread(m))
+        f = multfun.MultiplicativeFunction("id", ident._step)
+        vals = f.lane_row(X.bits, 300)
+        assert vals == [_spread(1 << k) for k in range(255)]
+        assert f.lane_row(X.bits, 400) is vals
+        assert len(vals) == 255 and len(f.row(X.bits, 0)) == 401
+        lat = multfun._Lattice(X**300)
+        assert not lat.lanes(f)
+        assert lat.table(f) == [1 << k for k in range(301)]
+        assert f.lane_row(X.bits, 254) is vals and len(vals) == 255
+        assert spread == [1 << k for k in range(255)]
 
     def test_mixed_sum_reads_the_lane_table_back(self):
         # phi's entries reach degree 45, SIGMA_PHI5's 270.
@@ -458,7 +509,7 @@ class TestRows:
             "fs = [o for o in gc.get_objects()\n"
             "      if isinstance(o, MultiplicativeFunction)]\n"
             "print(sum(len(r) - 1 for f in fs for r in f._cache.values()))\n"
-            "print(all(len(f._lanes[p][0]) <= len(f._cache[p])\n"
+            "print(all(len(f._lanes[p]) <= len(f._cache[p])\n"
             "          for f in fs for p in f._lanes))\n"
         )
         values, lanes = out.split()

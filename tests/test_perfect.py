@@ -171,6 +171,31 @@ class TestVerifyPerfect:
             verify_perfect(ZERO)
 
 
+class TestUnitaryFlag:
+    # Unrefused, search_fixed_points(8, unitary="False") ran the unitary
+    # search, odd_square_scan(8, unitary=2).unitary was 2, and
+    # verify_perfect((x^2+x)^2, unitary="no") summed unitary divisors.
+    @pytest.mark.parametrize("unitary", ["False", "no", 2, 1, 0, None, 1.0],
+                             ids=["str-false", "str-no", "two", "one", "zero",
+                                  "none", "float"])
+    @pytest.mark.parametrize("run", [
+        lambda u: search_fixed_points(8, unitary=u),
+        lambda u: odd_square_scan(8, unitary=u),
+        lambda u: verify_perfect(B**2, unitary=u),
+    ], ids=["search", "scan", "verify"])
+    def test_a_non_bool_unitary_is_refused_by_name(self, monkeypatch, run,
+                                                   unitary):
+        # Each entry point refuses before it walks or factors anything.
+        def unreached(*args):
+            raise AssertionError("walked or factored before the refusal")
+
+        for name in ("_search_rows", "_walk", "factor"):
+            monkeypatch.setattr(perfect, name, unreached)
+        with pytest.raises(ValueError) as info:
+            run(unitary)
+        assert str(info.value) == f"unitary must be a bool, got {unitary!r}"
+
+
 class TestTrivialForm:
     def test_family_members(self):
         assert trivial_form(B) == 1
